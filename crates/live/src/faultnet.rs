@@ -1109,7 +1109,13 @@ mod tests {
         a.connect(b.local_addr()).unwrap();
         a.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let net2 = net.clone();
+        // The echo thread must count as busy from the moment it is
+        // spawned: otherwise virtual time runs ahead while the OS is
+        // still scheduling it, and the first echo misses A's read
+        // timeout.
+        let ticket = net.reserve();
         let echo = std::thread::spawn(move || {
+            net2.adopt(ticket);
             // Echo three datagrams back with their stamps.
             let mut stamps = Vec::new();
             for _ in 0..3 {

@@ -58,6 +58,7 @@ pub mod persist;
 pub mod provider;
 pub mod receiver;
 pub mod sender;
+mod session_table;
 pub mod skew;
 
 pub use analyze::{analyze_run, LiveAnalysis};

@@ -12,16 +12,35 @@
 //! in batches (Linux `recvmmsg` via [`crate::batch_io`], one-datagram
 //! fallback elsewhere), timestamped once per batch, and dispatched into
 //! a **sharded** session registry (`session_id % shards`, one lock per
-//! shard) through allocation-free accounting
-//! ([`SessionState::ingest`]). Control messages take the slow path and
-//! reply through a reused stack buffer. `recv_threads > 1` drains the
-//! same socket from several threads; the batched and fallback paths
-//! produce byte-identical per-session reports for the same arrival
-//! sequence (see the differential tests).
+//! shard) through [`SessionState::ingest`]. Control messages take the
+//! slow path and reply through a reused stack buffer. `recv_threads > 1`
+//! drains the same socket from several threads; the batched and
+//! fallback paths produce byte-identical per-session reports for the
+//! same arrival sequence (see the differential tests).
+//!
+//! Each session keeps its probes in a **dense table**
+//! ([`crate::session_table`]) sized from the SYN: one cell per projected
+//! experiment id, holding the experiment's online-estimator assembly and
+//! up to three inline probe entries, plus one dedup byte per projected
+//! sequence number. A packet of a SYN-sized session costs one indexed
+//! load per structure and allocates nothing. Keys outside that form
+//! (ids or seqs past the projection, a 4th slot on one experiment,
+//! `idx == 255`, a second idx on one seq, any key of a session opened
+//! without a handshake) spill into hash maps with the same semantics,
+//! so reports and online estimates do not depend on which form held a
+//! key. FIN walks the same table: one pass over the raw delays keeps
+//! each probe's last and largest queueing delay, and one pass over the
+//! cells emits the records already in `(experiment, slot)` order.
+//!
+//! Memory is accounted per container from its capacity and its
+//! element's `size_of` (`Footprint` in [`crate::session_table`]): the
+//! same formula sizes the SYN's reservation, charges admission's
+//! projected bytes ([`projected_session_bytes`]) against the global
+//! budget, and settles each session's footprint as it grows.
 //!
 //! One process serves **many concurrent sender sessions**: a session
 //! registry keyed by session id holds per-session accumulation state
-//! (arrival map, raw-delay series for the skew fit, control-plane
+//! (probe table, raw-delay series for the skew fit, control-plane
 //! finalization snapshot, idle deadline, metrics). Under
 //! [`SessionPolicy::Any`] sessions are opened dynamically by the
 //! control-plane SYN handshake, bounded by `max_sessions` — a SYN past
@@ -51,8 +70,8 @@ use crate::batch_io::{SteerMode, DEFAULT_RECV_BATCH};
 use crate::control::estimate_counters;
 use crate::event_loop::{PollMode, PollWaker, Poller, Wait};
 use crate::provider::{Clock, Provider, RecvBatch, Socket, TimestampSource};
+use crate::session_table::{Footprint, RawDelay, SessionTable};
 use badabing_core::estimator::Estimates;
-use badabing_core::outcome::Outcome;
 use badabing_metrics::{Counter, Registry};
 use badabing_stats::DelaySketch;
 use badabing_wire::control::{
@@ -226,8 +245,15 @@ pub const DEFAULT_SHARDS: usize = 8;
 
 /// Default per-session memory ceiling. Generous enough for the paper's
 /// largest runs (a 180k-slot improved run at 3 packets/probe accounts
-/// ~45 MB); tight enough that one hostile session cannot claim the box.
+/// ~30 MB); tight enough that one hostile session cannot claim the box.
 pub const DEFAULT_SESSION_BUDGET_BYTES: usize = 256 << 20;
+
+/// The bytes admission charges against the global budget for a session
+/// whose SYN announces `params`: its pre-sized probe table, dedup range
+/// and raw-delay series, capped by the per-session budget.
+pub fn projected_session_bytes(params: &SessionParams, session_budget: usize) -> usize {
+    SessionState::projected_bytes(params, session_budget)
+}
 
 impl ServerConfig {
     /// A server on `bind` admitting any session up to `max_sessions`:
@@ -341,18 +367,20 @@ impl ReceiverLog {
             ..Default::default()
         };
         for r in records {
-            log.arrivals.insert(
-                (r.experiment, r.slot),
-                ArrivalRecord {
-                    received: r.received,
-                    duplicates: r.duplicates,
-                    qdelay_last_secs: r.qdelay_last_secs,
-                    qdelay_max_secs: r.qdelay_max_secs,
-                    kernel_stamped: r.flags & RECORD_FLAG_KERNEL_STAMPED != 0,
-                },
-            );
+            log.arrivals.insert((r.experiment, r.slot), arrival_of(r));
         }
         log
+    }
+}
+
+/// The arrival record a report record carries.
+fn arrival_of(r: &ReportRecord) -> ArrivalRecord {
+    ArrivalRecord {
+        received: r.received,
+        duplicates: r.duplicates,
+        qdelay_last_secs: r.qdelay_last_secs,
+        qdelay_max_secs: r.qdelay_max_secs,
+        kernel_stamped: r.flags & RECORD_FLAG_KERNEL_STAMPED != 0,
     }
 }
 
@@ -566,61 +594,6 @@ const MIN_SWEEP_GAP: Duration = Duration::from_millis(5);
 /// budget, so they must keep running.
 const SWEEP_FALLBACK: Duration = Duration::from_millis(200);
 
-/// Capacity-based per-entry cost estimates for the memory budgets.
-/// Hash entries include bucket/control-byte overhead, vector elements
-/// their size; deliberately round and slightly generous — the budget is
-/// a guard rail against hostile or runaway sessions, not an allocator
-/// audit.
-const PROBE_ENTRY_BYTES: usize = 96;
-/// Dedup-set entry: `(u64, u8)` key plus hash overhead.
-const SEEN_ENTRY_BYTES: usize = 24;
-/// Raw-delay element: `(u64, u64, f64, i64)`.
-const RAW_ENTRY_BYTES: usize = 32;
-/// Finalized report record plus its share of the snapshot log.
-const RECORD_ENTRY_BYTES: usize = 112;
-/// Online-estimator assembly entry: `u64` key, [`ExpAssembly`], hash
-/// overhead.
-const EXP_ENTRY_BYTES: usize = 80;
-
-/// Per-probe accumulation state.
-struct ProbeArrivals {
-    seen_idx: HashSet<u8>,
-    probe_len: u8,
-    duplicates: u8,
-    /// Stays set only while every distinct arrival of the probe carried
-    /// a kernel RX stamp.
-    kernel_stamped: bool,
-}
-
-impl Default for ProbeArrivals {
-    fn default() -> Self {
-        Self {
-            seen_idx: HashSet::new(),
-            probe_len: 0,
-            duplicates: 0,
-            kernel_stamped: true,
-        }
-    }
-}
-
-/// Per-experiment assembly state for the online estimator fold: just
-/// enough to re-derive the experiment's current [`Outcome`] from the
-/// probe map without walking it (bounds + distinct-slot count), plus
-/// the outcome currently folded into the session's [`Estimates`] so a
-/// revision can retract it exactly.
-#[derive(Default)]
-struct ExpAssembly {
-    /// Lowest slot seen for this experiment.
-    lo: u64,
-    /// Highest slot seen for this experiment.
-    hi: u64,
-    /// Distinct slots seen (saturating; 0 = nothing yet).
-    slots: u8,
-    /// The outcome currently counted in the session's online
-    /// [`Estimates`], if the experiment has ever looked complete.
-    folded: Option<Outcome>,
-}
-
 /// A finalized session snapshot: frozen at the first FIN (or at reap
 /// time) and re-served verbatim on every retransmit. Chunks are not
 /// materialized: any requested chunk is encoded on demand straight from
@@ -635,10 +608,10 @@ struct Finalized {
 
 /// Per-session accumulation state in the registry.
 struct SessionState {
-    /// (exp, slot, receive time secs, raw delay ns) — first copies only.
-    raw_delays: Vec<(u64, u64, f64, i64)>,
-    probes: HashMap<(u64, u64), ProbeArrivals>,
-    seen: HashSet<(u64, u8)>,
+    /// Raw delay samples of first copies, in arrival order.
+    raw_delays: Vec<RawDelay>,
+    /// Per-probe arrivals, dedup state and online assembly.
+    table: SessionTable,
     packets: u64,
     duplicates: u64,
     min_raw: Option<i64>,
@@ -648,15 +621,13 @@ struct SessionState {
     last_activity: Duration,
     finalized: Option<Finalized>,
     /// §5 pattern counters maintained incrementally on the ingest fast
-    /// path (loss-only outcome derivation — see [`derive_outcome`]).
+    /// path (loss-only outcome derivation — see [`SessionTable::fold`]).
     /// Frozen once the session finalizes, so post-FIN strays cannot
     /// drift the snapshot the differential contract pins.
     online: Estimates,
     /// Fixed log-scale sketch of offset-adjusted raw delays (seconds
     /// above the running path minimum), mergeable across sessions.
     delay_sketch: DelaySketch,
-    /// Online assembly state, one entry per experiment seen.
-    exps: HashMap<u64, ExpAssembly>,
     /// What this session last settled against the server's global
     /// memory tally ([`Shared::settle_mem`]); released when the session
     /// leaves the registry.
@@ -670,8 +641,7 @@ impl SessionState {
         let scope = metrics.map(|m| m.scope(format!("session_{session}")));
         Self {
             raw_delays: Vec::new(),
-            probes: HashMap::new(),
-            seen: HashSet::new(),
+            table: SessionTable::default(),
             packets: 0,
             duplicates: 0,
             min_raw: None,
@@ -680,97 +650,103 @@ impl SessionState {
             finalized: None,
             online: Estimates::default(),
             delay_sketch: DelaySketch::new(),
-            exps: HashMap::new(),
             accounted_bytes: 0,
             m_packets: scope.as_ref().map(|s| s.counter("packets_accepted")),
             m_duplicates: scope.as_ref().map(|s| s.counter("duplicates")),
         }
     }
 
-    /// Approximate bytes this session's containers hold, computed from
-    /// their *capacities* (what was reserved, not merely filled) — that
-    /// is what a hostile SYN inflates and what the budgets must bound.
+    /// The capacities of this session's containers — what was
+    /// reserved, not merely filled, since that is what a hostile SYN
+    /// inflates and what the budgets must bound.
+    fn footprint(&self) -> Footprint {
+        let (records, arrivals) = self.finalized.as_ref().map_or((0, 0), |f| {
+            (f.records.capacity(), f.log.arrivals.capacity())
+        });
+        Footprint {
+            raw: self.raw_delays.capacity(),
+            records,
+            arrivals,
+            ..self.table.footprint()
+        }
+    }
+
+    /// Bytes this session's containers hold ([`Footprint::bytes`]).
     /// Pure arithmetic on a handful of fields: cheap enough for the
     /// per-datagram fast path.
     fn mem_bytes(&self) -> usize {
-        self.probes.capacity() * PROBE_ENTRY_BYTES
-            + self.seen.capacity() * SEEN_ENTRY_BYTES
-            + self.raw_delays.capacity() * RAW_ENTRY_BYTES
-            + self.exps.capacity() * EXP_ENTRY_BYTES
-            + self
-                .finalized
-                .as_ref()
-                .map_or(0, |f| f.records.capacity() * RECORD_ENTRY_BYTES)
+        self.footprint().bytes()
     }
 
     /// What a SYN announcing `params` asks to have reserved, after the
-    /// hard anti-hostile caps. Both the probe map *and* the per-packet
-    /// containers are capped: the earlier code capped only the probe
-    /// count and then multiplied it by `probe_packets` (up to 255),
-    /// which let one datagram demand gigabytes of reservation.
-    fn desired_entries(params: &SessionParams) -> (usize, usize, usize) {
+    /// hard anti-hostile caps. Both the experiment count *and* the
+    /// per-packet containers are capped: `probe_packets` (up to 255)
+    /// multiplies the packet count, so a cap on experiments alone would
+    /// let one datagram demand gigabytes of reservation.
+    fn desired(params: &SessionParams) -> Footprint {
         const MAX_RESERVED_PROBES: usize = 1 << 21;
         const MAX_RESERVED_PACKETS: usize = 1 << 22;
         let slots_per_exp: usize = if params.improved { 3 } else { 2 };
-        let experiments = (params.n_slots as f64 * params.p).ceil() as usize;
-        let probes = experiments
-            .saturating_mul(slots_per_exp)
-            .min(MAX_RESERVED_PROBES);
-        let packets = probes
+        // Each slot starts an experiment with probability p, so the
+        // count is Binomial(n_slots, p). The dense range reaches four
+        // standard deviations past the mean, so a run that drew a few
+        // more experiments than p·n_slots keeps its tail out of the
+        // spill maps.
+        let p = params.p.clamp(0.0, 1.0);
+        let mean = params.n_slots as f64 * p;
+        let experiments = (mean + 4.0 * (mean * (1.0 - p)).sqrt()).ceil() as usize;
+        let cells = experiments.min(MAX_RESERVED_PROBES / slots_per_exp);
+        let packets = (cells * slots_per_exp)
             .saturating_mul(usize::from(params.probe_packets.max(1)))
             .min(MAX_RESERVED_PACKETS);
-        // The online assembly map holds one entry per experiment; the
-        // probe cap bounds it transitively.
-        (probes / slots_per_exp, probes, packets)
+        Footprint {
+            cells,
+            seqs: packets,
+            raw: packets,
+            ..Footprint::default()
+        }
     }
 
     /// The bytes [`SessionState::reserve_for`] would take a fresh
     /// session to, clamped by the per-session budget — what admission
     /// charges against the global budget before any container exists.
     fn projected_bytes(params: &SessionParams, session_budget: usize) -> usize {
-        let (exps, probes, packets) = Self::desired_entries(params);
-        (probes * PROBE_ENTRY_BYTES
-            + packets * (SEEN_ENTRY_BYTES + RAW_ENTRY_BYTES)
-            + exps * EXP_ENTRY_BYTES)
-            .min(session_budget)
+        Self::desired(params).bytes().min(session_budget)
     }
 
-    /// Pre-size the accumulation maps from the SYN-carried tool config,
-    /// so a full-length run never rehashes mid-flight: the expected
-    /// probe count is `p·n_slots` experiments times the slots each one
-    /// probes (3 under the improved §5.3 schedule, 2 basic), and the
-    /// dedup set / raw-delay series see one entry per *packet*. Hard
-    /// caps on both counts ([`SessionState::desired_entries`]) plus the
-    /// per-session byte budget bound what a malicious SYN can balloon;
-    /// `reserve` is additive, so re-announcing (SYN retransmit) never
-    /// shrinks anything.
+    /// Pre-size the session from the SYN-carried tool config, so a
+    /// full-length run never reallocates mid-flight: the dense table
+    /// covers the projected experiments and one dedup byte per
+    /// projected packet, and the raw-delay series one sample per
+    /// packet. Hard caps ([`SessionState::desired`]) plus the
+    /// per-session byte budget bound what a malicious SYN can balloon.
+    /// The dense form is sized only while the table is pristine: keys a
+    /// session without a handshake already spilled keep spilling, and a
+    /// SYN retransmit never moves a key. `reserve` is additive, so
+    /// re-announcing never shrinks anything.
     fn reserve_for(&mut self, params: &SessionParams, session_budget: usize) {
-        let (mut exps, mut probes, mut packets) = Self::desired_entries(params);
+        let mut want = Self::desired(params);
         // Scale the reservation down to what the per-session budget
         // leaves: a SYN may promise any run size, the receiver only
         // pays up to the budget for it.
-        let want = probes * PROBE_ENTRY_BYTES
-            + packets * (SEEN_ENTRY_BYTES + RAW_ENTRY_BYTES)
-            + exps * EXP_ENTRY_BYTES;
-        let remaining = session_budget.saturating_sub(self.mem_bytes());
-        if want > remaining {
-            let scale = remaining as f64 / want.max(1) as f64;
-            probes = (probes as f64 * scale) as usize;
-            packets = (packets as f64 * scale) as usize;
-            exps = (exps as f64 * scale) as usize;
+        let (bytes, remaining) = (
+            want.bytes(),
+            session_budget.saturating_sub(self.mem_bytes()),
+        );
+        if bytes > remaining {
+            want = want.scaled(remaining, bytes);
         }
-        self.probes
-            .reserve(probes.saturating_sub(self.probes.len()));
-        self.seen.reserve(packets.saturating_sub(self.seen.len()));
+        if self.table.is_pristine() {
+            self.table = SessionTable::dense(want.cells, want.seqs);
+        }
         self.raw_delays
-            .reserve(packets.saturating_sub(self.raw_delays.len()));
-        self.exps.reserve(exps.saturating_sub(self.exps.len()));
+            .reserve(want.raw.saturating_sub(self.raw_delays.len()));
     }
 
     /// Record the SYN-announced tool configuration: keep the params for
     /// the final log, seed the online estimator's slot width (the same
     /// expression the report-side fold uses, so the FIN differential is
-    /// bit-exact), and pre-size the accumulation maps.
+    /// bit-exact), and pre-size the session.
     fn apply_handshake(&mut self, params: SessionParams, session_budget: usize) {
         self.handshake = Some(params);
         self.online.slot_secs = params.slot_ns as f64 / 1e9;
@@ -784,10 +760,9 @@ impl SessionState {
     /// tracked but never inflates arrival counts — a lost probe must
     /// not look complete.
     fn ingest(&mut self, h: &ProbeHeader, now: Duration, source: TimestampSource) -> bool {
-        if !self.seen.insert((h.seq, h.idx)) {
+        if !self.table.first_copy(h.seq, h.idx) {
             self.duplicates += 1;
-            let entry = self.probes.entry((h.experiment, h.slot)).or_default();
-            entry.duplicates = entry.duplicates.saturating_add(1);
+            self.table.duplicate(h.experiment, h.slot);
             return false;
         }
         self.packets += 1;
@@ -795,77 +770,65 @@ impl SessionState {
         self.min_raw = Some(self.min_raw.map_or(raw, |m| m.min(raw)));
         self.raw_delays
             .push((h.experiment, h.slot, now.as_secs_f64(), raw));
-        let new_slot = !self.probes.contains_key(&(h.experiment, h.slot));
-        let entry = self.probes.entry((h.experiment, h.slot)).or_default();
-        entry.seen_idx.insert(h.idx);
-        entry.probe_len = entry.probe_len.max(h.probe_len);
-        // A probe is precision-grade only if every one of its arrivals
-        // was; duplicates don't weigh in (they never touch delays).
-        entry.kernel_stamped &= source == TimestampSource::Kernel;
+        let new_slot = self.table.accept(
+            h.experiment,
+            h.slot,
+            h.idx,
+            h.probe_len,
+            source == TimestampSource::Kernel,
+        );
         // Online estimator fold + delay sketch, frozen once the session
         // has finalized: the FIN snapshot is the contract, and a stray
         // post-FIN probe must not drift the live estimate away from it.
         if self.finalized.is_none() {
-            self.fold_online(h.experiment, h.slot, new_slot);
+            self.table
+                .fold(h.experiment, h.slot, new_slot, &mut self.online);
             let min = self.min_raw.unwrap_or(raw);
             self.delay_sketch.push((raw - min) as f64 / 1e9);
         }
         true
     }
 
-    /// Revise this experiment's contribution to the online counters
-    /// after one accepted packet: update the assembly bounds, re-derive
-    /// the experiment's current outcome, and retract-old/push-new on
-    /// any change — so at every instant the online `Estimates` equal a
-    /// fold over the outcomes derivable from the data received so far.
-    fn fold_online(&mut self, exp: u64, slot: u64, new_slot: bool) {
-        let a = self.exps.entry(exp).or_default();
-        if new_slot {
-            if a.slots == 0 {
-                a.lo = slot;
-                a.hi = slot;
-            } else {
-                a.lo = a.lo.min(slot);
-                a.hi = a.hi.max(slot);
-            }
-            a.slots = a.slots.saturating_add(1);
-        }
-        let (lo, hi, slots, old) = (a.lo, a.hi, a.slots, a.folded);
-        let new = derive_outcome(&self.probes, exp, lo, hi, slots);
-        if new != old {
-            if let Some(o) = &old {
-                self.online.retract(o);
-            }
-            if let Some(o) = &new {
-                self.online.push(o);
-            }
-            self.exps
-                .get_mut(&exp)
-                .expect("assembly just touched")
-                .folded = new;
-        }
-    }
-
     /// Freeze the session log on first call; later calls re-serve the
     /// same snapshot (FIN idempotency).
+    ///
+    /// The clock baseline is fitted over the whole session and turns
+    /// raw delays into queueing delays (§7): a running minimum would
+    /// bias early records upward, and min-subtraction alone would let
+    /// clock skew masquerade as queueing delay on long runs.
     fn finalize(&mut self, rejected: u64, metrics: Option<&Registry>) -> &Finalized {
         if self.finalized.is_none() {
-            let log = build_log(
-                &self.raw_delays,
-                &self.probes,
-                self.packets,
-                rejected,
-                self.duplicates,
-                self.min_raw,
-                self.handshake,
-                metrics,
+            let points: Vec<(f64, f64)> = self
+                .raw_delays
+                .iter()
+                .map(|&(_, _, t, raw)| (t, raw as f64 / 1e9))
+                .collect();
+            let baseline = crate::skew::fit_baseline(&points).unwrap_or(crate::skew::Baseline {
+                offset: 0.0,
+                slope: 0.0,
+            });
+            let qdelay_hist = metrics.map(|m| m.histogram("qdelay_secs"));
+            let records = self
+                .table
+                .finish(&self.raw_delays, &baseline, qdelay_hist.as_deref());
+            let mut arrivals = HashMap::with_capacity(records.len());
+            arrivals.extend(
+                records
+                    .iter()
+                    .map(|r| ((r.experiment, r.slot), arrival_of(r))),
             );
-            let summary = log.summary();
-            let records = log.to_records();
+            let log = ReceiverLog {
+                arrivals,
+                packets: self.packets,
+                rejected,
+                duplicates: self.duplicates,
+                min_raw_delay_ns: self.min_raw,
+                handshake: self.handshake,
+            };
             self.finalized = Some(Finalized {
                 total_chunks: chunk_count(records.len()),
+                summary: log.summary(),
                 records,
-                summary,
                 log,
             });
         }
@@ -2639,119 +2602,11 @@ fn estimate_reply(
     }
 }
 
-/// The outcome the report-side pipeline would currently derive for one
-/// experiment from loss alone.
-///
-/// Mirrors the FIN path exactly: a probe is congested iff its clamped
-/// arrival count is short (`(seen.min(probe_len)) < probe_len`, the
-/// same clamp [`apply_baseline`] writes into `ReportRecord::received`),
-/// and an experiment only yields an outcome while its slots are
-/// contiguous and 2 or 3 wide (the `detector::assemble` grouping rule).
-/// Anything else — one slot so far, a gap, a hostile slot spray — is
-/// `None`, and whatever was previously folded gets retracted.
-fn derive_outcome(
-    probes: &HashMap<(u64, u64), ProbeArrivals>,
-    exp: u64,
-    lo: u64,
-    hi: u64,
-    slots: u8,
-) -> Option<Outcome> {
-    let span = (hi - lo).saturating_add(1);
-    if !(slots == 2 || slots == 3) || span != u64::from(slots) {
-        return None;
-    }
-    let mut states = [false; 3];
-    for (k, s) in states.iter_mut().take(usize::from(slots)).enumerate() {
-        let p = &probes[&(exp, lo + k as u64)];
-        *s = (p.seen_idx.len() as u8).min(p.probe_len) < p.probe_len;
-    }
-    Some(Outcome {
-        id: exp,
-        start_slot: lo,
-        probes: slots,
-        states,
-    })
-}
-
-/// Assemble a session's final log: fit the clock baseline over the whole
-/// session and convert raw delays into queueing delays (§7). A running
-/// minimum would bias early records upward; min-subtraction alone would
-/// let clock skew masquerade as queueing delay on long runs.
-#[allow(clippy::too_many_arguments)]
-fn build_log(
-    raw_delays: &[(u64, u64, f64, i64)],
-    probes: &HashMap<(u64, u64), ProbeArrivals>,
-    packets: u64,
-    rejected: u64,
-    duplicates: u64,
-    min_raw_delay_ns: Option<i64>,
-    handshake: Option<SessionParams>,
-    metrics: Option<&Registry>,
-) -> ReceiverLog {
-    let points: Vec<(f64, f64)> = raw_delays
-        .iter()
-        .map(|&(_, _, t, raw)| (t, raw as f64 / 1e9))
-        .collect();
-    let baseline = crate::skew::fit_baseline(&points).unwrap_or(crate::skew::Baseline {
-        offset: 0.0,
-        slope: 0.0,
-    });
-
-    let mut log = ReceiverLog {
-        packets,
-        rejected,
-        duplicates,
-        min_raw_delay_ns,
-        handshake,
-        ..Default::default()
-    };
-    let qdelay_hist = metrics.map(|m| m.histogram("qdelay_secs"));
-    apply_baseline(
-        &baseline,
-        raw_delays,
-        probes,
-        &mut log,
-        qdelay_hist.as_deref(),
-    );
-    log
-}
-
-/// Convert raw delays into per-probe arrival records under `baseline`.
-fn apply_baseline(
-    baseline: &crate::skew::Baseline,
-    raw_delays: &[(u64, u64, f64, i64)],
-    probes: &HashMap<(u64, u64), ProbeArrivals>,
-    log: &mut ReceiverLog,
-    qdelay_hist: Option<&badabing_metrics::Histogram>,
-) {
-    for &(exp, slot, t, raw) in raw_delays {
-        let q = baseline.correct(t, raw as f64 / 1e9);
-        if let Some(h) = qdelay_hist {
-            h.record_secs(q);
-        }
-        let state = &probes[&(exp, slot)];
-        // Seed the max from the probe's first arrival: folding via
-        // f64::max from a 0.0 default would report
-        // `qdelay_max_secs = 0.0 > qdelay_last_secs` for a probe whose
-        // baseline-corrected residuals are all slightly negative.
-        let rec = log.arrivals.entry((exp, slot)).or_insert(ArrivalRecord {
-            qdelay_max_secs: f64::NEG_INFINITY,
-            ..Default::default()
-        });
-        // Clamp: even a malformed sender reusing (seq, idx) pairs across
-        // more datagrams than the probe announces cannot push `received`
-        // past the probe length.
-        rec.received = (state.seen_idx.len() as u8).min(state.probe_len);
-        rec.duplicates = state.duplicates;
-        rec.qdelay_last_secs = q;
-        rec.qdelay_max_secs = rec.qdelay_max_secs.max(q);
-        rec.kernel_stamped = state.kernel_stamped;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use badabing_core::outcome::Outcome;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::net::UdpSocket;
     use std::time::Instant;
 
@@ -3016,54 +2871,6 @@ mod tests {
         assert!(!back.arrivals[&(4, 1)].kernel_stamped);
     }
 
-    #[test]
-    fn qdelay_max_is_seeded_from_the_first_arrival() {
-        // Regression: the fold used to start from the ArrivalRecord
-        // default of 0.0, so a probe whose baseline-corrected residuals
-        // were all slightly negative (the lower-envelope fit touches the
-        // samples only to within numerical error) reported
-        // qdelay_max_secs = 0.0 > qdelay_last_secs — an inconsistent
-        // record.
-        let baseline = crate::skew::Baseline {
-            offset: 0.005, // sits 5 ms above this probe's raw delays
-            slope: 0.0,
-        };
-        // Two arrivals of one probe: raw delays 4.8 ms and 4.9 ms, so
-        // corrected residuals are -0.2 ms then -0.1 ms.
-        let raw_delays = vec![(0u64, 0u64, 0.0, 4_800_000i64), (0, 0, 0.1, 4_900_000)];
-        let mut probes = HashMap::new();
-        probes.insert(
-            (0u64, 0u64),
-            ProbeArrivals {
-                seen_idx: [0u8, 1].into_iter().collect(),
-                probe_len: 2,
-                duplicates: 0,
-                kernel_stamped: true,
-            },
-        );
-        let mut log = ReceiverLog::default();
-        apply_baseline(&baseline, &raw_delays, &probes, &mut log, None);
-        let rec = log.arrivals[&(0, 0)];
-        assert!(
-            (rec.qdelay_last_secs - (-1e-4)).abs() < 1e-12,
-            "last residual, got {}",
-            rec.qdelay_last_secs
-        );
-        assert!(
-            (rec.qdelay_max_secs - (-1e-4)).abs() < 1e-12,
-            "max must be the larger *observed* residual, got {}",
-            rec.qdelay_max_secs
-        );
-        assert!(
-            rec.qdelay_max_secs >= rec.qdelay_last_secs,
-            "record must be internally consistent"
-        );
-        assert!(
-            rec.qdelay_max_secs < 0.0,
-            "an all-negative probe must not report a phantom 0.0 max"
-        );
-    }
-
     /// A synthetic arrival stream: multi-packet probes, one duplicated
     /// datagram, one lost packet, non-monotone send timestamps, and a
     /// deterministic mix of kernel- and userspace-stamped arrivals —
@@ -3179,7 +2986,8 @@ mod tests {
     }
 
     /// Satellite regression: the SYN-carried run size must pre-size the
-    /// per-session maps so the hot path never rehashes mid-run.
+    /// session so the hot path never reallocates mid-run, and the
+    /// accounting must charge exactly what admission projected.
     #[test]
     fn syn_params_presize_session_maps() {
         let params = SessionParams {
@@ -3192,13 +3000,16 @@ mod tests {
         };
         let mut state = SessionState::new(1, None, Duration::ZERO);
         state.reserve_for(&params, DEFAULT_SESSION_BUDGET_BYTES);
-        // ceil(10_000 * 0.3) experiments × 3 slots each = 9_000 probes,
-        // × 3 packets = 27_000 packet-level entries.
-        assert!(state.probes.capacity() >= 9_000, "probe map under-sized");
-        assert!(state.seen.capacity() >= 27_000, "dedup set under-sized");
-        assert!(
-            state.raw_delays.capacity() >= 27_000,
-            "raw-delay series under-sized"
+        // ceil(10_000 * 0.3) experiments (plus headroom) × 3 slots
+        // each × 3 packets = at least 27_000 packet-level entries.
+        let fp = state.footprint();
+        assert!(fp.cells >= 3_000, "dense table under-sized: {fp:?}");
+        assert!(fp.seqs >= 27_000, "dedup range under-sized: {fp:?}");
+        assert!(fp.raw >= 27_000, "raw-delay series under-sized: {fp:?}");
+        assert_eq!(
+            state.mem_bytes(),
+            SessionState::projected_bytes(&params, DEFAULT_SESSION_BUDGET_BYTES),
+            "accounting and admission must share one byte formula"
         );
         // The cap keeps a hostile SYN from reserving unbounded memory.
         let hostile = SessionParams {
@@ -3208,15 +3019,15 @@ mod tests {
         };
         let mut state = SessionState::new(2, None, Duration::ZERO);
         state.reserve_for(&hostile, DEFAULT_SESSION_BUDGET_BYTES);
-        assert!(state.probes.capacity() < (1 << 22), "reserve cap ignored");
+        assert!(state.footprint().cells < (1 << 21), "reserve cap ignored");
     }
 
     /// Satellite regression (pre-fix failure): the probe-count cap
     /// alone is not enough — `probe_packets` multiplied the capped
     /// count back out, so a single hostile SYN with `probe_packets:
     /// 255` demanded a ~500M-entry (multi-GB) reservation for the
-    /// dedup set and raw-delay series. Both per-packet containers must
-    /// honor the hard cap and the per-session byte budget.
+    /// dedup state and raw-delay series. Both per-packet containers
+    /// must honor the hard cap and the per-session byte budget.
     #[test]
     fn hostile_syn_cannot_reserve_unbounded_packet_state() {
         let hostile = SessionParams {
@@ -3229,21 +3040,12 @@ mod tests {
         };
         let mut state = SessionState::new(3, None, Duration::ZERO);
         state.reserve_for(&hostile, DEFAULT_SESSION_BUDGET_BYTES);
-        // The hard packet cap is 1<<22 entries; allow hash-map headroom.
+        let fp = state.footprint();
+        assert!(fp.seqs <= 1 << 22, "dedup reservation unbounded: {fp:?}");
+        assert!(fp.raw <= 1 << 22, "raw-delay reservation unbounded: {fp:?}");
+        // And the whole reservation respects the per-session budget.
         assert!(
-            state.seen.capacity() <= (1 << 23),
-            "dedup set reservation unbounded: {} entries",
-            state.seen.capacity()
-        );
-        assert!(
-            state.raw_delays.capacity() <= (1 << 23),
-            "raw-delay reservation unbounded: {} entries",
-            state.raw_delays.capacity()
-        );
-        // And the whole reservation respects the per-session budget
-        // (with allocator rounding headroom).
-        assert!(
-            state.mem_bytes() <= 2 * DEFAULT_SESSION_BUDGET_BYTES,
+            state.mem_bytes() <= DEFAULT_SESSION_BUDGET_BYTES,
             "reservation ignores the session budget: {} bytes",
             state.mem_bytes()
         );
@@ -3253,15 +3055,17 @@ mod tests {
         let budget = 1 << 20; // 1 MiB
         let mut tight = SessionState::new(4, None, Duration::ZERO);
         tight.reserve_for(&hostile, budget);
+        let projected = SessionState::projected_bytes(&hostile, budget);
         assert!(
-            tight.mem_bytes() <= 2 * budget,
-            "tight budget ignored: {} bytes",
-            tight.mem_bytes()
-        );
-        assert!(
-            SessionState::projected_bytes(&hostile, budget) <= budget,
+            projected <= budget,
             "projected admission charge exceeds the session budget"
         );
+        assert!(
+            tight.mem_bytes() <= projected,
+            "tight budget ignored: {} bytes reserved, {projected} charged",
+            tight.mem_bytes()
+        );
+        assert!(tight.footprint().cells > 0, "scaled, not dropped");
     }
 
     /// The server config's sharding and multi-thread drain must not
@@ -3323,5 +3127,476 @@ mod tests {
         // The drain loops flush their ring stats on exit.
         assert!(metrics.counter("recv_datagrams").get() >= 42);
         assert!(metrics.counter("recv_syscalls").get() >= 1);
+    }
+
+    /// Counts every allocation the calling thread makes, so a test can
+    /// assert a hot path allocates nothing while other tests run on
+    /// their own threads.
+    mod alloc_count {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        struct Counting;
+
+        fn bump() {
+            // `try_with`: the slot is gone while the thread tears down.
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        }
+
+        // SAFETY: defers every operation to `System`; the counter is a
+        // const-initialized thread-local that never allocates itself.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                bump();
+                System.alloc(layout)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                bump();
+                System.realloc(ptr, layout, new_size)
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                bump();
+                System.alloc_zeroed(layout)
+            }
+        }
+
+        #[global_allocator]
+        static COUNTING: Counting = Counting;
+
+        /// Allocations made by this thread so far.
+        pub fn allocations() -> u64 {
+            ALLOCS.with(Cell::get)
+        }
+    }
+
+    /// The datagrams `run_sender` sends for a seeded run, in send
+    /// order: consecutive seqs from 0, `train` packets per probe.
+    fn planned_stream(params: &SessionParams, seed: u64) -> Vec<ProbeHeader> {
+        let mut plan: Vec<(u64, u64)> = badabing_core::schedule::ExperimentScheduler::new(
+            params.p,
+            params.improved,
+            badabing_stats::rng::seeded(seed, "table-plan"),
+        )
+        .take_run(params.n_slots)
+        .iter()
+        .flat_map(|e| e.slots().map(move |slot| (slot, e.id)))
+        .collect();
+        plan.sort_unstable();
+        let mut out = Vec::new();
+        for (slot, experiment) in plan {
+            for idx in 0..params.probe_packets {
+                out.push(ProbeHeader {
+                    session: 1,
+                    experiment,
+                    slot,
+                    seq: out.len() as u64,
+                    send_ns: slot * params.slot_ns + u64::from(idx) * 1_000,
+                    idx,
+                    probe_len: params.probe_packets,
+                });
+            }
+        }
+        out
+    }
+
+    /// The zero-allocation claim of the module docs: once a SYN has
+    /// sized the session, ingesting a paper-shaped stream (loss,
+    /// duplicates, reordering, mixed stamp sources) allocates nothing,
+    /// and none of it spills out of the dense table.
+    #[test]
+    fn steady_state_ingest_allocates_nothing() {
+        let params = SessionParams {
+            n_slots: 20_000,
+            slot_ns: 5_000_000,
+            probe_packets: 3,
+            packet_bytes: 64,
+            p: 0.3,
+            improved: true,
+        };
+        let mut stream = planned_stream(&params, 7);
+        stream.retain(|h| h.slot % 97 != 13);
+        let dups: Vec<ProbeHeader> = stream.iter().step_by(500).copied().collect();
+        stream.extend(dups);
+        for i in (0..stream.len().saturating_sub(8)).step_by(5) {
+            stream.swap(i, i + 7);
+        }
+        let mut state = SessionState::new(1, None, Duration::ZERO);
+        state.apply_handshake(params, DEFAULT_SESSION_BUDGET_BYTES);
+
+        let before = alloc_count::allocations();
+        for (i, h) in stream.iter().enumerate() {
+            let source = if i % 9 == 0 {
+                TimestampSource::User
+            } else {
+                TimestampSource::Kernel
+            };
+            state.ingest(h, Duration::from_nanos(h.send_ns + 40_000), source);
+        }
+        let allocs = alloc_count::allocations() - before;
+
+        assert_eq!(allocs, 0, "steady-state ingest allocated {allocs} times");
+        assert!(state.duplicates > 0 && state.packets > 40_000);
+        let fp = state.footprint();
+        assert_eq!(
+            (fp.spill_probes, fp.spill_seen, fp.spill_exps),
+            (0, 0, 0),
+            "a paper-shaped stream must stay in the dense table"
+        );
+    }
+
+    /// The receiver's per-session semantics written over ordered maps:
+    /// the reference the session table must reproduce bit for bit.
+    #[derive(Default)]
+    struct Model {
+        seen: BTreeSet<(u64, u8)>,
+        probes: BTreeMap<(u64, u64), ModelProbe>,
+        /// (lo, hi, distinct slots, folded outcome)
+        exps: BTreeMap<u64, (u64, u64, u8, Option<Outcome>)>,
+        raw: Vec<RawDelay>,
+        packets: u64,
+        duplicates: u64,
+        min_raw: Option<i64>,
+        online: Estimates,
+        frozen: bool,
+    }
+
+    struct ModelProbe {
+        idx: BTreeSet<u8>,
+        len: u8,
+        dups: u8,
+        kernel: bool,
+    }
+
+    impl ModelProbe {
+        fn received(&self) -> u8 {
+            (self.idx.len() as u8).min(self.len)
+        }
+    }
+
+    impl Model {
+        fn ingest(&mut self, h: &ProbeHeader, now: Duration, source: TimestampSource) {
+            let key = (h.experiment, h.slot);
+            let fresh = || ModelProbe {
+                idx: BTreeSet::new(),
+                len: 0,
+                dups: 0,
+                kernel: true,
+            };
+            if !self.seen.insert((h.seq, h.idx)) {
+                self.duplicates += 1;
+                let p = self.probes.entry(key).or_insert_with(fresh);
+                p.dups = p.dups.saturating_add(1);
+                return;
+            }
+            self.packets += 1;
+            let raw = now.as_nanos() as i64 - h.send_ns as i64;
+            self.min_raw = Some(self.min_raw.map_or(raw, |m| m.min(raw)));
+            self.raw
+                .push((h.experiment, h.slot, now.as_secs_f64(), raw));
+            let new_slot = !self.probes.contains_key(&key);
+            let p = self.probes.entry(key).or_insert_with(fresh);
+            p.idx.insert(h.idx);
+            p.len = p.len.max(h.probe_len);
+            p.kernel &= source == TimestampSource::Kernel;
+            if self.frozen {
+                return;
+            }
+            let a = self.exps.entry(h.experiment).or_default();
+            if new_slot {
+                if a.2 == 0 {
+                    (a.0, a.1) = (h.slot, h.slot);
+                } else {
+                    (a.0, a.1) = (a.0.min(h.slot), a.1.max(h.slot));
+                }
+                a.2 = a.2.saturating_add(1);
+            }
+            let (lo, hi, slots, old) = *a;
+            let contiguous = (hi - lo).saturating_add(1) == u64::from(slots);
+            let new = ((slots == 2 || slots == 3) && contiguous).then(|| {
+                let mut states = [false; 3];
+                for (k, s) in states.iter_mut().take(usize::from(slots)).enumerate() {
+                    let p = &self.probes[&(h.experiment, lo + k as u64)];
+                    *s = p.received() < p.len;
+                }
+                Outcome {
+                    id: h.experiment,
+                    start_slot: lo,
+                    probes: slots,
+                    states,
+                }
+            });
+            if new != old {
+                if let Some(o) = &old {
+                    self.online.retract(o);
+                }
+                if let Some(o) = &new {
+                    self.online.push(o);
+                }
+                self.exps.get_mut(&h.experiment).expect("just touched").3 = new;
+            }
+        }
+
+        fn records(&self) -> Vec<ReportRecord> {
+            let points: Vec<(f64, f64)> = self
+                .raw
+                .iter()
+                .map(|&(_, _, t, raw)| (t, raw as f64 / 1e9))
+                .collect();
+            let b = crate::skew::fit_baseline(&points).unwrap_or(crate::skew::Baseline {
+                offset: 0.0,
+                slope: 0.0,
+            });
+            let mut q: BTreeMap<(u64, u64), (f64, f64)> = BTreeMap::new();
+            for &(e, s, t, raw) in &self.raw {
+                let x = b.correct(t, raw as f64 / 1e9);
+                let r = q.entry((e, s)).or_insert((0.0, f64::NEG_INFINITY));
+                *r = (x, r.1.max(x));
+            }
+            q.iter()
+                .map(|(&(experiment, slot), &(last, max))| {
+                    let p = &self.probes[&(experiment, slot)];
+                    ReportRecord {
+                        experiment,
+                        slot,
+                        received: p.received(),
+                        duplicates: p.dups,
+                        qdelay_last_secs: last,
+                        qdelay_max_secs: max,
+                        flags: if p.kernel {
+                            RECORD_FLAG_KERNEL_STAMPED
+                        } else {
+                            0
+                        },
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// A stream built from a planned run and a list of ops, each one
+    /// `(kind, r, x)`: deliver, lose or reorder the next planned packet,
+    /// or inject one hostile datagram — a duplicate, a duplicate naming
+    /// a probe before its original arrives, a reused seq with another
+    /// idx, `idx == 255`, an experiment id or seq past the projection, a
+    /// 4th+ slot on one experiment, or a mixed `probe_len`.
+    fn hostile_stream(
+        mut planned: Vec<ProbeHeader>,
+        ops: &[(u32, u64, u32)],
+    ) -> Vec<(ProbeHeader, Duration, TimestampSource)> {
+        let far = planned.len() as u64 + 1_000;
+        let mut next = 0usize;
+        let mut sent: Vec<ProbeHeader> = Vec::new();
+        let mut out = Vec::new();
+        let mut now = 1_000_000u64;
+        for &(kind, r, x) in ops {
+            let x = u64::from(x);
+            let pick = |sent: &[ProbeHeader]| sent.get(r as usize % sent.len().max(1)).copied();
+            let h = match kind {
+                0..=44 => planned.get(next).copied().inspect(|_| next += 1),
+                45..=54 => {
+                    next += 1;
+                    None
+                }
+                55..=61 => pick(&sent),
+                62..=65 => pick(&sent)
+                    .zip(planned.get(next + r as usize % 8))
+                    .map(|(d, f)| ProbeHeader {
+                        experiment: f.experiment,
+                        slot: f.slot,
+                        ..d
+                    }),
+                66..=69 => pick(&sent).map(|d| ProbeHeader {
+                    idx: d.idx.wrapping_add(1 + (x % 3) as u8),
+                    ..d
+                }),
+                70..=72 => pick(&sent).map(|d| ProbeHeader { idx: 255, ..d }),
+                73..=76 => pick(&sent).map(|d| ProbeHeader {
+                    experiment: if x % 2 == 0 { far + x % 5 } else { r },
+                    seq: far + x,
+                    ..d
+                }),
+                77..=79 => pick(&sent).map(|d| ProbeHeader {
+                    seq: if x % 2 == 0 { far + x } else { r },
+                    ..d
+                }),
+                80..=83 => pick(&sent).map(|d| ProbeHeader {
+                    slot: d.slot + 3 + x % 3,
+                    seq: far + 10_000 + x,
+                    ..d
+                }),
+                84..=89 => planned
+                    .get(next)
+                    .copied()
+                    .inspect(|_| next += 1)
+                    .map(|h| ProbeHeader {
+                        probe_len: 1 + (x % 4) as u8,
+                        ..h
+                    }),
+                _ => {
+                    let j = next + 1 + (x % 6) as usize;
+                    if j < planned.len() {
+                        planned.swap(next, j);
+                    }
+                    planned.get(next).copied().inspect(|_| next += 1)
+                }
+            };
+            let Some(h) = h else { continue };
+            now += 1_000 + x % 50_000;
+            let source = if r % 7 == 0 {
+                TimestampSource::User
+            } else {
+                TimestampSource::Kernel
+            };
+            sent.push(h);
+            out.push((h, Duration::from_nanos(now), source));
+        }
+        out
+    }
+
+    /// Drive one stream through a session and the model alike, FIN at
+    /// `fin_at` arrivals (post-FIN strays keep arriving), and demand the
+    /// same records, summary and online `Estimates`.
+    fn check_against_model(
+        params: SessionParams,
+        handshake: u32,
+        budget: usize,
+        stream: &[(ProbeHeader, Duration, TimestampSource)],
+        fin_at: usize,
+    ) -> Result<SessionState, String> {
+        let mut state = SessionState::new(1, None, Duration::ZERO);
+        let mut model = Model::default();
+        // 0: SYN before any probe; 1: no handshake; 2: a SYN after the
+        // first probes (too late to size the dense table).
+        let syn_at = match handshake {
+            0 => Some(0),
+            1 => None,
+            _ => Some(stream.len().min(5)),
+        };
+        let mut fin = None;
+        for i in 0..=stream.len() {
+            if syn_at == Some(i) {
+                state.apply_handshake(params, budget);
+                model.online.slot_secs = params.slot_ns as f64 / 1e9;
+            }
+            if i == fin_at.min(stream.len()) && fin.is_none() {
+                let f = state.finalize(2, None);
+                let want_summary = ReportSummary {
+                    packets: model.packets,
+                    rejected: 2,
+                    duplicates: model.duplicates,
+                    min_raw_delay_ns: model.min_raw,
+                };
+                fin = Some((f.records.clone(), f.summary, model.records(), want_summary));
+                model.frozen = true;
+            }
+            if let Some((h, now, source)) = stream.get(i) {
+                state.ingest(h, *now, *source);
+                model.ingest(h, *now, *source);
+            }
+        }
+        let (records, summary, want_records, want_summary) = fin.expect("finalized");
+        if records != want_records {
+            let diff = records.iter().zip(&want_records).position(|(a, b)| a != b);
+            return Err(format!(
+                "records differ ({} vs {}) first at {diff:?}",
+                records.len(),
+                want_records.len()
+            ));
+        }
+        if summary != want_summary {
+            return Err(format!("summary {summary:?} vs {want_summary:?}"));
+        }
+        if state.online != model.online {
+            return Err(format!(
+                "online estimates differ: {:?} vs {:?}",
+                state.online, model.online
+            ));
+        }
+        if (state.packets, state.duplicates) != (model.packets, model.duplicates) {
+            return Err("post-FIN counters differ".into());
+        }
+        Ok(state)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The session table against the ordered-map reference model, on
+        /// streams mixing every key the dense form cannot hold.
+        #[test]
+        fn session_table_matches_the_reference_model(
+            shape in ((1u64..1_500, 1u32..=10), (proptest::prelude::any::<bool>(), 1u8..=3), 0u64..1_000),
+            mode in (0u32..3, 0u32..4, 0u32..=100),
+            ops in proptest::collection::vec((0u32..100, proptest::prelude::any::<u64>(), 0u32..100_000), 1..700),
+        ) {
+            let ((n_slots, p10), (improved, probe_packets), seed) = shape;
+            let (handshake, tight, fin_pct) = mode;
+            let params = SessionParams {
+                n_slots,
+                slot_ns: 5_000_000,
+                probe_packets,
+                packet_bytes: 64,
+                p: f64::from(p10) / 10.0,
+                improved,
+            };
+            // Tight budgets cut the dense range short of the run.
+            let budget = [DEFAULT_SESSION_BUDGET_BYTES, 4_096, 16_384, 65_536][tight as usize];
+            let stream = hostile_stream(planned_stream(&params, seed), &ops);
+            let fin_at = stream.len() * fin_pct as usize / 100;
+            let checked = check_against_model(params, handshake, budget, &stream, fin_at);
+            proptest::prop_assert!(checked.is_ok(), "{}", checked.err().unwrap_or_default());
+        }
+    }
+
+    /// Every key kind the dense form cannot hold, in one fixed stream:
+    /// each must spill, and the session must still match the model.
+    #[test]
+    fn every_hostile_key_spills_and_matches_the_model() {
+        let params = SessionParams {
+            n_slots: 400,
+            slot_ns: 5_000_000,
+            probe_packets: 3,
+            packet_bytes: 64,
+            p: 0.3,
+            improved: true,
+        };
+        let planned = planned_stream(&params, 3);
+        // Deliver a while, then one op of every hostile kind, then the
+        // rest of the plan.
+        let mut ops: Vec<(u32, u64, u32)> = (0..60).map(|i| (0, i, 17)).collect();
+        for kind in [55, 62, 66, 70, 73, 77, 80, 84, 90] {
+            ops.push((kind, 3, 4));
+            ops.push((kind, 8, 5));
+        }
+        ops.extend((0..planned.len() as u64).map(|i| (0, i, 29)));
+        let stream = hostile_stream(planned, &ops);
+        let state = check_against_model(
+            params,
+            0,
+            DEFAULT_SESSION_BUDGET_BYTES,
+            &stream,
+            stream.len(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let fp = state.footprint();
+        assert!(
+            fp.spill_probes > 0 && fp.spill_seen > 0 && fp.spill_exps > 0,
+            "{fp:?}"
+        );
+
+        // Without a handshake everything spills, with the same result.
+        let state = check_against_model(params, 1, DEFAULT_SESSION_BUDGET_BYTES, &stream, 120)
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(state.footprint().cells, 0);
     }
 }

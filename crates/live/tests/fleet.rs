@@ -21,7 +21,10 @@ use badabing_live::event_loop::PollMode;
 use badabing_live::faultnet::{flow_hash, FaultNet, LinkFaults};
 use badabing_live::persist::ReceiverFile;
 use badabing_live::provider::Provider;
-use badabing_live::receiver::{start_server, PressurePolicy, ServerConfig, SessionEnd};
+use badabing_live::receiver::{
+    projected_session_bytes, start_server, PressurePolicy, ServerConfig, SessionEnd,
+    DEFAULT_SESSION_BUDGET_BYTES,
+};
 use badabing_live::sender::{run_sender, SenderConfig};
 use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
@@ -46,9 +49,9 @@ fn fast_tool() -> BadabingConfig {
     }
 }
 
-/// Announces a run big enough that its budget-capped projected
-/// reservation is ~24 MB — two of them cannot fit a 40 MB global
-/// budget, which is what the pressure tests arrange.
+/// Announces a run big enough that its projected reservation is
+/// several megabytes, so the pressure tests can build a global budget
+/// around it ([`pressure_budget`]).
 fn big_params() -> SessionParams {
     SessionParams {
         n_slots: 100_000,
@@ -58,6 +61,19 @@ fn big_params() -> SessionParams {
         p: 0.3,
         improved: true,
     }
+}
+
+/// A global budget that holds one [`big_params`] session and not two:
+/// 1.5× the projected admission charge, derived from the receiver's own
+/// byte formula so a layout change cannot silently break the premise.
+fn pressure_budget() -> usize {
+    let one = projected_session_bytes(&big_params(), DEFAULT_SESSION_BUDGET_BYTES);
+    let budget = one + one / 2;
+    assert!(
+        one > 1 << 20 && one <= budget && 2 * one > budget,
+        "one session ({one} B) must fit {budget} B and two must not"
+    );
+    budget
 }
 
 /// Satellite regression: a chunked report fetch over slow links must
@@ -241,7 +257,7 @@ fn report_requests_never_go_unanswered() {
 fn syns_over_the_global_budget_are_rejected_fast() {
     let metrics = Arc::new(Registry::new("budget-reject"));
     let server = start_server(ServerConfig {
-        global_budget_bytes: Some(40 << 20),
+        global_budget_bytes: Some(pressure_budget()),
         on_pressure: PressurePolicy::Reject,
         metrics: Some(metrics.clone()),
         ..ServerConfig::any(local0(), 16)
@@ -286,7 +302,7 @@ fn syns_over_the_global_budget_are_rejected_fast() {
 fn budget_pressure_evicts_the_longest_idle_session() {
     let metrics = Arc::new(Registry::new("budget-evict"));
     let server = start_server(ServerConfig {
-        global_budget_bytes: Some(40 << 20),
+        global_budget_bytes: Some(pressure_budget()),
         on_pressure: PressurePolicy::EvictIdle,
         metrics: Some(metrics.clone()),
         ..ServerConfig::any(local0(), 16)
