@@ -718,7 +718,7 @@ fn main() {
                 );
                 assert_eq!(
                     r.drain_allocs, 0,
-                    "perf gate: the {}-thread steered drain must not allocate",
+                    "perf gate: the {}-thread reuseport drain must not allocate",
                     r.threads
                 );
             }

@@ -121,52 +121,14 @@ impl std::str::FromStr for IoMode {
     }
 }
 
-/// How receive work is steered across drain threads.
-///
-/// [`SteerMode::Reuseport`] gives every drain thread its **own**
-/// `SO_REUSEPORT` socket bound to the same address, so the kernel
-/// steers each flow (4-tuple) to exactly one thread and threads never
-/// share a socket lock or an epoll wakeup. Composes with every
-/// [`IoMode`]: steering picks *which* socket a datagram lands on, the
-/// io mode picks *how* that socket is drained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SteerMode {
-    /// [`SteerMode::Reuseport`] when the kernel supports it and more
-    /// than one drain thread is configured; [`SteerMode::Shared`]
-    /// otherwise.
-    #[default]
-    Auto,
-    /// One socket shared by every drain thread (the pre-steering path).
-    Shared,
-    /// One `SO_REUSEPORT` socket per drain thread. On kernels without
-    /// `SO_REUSEPORT` the receiver degrades stickily to the shared
-    /// path (counted, never an error).
-    Reuseport,
-}
-
-impl std::str::FromStr for SteerMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(SteerMode::Auto),
-            "shared" => Ok(SteerMode::Shared),
-            "reuseport" => Ok(SteerMode::Reuseport),
-            other => Err(format!(
-                "unknown steer mode {other:?} (expected auto|shared|reuseport)"
-            )),
-        }
-    }
-}
-
 /// Bind a UDP socket with `SO_REUSEPORT` set **before** the bind — the
 /// order the kernel requires for every member of a reuseport group, the
 /// first included, which is why `std`'s bind-then-configure
 /// `UdpSocket::bind` can't do this. Hand-declared syscalls, same
 /// offline no-`libc` surface as the rest of this module. Returns
 /// `Unsupported` off Linux; on kernels that refuse the option the
-/// `setsockopt` error surfaces so callers can degrade to one shared
-/// socket.
+/// `setsockopt` error surfaces so callers can fall back to one drain
+/// thread.
 #[cfg(target_os = "linux")]
 pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
     use std::os::fd::FromRawFd;
@@ -208,8 +170,8 @@ pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
 }
 
 /// See the Linux version; there is no portable `SO_REUSEPORT`-before-
-/// bind, so this platform reports `Unsupported` and callers stay on the
-/// shared-socket path.
+/// bind, so this platform reports `Unsupported` and callers run one
+/// drain thread.
 #[cfg(not(target_os = "linux"))]
 pub fn bind_reuseport(_addr: SocketAddr) -> io::Result<UdpSocket> {
     Err(io::Error::new(
@@ -1017,8 +979,8 @@ impl OffloadCaps {
         self.udp_segment && self.udp_gro
     }
 
-    /// Whether `--io-steer reuseport` can engage kernel flow steering
-    /// here.
+    /// Whether `--recv-threads N > 1` can bind a reuseport group here
+    /// (kernel flow steering across drain threads).
     pub fn reuseport_ready(&self) -> bool {
         self.so_reuseport
     }
@@ -1115,6 +1077,25 @@ mod sys {
     pub struct sockaddr_storage {
         pub bytes: [u8; SOCKADDR_STORAGE_BYTES],
     }
+
+    // Pin the hand-declared layouts to the 64-bit kernel ABI.
+    #[cfg(target_pointer_width = "64")]
+    const _: () = {
+        use core::mem::{align_of, offset_of, size_of};
+        assert!(size_of::<iovec>() == 16 && align_of::<iovec>() == 8);
+        assert!(offset_of!(iovec, iov_len) == 8);
+        assert!(size_of::<msghdr>() == 56 && align_of::<msghdr>() == 8);
+        assert!(offset_of!(msghdr, msg_namelen) == 8);
+        assert!(offset_of!(msghdr, msg_iov) == 16);
+        assert!(offset_of!(msghdr, msg_iovlen) == 24);
+        assert!(offset_of!(msghdr, msg_control) == 32);
+        assert!(offset_of!(msghdr, msg_controllen) == 40);
+        assert!(offset_of!(msghdr, msg_flags) == 48);
+        assert!(size_of::<mmsghdr>() == 64 && align_of::<mmsghdr>() == 8);
+        assert!(offset_of!(mmsghdr, msg_len) == 56);
+        assert!(size_of::<sockaddr_storage>() == 128);
+        assert!(align_of::<sockaddr_storage>() == 8);
+    };
 
     extern "C" {
         pub fn recvmmsg(
@@ -1509,17 +1490,6 @@ mod tests {
         }
         #[cfg(not(target_os = "linux"))]
         assert_eq!(caps, OffloadCaps::default());
-    }
-
-    #[test]
-    fn steer_mode_parses_all_spellings() {
-        assert_eq!("auto".parse::<SteerMode>().unwrap(), SteerMode::Auto);
-        assert_eq!("shared".parse::<SteerMode>().unwrap(), SteerMode::Shared);
-        assert_eq!(
-            "reuseport".parse::<SteerMode>().unwrap(),
-            SteerMode::Reuseport
-        );
-        assert!("so_reuseport".parse::<SteerMode>().is_err());
     }
 
     #[cfg(target_os = "linux")]

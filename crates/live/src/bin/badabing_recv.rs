@@ -19,28 +19,26 @@
 //! badabing_recv --bind 127.0.0.1:9000 --secs 70 \
 //!     [--session N|any] [--max-sessions N] [--log receiver.json] \
 //!     [--metrics metrics.json] [--idle-timeout 30] \
-//!     [--io auto|batched|fallback|gso|gso+gro] [--recv-threads N] [--shards N] \
-//!     [--io-steer auto|shared|reuseport] \
-//!     [--poll auto|epoll|timeout] [--session-budget-mb N] \
+//!     [--io auto|batched|fallback|gso|gso+gro] [--recv-threads N] \
+//!     [--session-budget-mb N] \
 //!     [--global-budget-mb N] [--on-pressure reject|evict] \
 //!     [--estimate-interval-ms N]
 //! ```
 //!
-//! With `--io-steer reuseport` (or `auto`, the default) and
-//! `--recv-threads N > 1`, each drain thread owns its own
-//! `SO_REUSEPORT` socket and the kernel steers flows per 4-tuple, so
-//! the probe fast path touches no cross-thread locks. Where the
-//! kernel lacks `SO_REUSEPORT` the server degrades to the shared
-//! socket and counts the fallback (`steer_fallbacks`).
+//! Each drain thread owns its own socket and registry shard. With
+//! `--recv-threads N > 1` the sockets form an `SO_REUSEPORT` group and
+//! the kernel steers flows per 4-tuple, so the probe fast path touches
+//! no cross-thread locks. Where the kernel lacks `SO_REUSEPORT` the
+//! server runs one thread and counts the fallback (`steer_fallbacks`).
+//! The drain threads park on epoll where the platform has it.
 //!
 //! With `--estimate-interval-ms N` (N > 0, multi-session mode) the
 //! server periodically merges every live session's online estimator and
 //! publishes the fleet-wide view as `fleet_*` gauges in the metrics
 //! snapshot.
 
-use badabing_live::batch_io::{IoMode, SteerMode};
+use badabing_live::batch_io::IoMode;
 use badabing_live::cli::Flags;
-use badabing_live::event_loop::PollMode;
 use badabing_live::persist::ReceiverFile;
 use badabing_live::provider::Provider;
 use badabing_live::receiver::{
@@ -55,9 +53,8 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "badabing_recv --bind ADDR --secs S [--session N|any] [--max-sessions N] \
                      [--log PATH] [--metrics PATH] [--idle-timeout S] \
-                     [--io auto|batched|fallback|gso|gso+gro] [--recv-threads N] [--shards N] \
-                     [--io-steer auto|shared|reuseport] \
-                     [--poll auto|epoll|timeout] [--session-budget-mb N] \
+                     [--io auto|batched|fallback|gso|gso+gro] [--recv-threads N] \
+                     [--session-budget-mb N] \
                      [--global-budget-mb N] [--on-pressure reject|evict] \
                      [--estimate-interval-ms N]";
 
@@ -95,9 +92,6 @@ fn main() -> std::io::Result<()> {
             metrics: Some(metrics.clone()),
             provider: Provider::udp(flags.opt::<IoMode>("io", IoMode::Auto)),
             recv_threads: flags.opt("recv-threads", 1usize).max(1),
-            shards: flags.opt("shards", badabing_live::receiver::DEFAULT_SHARDS),
-            steer: flags.opt("io-steer", SteerMode::Auto),
-            poll: flags.opt("poll", PollMode::Auto),
             session_budget_bytes: session_budget_mb << 20,
             global_budget_bytes: (global_budget_mb > 0).then_some(global_budget_mb << 20),
             on_pressure: flags.opt("on-pressure", PressurePolicy::Reject),
@@ -140,7 +134,7 @@ fn main() -> std::io::Result<()> {
             .join("/");
         eprintln!(
             "steering: {} reuseport sockets, {} cross-thread handoffs, \
-             {} sessions re-homed, {} shared-socket fallbacks, \
+             {} sessions re-homed, {} single-thread fallbacks, \
              per-thread rx [{per_thread}]",
             report.reuseport_sockets,
             report.steer_handoffs,

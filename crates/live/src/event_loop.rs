@@ -4,21 +4,20 @@
 //! (25 ms) per drain thread just to re-check its stop flag and idle
 //! watchdog — cheap with 8 sessions, pure waste with 10k mostly-idle
 //! ones. This module gives the drain loop a readiness primitive instead:
-//! on Linux an **epoll** instance — one shared by all drain threads on
-//! the shared-socket path, one per thread under `SO_REUSEPORT`
-//! steering — watches the receive socket plus
-//! an **eventfd** wake channel, so an idle receiver parks in
-//! `epoll_wait` until a datagram actually arrives, the idle-watchdog
-//! deadline comes due, or [`PollWaker::wake`] is called (server stop, a
-//! peer drain thread flipping `done`). Sessions that are idle cost zero
-//! wakeups and zero threads — the same drain threads serve all of them.
+//! on Linux an **epoll** instance per drain thread watches that thread's
+//! own receive socket plus an **eventfd** wake channel, so an idle
+//! receiver parks in `epoll_wait` until a datagram actually arrives, the
+//! idle-watchdog deadline comes due, or [`PollWaker::wake`] is called
+//! (server stop, a peer drain thread flipping `done`, a handed-off
+//! probe). Sessions that are idle cost zero wakeups and zero threads —
+//! the same drain threads serve all of them.
 //!
 //! The workspace is fully offline (no `libc` crate), so the syscalls are
 //! hand-declared against the C library in a `sys` module, in the same
 //! style as `batch_io.rs`. Every other platform — and the virtual
 //! [`crate::faultnet::FaultNet`] backend, whose sockets have no fd — gets
-//! [`PollMode::Timeout`]: [`Poller::wait`] reports ready immediately and
-//! the caller's blocking `recv` (bounded by the socket read timeout)
+//! the timeout loop: [`Poller::wait`] reports ready immediately and the
+//! caller's blocking `recv` (bounded by the socket read timeout)
 //! provides the pacing, which is exactly the pre-epoll behaviour.
 //!
 //! Only the **control path's scheduling** changes: once `epoll_wait`
@@ -35,46 +34,11 @@ use crate::provider::Socket;
 use std::io;
 use std::time::Duration;
 
-/// How a drain loop waits for work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollMode {
-    /// Epoll readiness where the platform and backend support it
-    /// (Linux, real UDP sockets), the timeout loop elsewhere.
-    #[default]
-    Auto,
-    /// Epoll readiness. Fails socket setup on platforms or backends
-    /// without it (virtual sockets have no fd to register).
-    Epoll,
-    /// The portable polling loop: blocking recv bounded by the socket
-    /// read timeout, re-checking flags between calls.
-    Timeout,
-}
-
-impl PollMode {
-    /// Whether this mode resolves to the epoll implementation for the
-    /// given socket.
-    pub fn use_epoll(self, socket: &Socket) -> bool {
-        let fd_backed = matches!(socket, Socket::Udp(_));
-        match self {
-            PollMode::Auto | PollMode::Epoll => cfg!(target_os = "linux") && fd_backed,
-            PollMode::Timeout => false,
-        }
-    }
-}
-
-impl std::str::FromStr for PollMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(PollMode::Auto),
-            "epoll" => Ok(PollMode::Epoll),
-            "timeout" => Ok(PollMode::Timeout),
-            other => Err(format!(
-                "unknown poll mode {other:?} (expected auto|epoll|timeout)"
-            )),
-        }
-    }
+/// Whether [`Poller::new`] parks on epoll for `socket`: on Linux, for
+/// an fd-backed (real UDP) socket. Everything else takes the timeout
+/// loop.
+pub(crate) fn epoll_ready(socket: &Socket) -> bool {
+    cfg!(target_os = "linux") && matches!(socket, Socket::Udp(_))
 }
 
 /// What a [`Poller::wait`] observed.
@@ -169,13 +133,9 @@ impl Drop for PollWaker {
     }
 }
 
-/// A readiness waiter over one receive socket. On the shared-socket
-/// path one instance is shared by every drain thread of a server
-/// (`epoll_wait` on one epoll fd from several threads is the intended
-/// kernel usage; each waiter brings its own event buffer); on the
-/// `SO_REUSEPORT` steering path each drain thread owns its own
-/// `Poller` over its own socket, so a wakeup never fans out past the
-/// owning thread.
+/// A readiness waiter over one receive socket. Each drain thread owns
+/// its own `Poller` over its own socket, so a wakeup never fans out
+/// past the owning thread.
 #[derive(Debug)]
 pub struct Poller {
     imp: Imp,
@@ -198,24 +158,17 @@ const TAG_SOCKET: u64 = 0;
 const TAG_WAKER: u64 = 1;
 
 impl Poller {
-    /// Build the resolved poller for `socket`. With [`PollMode::Epoll`]
-    /// on an unsupported platform/backend this errors; [`PollMode::Auto`]
-    /// silently takes the timeout loop instead.
-    pub fn new(socket: &Socket, mode: PollMode, waker: &PollWaker) -> io::Result<Self> {
-        if !mode.use_epoll(socket) {
-            if mode == PollMode::Epoll {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "epoll polling needs a Linux fd-backed socket",
-                ));
-            }
-            return Ok(Self { imp: Imp::Timeout });
+    /// The poller for `socket`: epoll for an fd-backed socket on Linux,
+    /// the timeout loop otherwise.
+    pub fn new(socket: &Socket, waker: &PollWaker) -> io::Result<Self> {
+        if !epoll_ready(socket) {
+            return Ok(Self::timeout());
         }
         #[cfg(target_os = "linux")]
         {
             let sock_fd = socket
                 .raw_fd()
-                .expect("use_epoll implies an fd-backed socket");
+                .expect("epoll_ready implies an fd-backed socket");
             // SAFETY: plain syscalls. The epoll fd is owned here and
             // closed in Drop; registered fds (socket, eventfd) outlive
             // the poller by construction (the server owns all three).
@@ -250,7 +203,7 @@ impl Poller {
             }
         }
         #[cfg(not(target_os = "linux"))]
-        unreachable!("use_epoll is false off Linux")
+        unreachable!("epoll_ready is false off Linux")
     }
 
     /// The plain timeout-loop poller, unconditionally. The fallback when
@@ -355,6 +308,19 @@ mod sys {
         pub data: u64,
     }
 
+    // Pin the hand-declared layout to the kernel ABI.
+    #[cfg(target_arch = "x86_64")]
+    const _: () = {
+        assert!(core::mem::size_of::<epoll_event>() == 12);
+        assert!(core::mem::align_of::<epoll_event>() == 1);
+        assert!(core::mem::offset_of!(epoll_event, data) == 4);
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    const _: () = {
+        assert!(core::mem::size_of::<epoll_event>() == 16);
+        assert!(core::mem::offset_of!(epoll_event, data) == 8);
+    };
+
     extern "C" {
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut epoll_event) -> i32;
@@ -372,6 +338,7 @@ mod tests {
     use super::*;
     use crate::provider::Provider;
 
+    #[cfg(target_os = "linux")]
     fn udp_pair() -> (Socket, Socket) {
         let p = Provider::default();
         let rx = p.bind("127.0.0.1:0".parse().unwrap()).unwrap();
@@ -381,18 +348,9 @@ mod tests {
     }
 
     #[test]
-    fn poll_mode_parses() {
-        assert_eq!("auto".parse::<PollMode>().unwrap(), PollMode::Auto);
-        assert_eq!("epoll".parse::<PollMode>().unwrap(), PollMode::Epoll);
-        assert_eq!("timeout".parse::<PollMode>().unwrap(), PollMode::Timeout);
-        assert!("select".parse::<PollMode>().is_err());
-    }
-
-    #[test]
     fn timeout_mode_always_reports_ready() {
-        let (rx, _tx) = udp_pair();
         let waker = PollWaker::new(false).unwrap();
-        let poller = Poller::new(&rx, PollMode::Timeout, &waker).unwrap();
+        let poller = Poller::timeout();
         assert!(!poller.is_epoll());
         assert_eq!(poller.wait(Duration::from_millis(1), &waker), Wait::Ready);
     }
@@ -402,13 +360,10 @@ mod tests {
         let net = crate::faultnet::FaultNet::new(3);
         let p = Provider::Fault(net);
         let sock = p.bind("10.9.0.1:1".parse().unwrap()).unwrap();
-        assert!(!PollMode::Auto.use_epoll(&sock));
+        assert!(!epoll_ready(&sock));
         let waker = PollWaker::new(false).unwrap();
-        let poller = Poller::new(&sock, PollMode::Auto, &waker).unwrap();
+        let poller = Poller::new(&sock, &waker).unwrap();
         assert!(!poller.is_epoll());
-        // Forcing epoll on a backend with no fd is a loud setup error,
-        // not a silent downgrade.
-        assert!(Poller::new(&sock, PollMode::Epoll, &waker).is_err());
     }
 
     #[cfg(target_os = "linux")]
@@ -416,7 +371,7 @@ mod tests {
     fn epoll_wakes_on_data_timeout_and_waker() {
         let (rx, tx) = udp_pair();
         let waker = PollWaker::new(true).unwrap();
-        let poller = Poller::new(&rx, PollMode::Auto, &waker).unwrap();
+        let poller = Poller::new(&rx, &waker).unwrap();
         assert!(poller.is_epoll());
 
         // Nothing readable: the wait times out.

@@ -210,7 +210,7 @@ struct Flight {
 }
 
 struct SockState {
-    /// Per-lane delivery queues. A plain bind has one lane; a steered
+    /// Per-lane delivery queues. A plain bind has one lane; a multi-lane
     /// bind ([`FaultNet::bind_lanes`]) has one per drain thread, and
     /// [`flow_hash`] picks the lane at delivery.
     lanes: Vec<VecDeque<FaultDatagram>>,
@@ -479,9 +479,9 @@ impl FaultNet {
             .expect("bind_lanes returns one handle per lane"))
     }
 
-    /// Bind one virtual address split into `n` steered lanes — the
+    /// Bind one virtual address split into `n` lanes — the
     /// virtual twin of an `SO_REUSEPORT` socket group. Each returned
-    /// handle drains exactly one lane; deliveries are steered to lane
+    /// handle drains exactly one lane; deliveries go to lane
     /// `flow_hash(src) % n`, so every flow lands on one handle for its
     /// whole lifetime. Connected-peer filtering and the read timeout
     /// are address-wide (set through any handle), and the address stays
@@ -543,7 +543,7 @@ impl FaultNet {
             if let Some(sock) = core.sockets.get_mut(&f.dst) {
                 if sock.connected.is_none_or(|peer| peer == f.src) {
                     // Per-flow steering: a single-lane bind is lane 0, a
-                    // steered bind hashes the source address so a flow
+                    // multi-lane bind hashes the source address so a flow
                     // always lands on the same lane.
                     let lane = if sock.lanes.len() == 1 {
                         0
@@ -877,7 +877,7 @@ impl FaultSocket {
 
     /// Blocking receive of one datagram with its delivery stamp,
     /// honouring the read timeout in virtual time (`WouldBlock` on
-    /// expiry, like a real socket). A steered handle only sees its own
+    /// expiry, like a real socket). A lane handle only sees its own
     /// lane's deliveries.
     pub fn recv_msg(&self) -> io::Result<FaultDatagram> {
         self.net.recv_on(self.addr, self.lane)
@@ -893,7 +893,7 @@ impl FaultSocket {
 impl Drop for FaultSocket {
     fn drop(&mut self) {
         let mut core = self.net.lock();
-        // A steered address has one handle per lane; it unbinds when
+        // A multi-lane address has one handle per lane; it unbinds when
         // the last of them drops.
         if let Some(s) = core.sockets.get_mut(&self.addr) {
             s.handles -= 1;

@@ -63,11 +63,11 @@ pub mod skew;
 
 pub use analyze::{analyze_run, LiveAnalysis};
 pub use batch_io::{
-    bind_reuseport, kernel_offload_caps, BatchReceiver, BatchSender, IoMode, OffloadCaps, SteerMode,
+    bind_reuseport, kernel_offload_caps, BatchReceiver, BatchSender, IoMode, OffloadCaps,
 };
 pub use control::{ControlClient, ControlConfig, ControlError};
 pub use emulator::{Emulator, EmulatorConfig, EmulatorStats, SessionFlow};
-pub use event_loop::{PollMode, PollWaker, Poller};
+pub use event_loop::{PollWaker, Poller};
 pub use faultnet::{flow_hash, FaultDatagram, FaultNet, FaultSocket, LinkFaults};
 pub use provider::{Clock, Provider, RecvBatch, SendBatch, Socket, TimestampSource};
 pub use receiver::{

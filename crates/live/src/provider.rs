@@ -63,17 +63,17 @@ impl Provider {
     }
 
     /// Bind `n` sockets sharing one address with per-flow receive
-    /// steering — the socket layer of `--io-steer reuseport`. Real UDP
+    /// steering — one per drain thread under `--recv-threads N`. Real UDP
     /// builds an `SO_REUSEPORT` group (every member sets the option
     /// before bind; the kernel then steers each 4-tuple to exactly one
     /// member). The virtual net splits the address into `n` lanes
-    /// steered by [`crate::faultnet::flow_hash`] over the source
+    /// picked by [`crate::faultnet::flow_hash`] over the source
     /// address — the same same-flow-same-socket invariant, which is
-    /// what lets FaultNet differential tests cover the steered tier.
+    /// what lets FaultNet differential tests cover multi-thread ingest.
     /// Errors (no `SO_REUSEPORT` on this kernel, non-Linux) surface so
-    /// the caller can degrade to one shared socket.
+    /// the caller can fall back to one drain thread.
     pub fn bind_steered(&self, addr: SocketAddr, n: usize) -> io::Result<Vec<Socket>> {
-        assert!(n >= 1, "a steered bind needs at least one socket");
+        assert!(n >= 1, "a reuseport group needs at least one socket");
         match self {
             Provider::Udp | Provider::UdpWith(_) => {
                 let first = batch_io::bind_reuseport(addr)?;

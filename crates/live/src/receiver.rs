@@ -10,13 +10,24 @@
 //!
 //! The datapath is split in two. Probes take the **fast path**: drained
 //! in batches (Linux `recvmmsg` via [`crate::batch_io`], one-datagram
-//! fallback elsewhere), timestamped once per batch, and dispatched into
-//! a **sharded** session registry (`session_id % shards`, one lock per
-//! shard) through [`SessionState::ingest`]. Control messages take the
-//! slow path and reply through a reused stack buffer. `recv_threads > 1`
-//! drains the same socket from several threads; the batched and
-//! fallback paths produce byte-identical per-session reports for the
-//! same arrival sequence (see the differential tests).
+//! fallback elsewhere), timestamped once per batch, and ingested through
+//! [`SessionState::ingest`]. Control messages take the slow path and
+//! reply through a reused stack buffer. The batched and fallback paths
+//! produce byte-identical per-session reports for the same arrival
+//! sequence (see the differential tests).
+//!
+//! There is one concurrency model: **drain thread `t` owns socket `t`,
+//! its poller and registry shard `t`**. One thread (the default) binds
+//! one plain socket. `recv_threads = N > 1` binds an `SO_REUSEPORT`
+//! group (virtual lanes on the fault net) so the kernel steers each
+//! flow to one thread; where that bind fails the server runs one thread
+//! and counts the fallback. A session lives in the shard of the thread
+//! its SYN arrived on, recorded in a router. A probe that lands on
+//! another thread (a sender whose probe and control flows hash apart,
+//! or a mid-run source-port rebind) rides that owner's bounded handoff
+//! ring, and a streak of such strays migrates the session to the thread
+//! its flow now steers to. Fleet-scope reads lock every shard in index
+//! order, the order migration uses, so a merged estimate is exact.
 //!
 //! Each session keeps its probes in a **dense table**
 //! ([`crate::session_table`]) sized from the SYN: one cell per projected
@@ -66,9 +77,9 @@
 //! run per session at that session's finalization, so concurrent
 //! sessions never contaminate each other's clock model or records.
 
-use crate::batch_io::{SteerMode, DEFAULT_RECV_BATCH};
+use crate::batch_io::DEFAULT_RECV_BATCH;
 use crate::control::estimate_counters;
-use crate::event_loop::{PollMode, PollWaker, Poller, Wait};
+use crate::event_loop::{epoll_ready, PollWaker, Poller, Wait};
 use crate::provider::{Clock, Provider, RecvBatch, Socket, TimestampSource};
 use crate::session_table::{Footprint, RawDelay, SessionTable};
 use badabing_core::estimator::Estimates;
@@ -80,11 +91,10 @@ use badabing_wire::control::{
     RECORD_FLAG_KERNEL_STAMPED,
 };
 use badabing_wire::ProbeHeader;
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Single-session receiver configuration (the original tool shape).
@@ -166,20 +176,15 @@ pub struct ServerConfig {
     /// [`crate::faultnet::FaultNet`] — the differential tests pin the
     /// real backends and hold them to identical reports.
     pub provider: Provider,
-    /// Threads draining the shared socket (≥ 1). Every thread runs the
-    /// full loop (probe fast path + control slow path); the sharded
-    /// session registry keeps concurrent sessions from serializing on
-    /// one lock. The default of 1 preserves strictly sequential
-    /// datagram handling.
+    /// Drain threads (≥ 1). Thread `t` owns socket `t` and registry
+    /// shard `t`, and runs the full loop (probe fast path + control
+    /// slow path). One thread binds one plain socket; more bind an
+    /// `SO_REUSEPORT` group (virtual lanes on the fault net) so the
+    /// kernel steers each flow to one thread. Where that bind fails the
+    /// server runs one thread (counted, see
+    /// [`ServerReport::steer_fallbacks`]). The default of 1 preserves
+    /// strictly sequential datagram handling.
     pub recv_threads: usize,
-    /// Session-registry shards (sessions map to `session_id % shards`,
-    /// each shard behind its own lock).
-    pub shards: usize,
-    /// How the drain loops wait for work: epoll readiness where
-    /// available ([`PollMode::Auto`]), or the portable timeout loop.
-    /// Idle sessions cost zero wakeups under epoll — the loop parks
-    /// until a datagram or the next watchdog deadline.
-    pub poll: PollMode,
     /// Per-session memory ceiling (approximate, capacity-based — see
     /// [`ServerReport::mem_peak_bytes`]). Bounds what one session's
     /// SYN-announced pre-sizing may reserve *and* what its probe stream
@@ -198,16 +203,6 @@ pub struct ServerConfig {
     /// (`fleet_*`). `None` disables the snapshots; they also require
     /// [`ServerConfig::metrics`] to be set to have anywhere to land.
     pub estimate_interval: Option<Duration>,
-    /// Receive steering tier. Under [`SteerMode::Auto`] or
-    /// [`SteerMode::Reuseport`] with `recv_threads > 1`, every drain
-    /// thread binds its **own** `SO_REUSEPORT` group member (virtual
-    /// lane on the fault net) and the kernel steers flows per 4-tuple,
-    /// so threads share neither a socket lock nor an epoll wakeup and
-    /// the session registry becomes thread-owned (`shards` is then
-    /// forced to `recv_threads`). Kernels or backends without
-    /// `SO_REUSEPORT` degrade sticky to the shared-socket path
-    /// (counted, see [`ServerReport::steer_fallbacks`]).
-    pub steer: SteerMode,
 }
 
 /// Admission behaviour under global-budget pressure.
@@ -238,11 +233,6 @@ impl std::str::FromStr for PressurePolicy {
     }
 }
 
-/// Default shard count for the session registry: enough to make lock
-/// collisions between a handful of concurrent sessions unlikely, small
-/// enough that the watchdog sweep stays trivial.
-pub const DEFAULT_SHARDS: usize = 8;
-
 /// Default per-session memory ceiling. Generous enough for the paper's
 /// largest runs (a 180k-slot improved run at 3 packets/probe accounts
 /// ~30 MB); tight enough that one hostile session cannot claim the box.
@@ -258,8 +248,8 @@ pub fn projected_session_bytes(params: &SessionParams, session_budget: usize) ->
 impl ServerConfig {
     /// A server on `bind` admitting any session up to `max_sessions`:
     /// control plane on, no idle watchdog, no metrics, auto-batched I/O
-    /// on a single drain thread, epoll readiness where available, and
-    /// the default per-session budget with no global ceiling.
+    /// on a single drain thread, and the default per-session budget
+    /// with no global ceiling.
     pub fn any(bind: SocketAddr, max_sessions: usize) -> Self {
         Self {
             bind,
@@ -270,13 +260,10 @@ impl ServerConfig {
             metrics: None,
             provider: Provider::default(),
             recv_threads: 1,
-            shards: DEFAULT_SHARDS,
-            poll: PollMode::Auto,
             session_budget_bytes: DEFAULT_SESSION_BUDGET_BYTES,
             global_budget_bytes: None,
             on_pressure: PressurePolicy::default(),
             estimate_interval: None,
-            steer: SteerMode::Auto,
         }
     }
 }
@@ -457,13 +444,14 @@ pub struct ServerReport {
     /// after it, the flow's packets are own-shard hits again.
     pub steer_migrations: u64,
     /// `SO_REUSEPORT` group members (virtual lanes) this run bound.
-    /// `0` means the shared-socket path (steering off or degraded).
+    /// `0` means one drain thread on one plain socket.
     pub reuseport_sockets: u64,
-    /// Times a requested steering tier degraded sticky to the shared
-    /// socket (no `SO_REUSEPORT` on this kernel/backend).
+    /// Times a multi-thread configuration fell back to one drain thread
+    /// because the reuseport group could not be bound (no
+    /// `SO_REUSEPORT` on this kernel/backend).
     pub steer_fallbacks: u64,
     /// Probe datagrams accepted per drain thread, indexed by thread.
-    /// Under steering this exposes the kernel's flow-hash spread.
+    /// With several threads this exposes the kernel's flow-hash spread.
     pub rx_packets_per_thread: Vec<u64>,
 }
 
@@ -483,9 +471,8 @@ pub struct ServerHandle {
     joined: std::thread::JoinHandle<ServerReport>,
     local_addr: SocketAddr,
     clock: Clock,
-    /// One waker per drain socket: a single shared one on the
-    /// shared-socket path, one per thread under steering (each thread
-    /// parks on its own epoll fd, so stop must kick every one).
+    /// One waker per drain thread (each parks on its own epoll fd, so
+    /// stop must kick every one).
     wakers: Arc<Vec<PollWaker>>,
 }
 
@@ -862,13 +849,10 @@ pub fn start_receiver(cfg: ReceiverConfig) -> std::io::Result<ReceiverHandle> {
         metrics: cfg.metrics,
         provider: cfg.provider,
         recv_threads: 1,
-        shards: 1,
-        poll: PollMode::Auto,
         session_budget_bytes: DEFAULT_SESSION_BUDGET_BYTES,
         global_budget_bytes: None,
         on_pressure: PressurePolicy::default(),
         estimate_interval: None,
-        steer: SteerMode::Shared,
     })?;
     Ok(ReceiverHandle { session, inner })
 }
@@ -877,21 +861,16 @@ pub fn start_receiver(cfg: ReceiverConfig) -> std::io::Result<ReceiverHandle> {
 /// configured policy until stopped (or, under
 /// [`SessionPolicy::Single`], until that session ends).
 pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-    // Resolve the steering tier: one `SO_REUSEPORT` group member
-    // (virtual lane) per drain thread where requested and supported,
-    // else the single shared socket. A forced `reuseport` on a kernel
-    // or backend without it degrades *sticky* to the shared path — the
-    // run proceeds, the degrade is counted — matching the offload
-    // tier's sticky-degrade contract.
-    let nthreads = cfg.recv_threads.max(1);
-    let steer_requested = cfg.steer != SteerMode::Shared && nthreads > 1;
-    let (sockets, steer_fallback) = if steer_requested {
-        match cfg.provider.bind_steered(cfg.bind, nthreads) {
+    // One socket per drain thread: a plain bind for one thread, an
+    // `SO_REUSEPORT` group (virtual lanes) for more. A kernel or backend
+    // without `SO_REUSEPORT` runs one thread instead — the run
+    // proceeds, the fallback is counted.
+    let (sockets, steer_fallback) = match cfg.recv_threads {
+        0 | 1 => (vec![cfg.provider.bind(cfg.bind)?], false),
+        n => match cfg.provider.bind_steered(cfg.bind, n) {
             Ok(s) => (s, false),
             Err(_) => (vec![cfg.provider.bind(cfg.bind)?], true),
-        }
-    } else {
-        (vec![cfg.provider.bind(cfg.bind)?], false)
+        },
     };
     let local_addr = sockets[0].local_addr()?;
     for socket in &sockets {
@@ -900,18 +879,10 @@ pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         // kernel rcvbuf overflows between scheduler quanta.
         socket.set_buffer_sizes(1 << 22, 1 << 22);
     }
-    // Resolve the readiness backend up front so a forced-epoll config
-    // fails here, synchronously, not inside the serve thread.
-    let use_epoll = cfg.poll.use_epoll(&sockets[0]);
-    if cfg.poll == PollMode::Epoll && !use_epoll {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "epoll polling needs a Linux fd-backed (real UDP) socket",
-        ));
-    }
     let wakers: Arc<Vec<PollWaker>> = Arc::new(
-        (0..sockets.len())
-            .map(|_| PollWaker::new(use_epoll))
+        sockets
+            .iter()
+            .map(|s| PollWaker::new(epoll_ready(s)))
             .collect::<std::io::Result<_>>()?,
     );
     let serve_wakers = wakers.clone();
@@ -1053,8 +1024,8 @@ const HANDOFF_CAP: usize = 4096;
 /// construction) can never bounce ownership straight back.
 const MIGRATE_STRAYS: u32 = 16;
 
-/// A steered session's routing entry: which drain thread owns its
-/// shard slot, plus how many wrong-thread probes have arrived since
+/// A session's routing entry: which drain thread owns its shard
+/// slot, plus how many wrong-thread probes have arrived since
 /// ownership last settled (the migration trigger).
 struct Route {
     owner: usize,
@@ -1073,82 +1044,17 @@ struct Handoff {
     source: TimestampSource,
 }
 
-/// One shard's published estimate snapshot (everything `Copy`):
-/// session count, merged online counters, merged delay sketch.
-#[derive(Clone, Copy, Default)]
-struct SnapData {
-    sessions: u32,
-    est: Estimates,
-    sketch: DelaySketch,
-}
+/// One drain thread's slice of the session registry.
+type Shard = HashMap<u32, SessionState>;
 
-/// Seqlock-published per-shard estimate snapshot for the steered tier:
-/// fleet-scope control reads on thread A must not take thread B's shard
-/// lock (that would stall B's probe fast path), so each owner publishes
-/// a `Copy` snapshot at state-change points (session open / finalize /
-/// close, watchdog sweep) and readers spin on the version instead.
-///
-/// Writers are serialized externally — [`Shared::publish_shard`] is
-/// only called with that shard's registry lock held.
-struct ShardSnap {
-    version: AtomicU64,
-    data: UnsafeCell<SnapData>,
-}
-
-// SAFETY: readers only dereference `data` between version checks (the
-// seqlock protocol re-reads on any concurrent write), writers are
-// serialized by the shard mutex.
-unsafe impl Sync for ShardSnap {}
-
-impl ShardSnap {
-    fn new() -> Self {
-        Self {
-            version: AtomicU64::new(0),
-            data: UnsafeCell::new(SnapData::default()),
-        }
-    }
-
-    /// Publish a new snapshot. Caller holds the shard's registry lock.
-    fn publish(&self, data: SnapData) {
-        let v = self.version.load(Ordering::Relaxed);
-        self.version.store(v.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        // SAFETY: writers are serialized by the shard lock; concurrent
-        // readers observe the odd version and retry.
-        unsafe { *self.data.get() = data };
-        self.version.store(v.wrapping_add(2), Ordering::Release);
-    }
-
-    /// Read a consistent snapshot (retries across concurrent writes;
-    /// writes are rare — state changes and sweep ticks, never the
-    /// per-packet path — so the loop terminates promptly).
-    fn read(&self) -> SnapData {
-        loop {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            // SAFETY: a torn read is detected by the version re-check
-            // below and discarded; `SnapData` is plain `Copy` data.
-            let data = unsafe { std::ptr::read_volatile(self.data.get()) };
-            fence(Ordering::Acquire);
-            if self.version.load(Ordering::Relaxed) == v1 {
-                return data;
-            }
-        }
-    }
-}
-
-/// Everything the drain threads share. The session registry is sharded
-/// by `session_id % shards`, each shard behind its own lock, so probe
-/// bursts for different sessions land on different locks instead of
-/// serializing on one map; global tallies are atomics bumped once per
+/// Everything the drain threads share. Thread `t` owns `sockets[t]`,
+/// `wakers[t]` and `shards[t]`: its probe fast path locks only its own
+/// (uncontended) shard. Global tallies are atomics bumped once per
 /// batch.
 struct Shared<'a> {
     cfg: &'a ServerConfig,
-    /// Every drain socket: one shared socket, or one `SO_REUSEPORT`
-    /// member (virtual lane) per drain thread under steering.
+    /// One socket per drain thread: a plain socket for one thread, an
+    /// `SO_REUSEPORT` group member (virtual lane) each for more.
     sockets: &'a [Socket],
     /// The primary socket — control replies go out here (all members
     /// share one bound address, so the sender sees the same peer).
@@ -1158,22 +1064,14 @@ struct Shared<'a> {
     /// relative to it so the time base matches the old `Instant` anchor.
     t0: Duration,
     single_id: Option<u32>,
-    /// Steered tier active: each drain thread owns shard `t` outright
-    /// (its lock is uncontended on the fast path), ownership is
-    /// arrival-thread-based via `router`, and `shards.len()` equals
-    /// `recv_threads`. Off: the classic `session_id % shards` mapping.
-    steered: bool,
-    shards: Vec<Mutex<HashMap<u32, SessionState>>>,
-    /// Steered only: session id → owner shard (+ stray streak). Touched
-    /// on session open/close and on fast-path *misses* — never on the
-    /// per-packet owned-shard hit path.
+    shards: Vec<Mutex<Shard>>,
+    /// Session id → owner shard (+ stray streak). Touched on session
+    /// open/close, on control messages and on fast-path *misses* —
+    /// never on the per-packet owned-shard hit path.
     router: Mutex<HashMap<u32, Route>>,
-    /// Steered only: per-thread bounded MPSC rings for probes that
-    /// arrived on a non-owner thread (sender rebind).
+    /// Per-thread bounded MPSC rings for probes that arrived on a
+    /// non-owner thread (sender rebind).
     handoff: Vec<Mutex<VecDeque<Handoff>>>,
-    /// Steered only: per-shard seqlock estimate snapshots, so
-    /// fleet-scope reads never take another thread's shard lock.
-    snaps: Vec<ShardSnap>,
     steer_handoffs: AtomicU64,
     steer_migrations: AtomicU64,
     /// Probes accepted per drain thread.
@@ -1203,7 +1101,7 @@ struct Shared<'a> {
     done: AtomicBool,
     stop: &'a AtomicBool,
     /// Kicks parked epoll waiters on `done`/stop transitions: one per
-    /// drain socket (each steered thread parks on its own epoll fd).
+    /// drain thread (each parks on its own epoll fd).
     wakers: &'a [PollWaker],
     c: ServeCounters,
 }
@@ -1213,24 +1111,6 @@ impl Shared<'_> {
         self.cfg.metrics.as_deref()
     }
 
-    /// The socket drain thread `me` reads from.
-    fn sock(&self, me: usize) -> &Socket {
-        if self.steered {
-            &self.sockets[me]
-        } else {
-            &self.sockets[0]
-        }
-    }
-
-    /// The waker covering drain thread `me`'s poller.
-    fn waker(&self, me: usize) -> &PollWaker {
-        if self.steered {
-            &self.wakers[me]
-        } else {
-            &self.wakers[0]
-        }
-    }
-
     fn wake_all(&self) {
         for w in self.wakers {
             w.wake();
@@ -1238,13 +1118,9 @@ impl Shared<'_> {
     }
 
     /// Resolve the shard holding `session` for a lookup from drain
-    /// thread `me`: id-hashed on the shared-socket path; under steering
-    /// the router's owner entry, defaulting to the asking thread's own
-    /// shard (an unknown session then simply misses there).
+    /// thread `me`: the router's owner entry, defaulting to the asking
+    /// thread's own shard (an unknown session then simply misses there).
     fn shard_index(&self, session: u32, me: usize) -> usize {
-        if !self.steered {
-            return session as usize % self.shards.len();
-        }
         self.router
             .lock()
             .expect("router lock")
@@ -1252,18 +1128,15 @@ impl Shared<'_> {
             .map_or(me, |r| r.owner)
     }
 
-    fn shard_for(&self, session: u32, me: usize) -> &Mutex<HashMap<u32, SessionState>> {
+    fn shard_for(&self, session: u32, me: usize) -> &Mutex<Shard> {
         &self.shards[self.shard_index(session, me)]
     }
 
     /// Claim (or resolve) ownership of `session` for an *open* path:
     /// first claimant wins, concurrent openers on other threads resolve
     /// to the same shard so the registry's entry-API race handling
-    /// keeps working. Identity mapping off steering.
+    /// keeps working.
     fn claim_owner(&self, session: u32, me: usize) -> usize {
-        if !self.steered {
-            return session as usize % self.shards.len();
-        }
         self.router
             .lock()
             .expect("router lock")
@@ -1288,23 +1161,8 @@ impl Shared<'_> {
         self.steer_handoffs.fetch_add(1, Ordering::Relaxed);
         inc(&self.c.steer_handoffs);
         // The owner may be parked on its own (now idle) socket.
-        self.wakers[owner.min(self.wakers.len() - 1)].wake();
+        self.wakers[owner].wake();
         true
-    }
-
-    /// Publish shard `idx`'s estimate snapshot (steered only; caller
-    /// holds that shard's registry lock, which serializes writers).
-    fn publish_shard(&self, idx: usize, sessions: &HashMap<u32, SessionState>) {
-        if !self.steered {
-            return;
-        }
-        let mut data = SnapData::default();
-        for s in sessions.values() {
-            data.est.merge(&s.online);
-            data.sketch.merge(&s.delay_sketch);
-            data.sessions += 1;
-        }
-        self.snaps[idx].publish(data);
     }
 
     /// Flag the watchdog to re-arm its sweep deadline now: a session
@@ -1346,9 +1204,7 @@ impl Shared<'_> {
         let outcome = state.into_outcome(id, end, rejected, self.metrics());
         self.outcomes.lock().expect("outcomes lock").push(outcome);
         self.active.fetch_sub(1, Ordering::Relaxed);
-        if self.steered {
-            self.router.lock().expect("router lock").remove(&id);
-        }
+        self.router.lock().expect("router lock").remove(&id);
         self.mark_sweep_dirty();
         if self.single_id == Some(id) {
             self.done.store(true, Ordering::Relaxed);
@@ -1429,7 +1285,6 @@ impl Shared<'_> {
             // re-evaluate.
             return true;
         };
-        self.publish_shard(i, &sessions);
         drop(sessions);
         self.tombstone(id);
         self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
@@ -1478,37 +1333,23 @@ impl Shared<'_> {
     }
 
     /// Merge every live session's online counters and delay sketch into
-    /// one fleet summary. On the shared-socket path shard locks are
-    /// taken one at a time — never nested — and both merges are counter
-    /// additions, so neither the visit order nor sessions completing
-    /// mid-walk can produce a sum that no sequential merge order would.
-    ///
-    /// Under steering the asking thread folds its **own** shard live
-    /// (uncontended lock, and publishes the fold while holding it) but
-    /// reads every other shard through its seqlock snapshot — a
-    /// fleet-scope control request on thread A must never stall thread
-    /// B's probe fast path. Snapshots lag ingest by at most one sweep
-    /// tick; state-change points (open/finalize/close) publish eagerly,
-    /// so a quiesced fleet reads exact.
-    fn fleet_estimate(&self, me: usize) -> (u32, Estimates, DelaySketch) {
+    /// one fleet summary. Every shard lock is held at once, taken in
+    /// index order — the order migration takes its two — so the read is
+    /// an atomic cut: a migrating session is counted exactly once. One
+    /// O(sessions) merge per fleet request, like one watchdog sweep.
+    fn fleet_estimate(&self) -> (u32, Estimates, DelaySketch) {
+        let shards: Vec<MutexGuard<'_, Shard>> = self
+            .shards
+            .iter()
+            .map(|shard| shard.lock().expect("shard lock"))
+            .collect();
         let mut est = Estimates::default();
         let mut sketch = DelaySketch::new();
         let mut sessions_merged = 0u32;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if self.steered && i != me {
-                let snap = self.snaps[i].read();
-                est.merge(&snap.est);
-                sketch.merge(&snap.sketch);
-                sessions_merged += snap.sessions;
-                continue;
-            }
-            let sessions = shard.lock().expect("shard lock");
-            for s in sessions.values() {
-                est.merge(&s.online);
-                sketch.merge(&s.delay_sketch);
-                sessions_merged += 1;
-            }
-            self.publish_shard(i, &sessions);
+        for s in shards.iter().flat_map(|sessions| sessions.values()) {
+            est.merge(&s.online);
+            sketch.merge(&s.delay_sketch);
+            sessions_merged += 1;
         }
         (sessions_merged, est, sketch)
     }
@@ -1543,15 +1384,8 @@ fn serve_loop(
         SessionPolicy::Single(id) => Some(id),
         SessionPolicy::Any => None,
     };
-    let steered = sockets.len() > 1;
-    let nthreads = cfg.recv_threads.max(1);
-    // Under steering each drain thread owns exactly one shard (its
-    // registry slab); otherwise the configured id-hashed shard count.
-    let nshards = if steered {
-        sockets.len()
-    } else {
-        cfg.shards.max(1)
-    };
+    // One drain thread per socket, each owning the shard of its index.
+    let nthreads = sockets.len();
     let shared = Shared {
         cfg,
         sockets,
@@ -1559,11 +1393,9 @@ fn serve_loop(
         clock,
         t0,
         single_id,
-        steered,
-        shards: (0..nshards).map(|_| Mutex::new(HashMap::new())).collect(),
+        shards: (0..nthreads).map(|_| Mutex::new(HashMap::new())).collect(),
         router: Mutex::new(HashMap::new()),
         handoff: (0..nthreads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        snaps: (0..nshards).map(|_| ShardSnap::new()).collect(),
         steer_handoffs: AtomicU64::new(0),
         steer_migrations: AtomicU64::new(0),
         rx_thread_packets: (0..nthreads).map(|_| AtomicU64::new(0)).collect(),
@@ -1590,32 +1422,24 @@ fn serve_loop(
     if steer_fallback {
         inc(&shared.c.steer_fallback);
     }
-    if steered {
-        add(&shared.c.reuseport_sockets, sockets.len() as u64);
-    }
+    let reuseport_sockets = if nthreads > 1 { nthreads as u64 } else { 0 };
+    add(&shared.c.reuseport_sockets, reuseport_sockets);
 
-    // Shared path: one readiness poller for every drain thread — they
-    // all park in epoll_wait on the same epoll fd. Steered: one poller
-    // per thread over that thread's own socket, so a datagram wakes
-    // exactly its owner. If the epoll backend cannot come up
-    // (forced-mode configs were validated in `start_server`), fall back
-    // to the timeout loop — readiness is an optimization, the socket
-    // read timeout keeps the loop correct without it.
-    let pollers: Vec<Poller> = if steered {
-        sockets
-            .iter()
-            .zip(wakers)
-            .map(|(s, w)| Poller::new(s, cfg.poll, w).unwrap_or_else(|_| Poller::timeout()))
-            .collect()
-    } else {
-        vec![Poller::new(&sockets[0], cfg.poll, &wakers[0]).unwrap_or_else(|_| Poller::timeout())]
-    };
+    // One poller per thread over that thread's own socket, so a
+    // datagram wakes exactly its owner. If the epoll backend cannot
+    // come up, fall back to the timeout loop — readiness is an
+    // optimization, the socket read timeout keeps the loop correct
+    // without it.
+    let pollers: Vec<Poller> = sockets
+        .iter()
+        .zip(wakers)
+        .map(|(s, w)| Poller::new(s, w).unwrap_or_else(|_| Poller::timeout()))
+        .collect();
 
     std::thread::scope(|s| {
         let mut workers = Vec::with_capacity(nthreads.saturating_sub(1));
-        for t in 1..nthreads {
+        for (t, poller) in pollers.iter().enumerate().skip(1) {
             let shared = &shared;
-            let poller = &pollers[if steered { t } else { 0 }];
             // Workers are clock-enlisted like the serve thread itself:
             // a virtual net must not advance time past a worker that
             // the OS has not scheduled yet.
@@ -1685,7 +1509,7 @@ fn serve_loop(
         rx_timestamp_user_fallback: rx_timestamp_user.into_inner(),
         steer_handoffs: steer_handoffs.into_inner(),
         steer_migrations: steer_migrations.into_inner(),
-        reuseport_sockets: if steered { sockets.len() as u64 } else { 0 },
+        reuseport_sockets,
         steer_fallbacks: u64::from(steer_fallback),
         rx_packets_per_thread: rx_thread_packets
             .into_iter()
@@ -1696,7 +1520,7 @@ fn serve_loop(
 
 /// One drain thread: park on readiness (epoll where available), batched
 /// receive (one syscall per batch where the platform allows), one
-/// timestamp per batch, probe fast path into the sharded registry,
+/// timestamp per batch, probe fast path into its own registry shard,
 /// control messages on the slow path. All reply encoding goes through a
 /// reused stack buffer — the steady-state probe path allocates nothing
 /// per datagram.
@@ -1705,8 +1529,8 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize, run_watchdog: boo
     let mut scratch = [0u8; MAX_CONTROL_BYTES];
     let mut next_sweep: Option<Duration> = None;
     let mut next_estimate: Option<Duration> = None;
-    let socket = shared.sock(me);
-    let waker = shared.waker(me);
+    let socket = &shared.sockets[me];
+    let waker = &shared.wakers[me];
     let mut accepted_here = 0u64;
     while !shared.stop.load(Ordering::Relaxed) && !shared.done.load(Ordering::Relaxed) {
         if run_watchdog {
@@ -1716,7 +1540,7 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize, run_watchdog: boo
                 break;
             }
         }
-        // Probes steered to another thread's socket after a sender
+        // Probes that reached another thread's socket after a sender
         // rebind are replayed here, on their owner, with their original
         // arrival stamps.
         accepted_here += drain_handoffs(shared, me);
@@ -1793,13 +1617,10 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize, run_watchdog: boo
         .fetch_add(ring.cmsg_decode_errors(), Ordering::Relaxed);
 }
 
-/// Replay this thread's handed-off probes (steered tier only; see
-/// [`Handoff`]). Returns how many were accepted. The whole ring is
-/// swapped out under one short lock so replay itself never holds it.
+/// Replay this thread's handed-off probes (see [`Handoff`]). Returns
+/// how many were accepted. The whole ring is swapped out under one
+/// short lock so replay itself never holds it.
 fn drain_handoffs(shared: &Shared<'_>, me: usize) -> u64 {
-    if !shared.steered {
-        return 0;
-    }
     let queued = {
         let mut q = shared.handoff[me].lock().expect("handoff lock");
         if q.is_empty() {
@@ -1859,7 +1680,7 @@ fn maybe_sweep(shared: &Shared<'_>, next_sweep: &mut Option<Duration>) {
     }
     let timeout = shared.cfg.idle_timeout;
     let mut earliest: Option<Duration> = None;
-    for (i, shard) in shared.shards.iter().enumerate() {
+    for shard in &shared.shards {
         let mut sessions = shard.lock().expect("shard lock");
         if let Some(timeout) = timeout {
             let expired: Vec<u32> = sessions
@@ -1880,10 +1701,6 @@ fn maybe_sweep(shared: &Shared<'_>, next_sweep: &mut Option<Duration>) {
                 earliest = Some(earliest.map_or(deadline, |e| e.min(deadline)));
             }
         }
-        // The sweep already holds the lock: refresh the shard's
-        // estimate snapshot so steered fleet reads lag ingest by at
-        // most one sweep tick.
-        shared.publish_shard(i, &sessions);
     }
     // Probe ingest can grow sessions past the global budget between
     // sweeps (admission only gates SYNs); under the eviction policy,
@@ -1920,9 +1737,7 @@ fn maybe_estimate(shared: &Shared<'_>, next: &mut Option<Duration>) {
         }
     }
     *next = Some(now + interval.max(MIN_SWEEP_GAP));
-    // The estimate tick runs on drain thread 0: its own shard folds
-    // live, the rest through their snapshots under steering.
-    let (sessions_merged, est, sketch) = shared.fleet_estimate(0);
+    let (sessions_merged, est, sketch) = shared.fleet_estimate();
     metrics
         .gauge("fleet_sessions")
         .set(f64::from(sessions_merged));
@@ -1956,9 +1771,8 @@ enum Ingest {
     /// Dropped because storing it would push the session past its
     /// memory budget (counted as rejected, plus its own counter).
     OverBudget,
-    /// Steered tier: the probe belongs to another thread's shard and
-    /// was queued on its owner's handoff ring — counted there, not
-    /// here.
+    /// The probe belongs to another thread's shard and was queued on
+    /// its owner's handoff ring — counted there, not here.
     Handoff,
 }
 
@@ -2035,12 +1849,11 @@ fn process_batch(
     accepted
 }
 
-/// The probe fast path: one shard lock — the arrival thread's **own**
-/// shard under steering, so correctly-steered traffic touches zero
-/// cross-thread locks — then the shared [`SessionState::ingest`]
-/// accounting, no socket writes, no allocation. Steered misses fall
-/// through to the router: wrong-thread arrivals (sender rebind) are
-/// queued on the owner's handoff ring.
+/// The probe fast path: one lock on the arrival thread's **own** shard,
+/// so traffic the kernel hashes to its owner touches zero cross-thread locks — then
+/// the shared [`SessionState::ingest`] accounting, no socket writes, no
+/// allocation. Misses fall through to the router: wrong-thread arrivals
+/// (sender rebind) are queued on the owner's handoff ring.
 fn ingest_probe(
     shared: &Shared<'_>,
     h: &ProbeHeader,
@@ -2050,38 +1863,20 @@ fn ingest_probe(
     me: usize,
     fresh: bool,
 ) -> Ingest {
-    let own = if shared.steered {
-        me
-    } else {
-        h.session as usize % shared.shards.len()
-    };
+    if let Some(state) = shared.shards[me]
+        .lock()
+        .expect("shard lock")
+        .get_mut(&h.session)
     {
-        let mut sessions = shared.shards[own].lock().expect("shard lock");
-        if let Some(state) = sessions.get_mut(&h.session) {
-            return ingest_into(shared, state, h, rel, source, abs);
-        }
-        if !shared.steered {
-            // Probes open the session only in single mode (the legacy
-            // open-loop tool has no handshake); under `Any` the SYN is
-            // the sole door in.
-            return match shared.single_id {
-                Some(id) if h.session == id => {
-                    let state = sessions.entry(id).or_insert_with(|| {
-                        shared.active.fetch_add(1, Ordering::Relaxed);
-                        inc(&shared.c.opened);
-                        SessionState::new(id, shared.metrics(), abs)
-                    });
-                    ingest_into(shared, state, h, rel, source, abs)
-                }
-                _ => Ingest::Rejected,
-            };
-        }
+        return ingest_into(shared, state, h, rel, source, abs);
     }
-    // Steered slow path (own-shard miss): resolve or claim ownership.
+    // Own-shard miss: resolve or claim ownership.
     match shared.single_id {
         Some(id) if h.session == id => {
-            // Single mode: the session may open on any thread, but the
-            // router arbitrates so concurrent first-packets on two
+            // Probes open the session only in single mode (the legacy
+            // open-loop tool has no handshake); under `Any` the SYN is
+            // the sole door in. The session may open on any thread, but
+            // the router arbitrates so concurrent first-packets on two
             // threads cannot open it twice in different shards.
             let owner = shared.claim_owner(id, me);
             if owner == me {
@@ -2092,7 +1887,6 @@ fn ingest_probe(
                     SessionState::new(id, shared.metrics(), abs)
                 });
                 let out = ingest_into(shared, state, h, rel, source, abs);
-                shared.publish_shard(me, &sessions);
                 drop(sessions);
                 shared.mark_sweep_dirty();
                 return out;
@@ -2104,7 +1898,7 @@ fn ingest_probe(
     }
 }
 
-/// A steered probe whose session another thread owns: count the stray
+/// A probe whose session another thread owns: count the stray
 /// and either queue it on the owner's handoff ring or — once the streak
 /// shows the flow *persistently* steers here (split-socket sender,
 /// mid-run rebind) — re-home the whole session to this thread, so the
@@ -2113,7 +1907,7 @@ fn ingest_probe(
 ///
 /// Only `fresh` wire arrivals count toward the streak: a handoff-ring
 /// replay landing after the session already migrated away says where
-/// the flow steered *then*, not now, and must never vote the session
+/// the flow landed *then*, not now, and must never vote the session
 /// back — it just forwards to the current owner.
 fn steer_or_migrate(
     shared: &Shared<'_>,
@@ -2173,7 +1967,7 @@ fn steer_or_migrate(
 
 /// Move `h.session` from `from`'s shard into `me`'s and ingest the
 /// triggering probe there, atomically under both shard locks (ordered
-/// by index — migration is the only path that ever nests two). The
+/// by index, like every path that nests shard locks). The
 /// router entry is re-verified and flipped inside the critical section
 /// so control lookups and concurrent migrations always agree on where
 /// the state lives.
@@ -2227,11 +2021,6 @@ fn migrate_and_ingest(
     }
     shared.steer_migrations.fetch_add(1, Ordering::Relaxed);
     inc(&shared.c.steer_migrations);
-    // The session's online counters moved shards: republish both
-    // snapshots inside the critical section so a fleet-scope merge
-    // never sees the session twice (or not at all).
-    shared.publish_shard(a, &lo);
-    shared.publish_shard(b, &hi);
     out
 }
 
@@ -2362,7 +2151,7 @@ fn handle_control(
             // Claim ownership *after* admission (a refused SYN must not
             // leave a router entry behind); concurrent SYNs for the
             // same id resolve to one shard, so the entry-API race
-            // handling below keeps working under steering.
+            // handling below keeps working.
             let owner = shared.claim_owner(session, me);
             let mut sessions = shared.shards[owner].lock().expect("shard lock");
             match sessions.entry(session) {
@@ -2390,7 +2179,6 @@ fn handle_control(
                     shared.settle_mem(state);
                 }
             }
-            shared.publish_shard(owner, &sessions);
             drop(sessions);
             shared.mark_sweep_dirty();
             shared.untombstone(session);
@@ -2468,9 +2256,7 @@ fn handle_control(
             // Finalization just materialized the record snapshot:
             // settle it against the global tally.
             shared.settle_mem(state);
-            // The snapshot freeze is a state change fleet reads and the
-            // sweep scheduler both care about.
-            shared.publish_shard(idx, &sessions);
+            // The snapshot freeze re-arms the sweep scheduler.
             drop(sessions);
             shared.mark_sweep_dirty();
             send_reply(shared.socket, &ack, src, scratch);
@@ -2534,7 +2320,6 @@ fn handle_control(
                 // The sender holds the full report: reap the
                 // session. Other sessions keep flowing.
                 let state = sessions.remove(&id).expect("completed session present");
-                shared.publish_shard(idx, &sessions);
                 drop(sessions);
                 shared.end_session(id, state, SessionEnd::Completed);
                 inc(&shared.c.completed);
@@ -2559,7 +2344,7 @@ fn handle_control(
                 send_reply(shared.socket, &reply, src, scratch);
             }
             EstimateScope::Fleet => {
-                let (sessions_merged, est, sketch) = shared.fleet_estimate(me);
+                let (sessions_merged, est, sketch) = shared.fleet_estimate();
                 let reply = estimate_reply(session, scope, sessions_merged, &est, &sketch);
                 send_reply(shared.socket, &reply, src, scratch);
             }
@@ -2693,13 +2478,22 @@ mod tests {
         // A sender whose clock runs fast by 1% (exaggerated for a 2 s
         // test; real skews are ppm over hours): send_ns grows 1.01× real
         // time. Without skew removal the early packets would read tens
-        // of ms of phantom queueing.
-        let handle = start_receiver(ReceiverConfig::new(local0(), 5)).unwrap();
-        let target = handle.local_addr();
-        let sock = UdpSocket::bind(local0()).unwrap();
-        let start = Instant::now();
+        // of ms of phantom queueing. Runs on a seeded virtual network,
+        // so stamps and spacing come from the net's clock, not from a
+        // loaded host's scheduler.
+        let net = crate::faultnet::FaultNet::new(5);
+        let provider = Provider::Fault(net);
+        let target: SocketAddr = "10.0.0.1:9000".parse().unwrap();
+        let handle = start_receiver(ReceiverConfig {
+            provider: provider.clone(),
+            ..ReceiverConfig::new(target, 5)
+        })
+        .unwrap();
+        let sock = provider.bind("10.0.0.2:7000".parse().unwrap()).unwrap();
+        let clock = provider.clock();
+        let start = clock.now();
         for i in 0..40u64 {
-            let real_ns = start.elapsed().as_nanos() as u64;
+            let real_ns = (clock.now() - start).as_nanos() as u64;
             let skewed_ns = (real_ns as f64 * 1.01) as u64;
             let h = ProbeHeader {
                 session: 5,
@@ -2710,10 +2504,9 @@ mod tests {
                 idx: 0,
                 probe_len: 1,
             };
-            send_header(&sock, target, &h, 64);
-            std::thread::sleep(Duration::from_millis(50));
+            sock.send_to(&h.encode(64), target).unwrap();
+            clock.sleep(Duration::from_millis(50));
         }
-        settle();
         let log = handle.stop();
         assert_eq!(log.packets, 40);
         // Every packet is idle; after baseline removal all queueing
@@ -3068,15 +2861,14 @@ mod tests {
         assert!(tight.footprint().cells > 0, "scaled, not dropped");
     }
 
-    /// The server config's sharding and multi-thread drain must not
-    /// change what a session records (end-to-end smoke over loopback).
+    /// A multi-thread drain must not change what a session records
+    /// (end-to-end smoke over loopback).
     #[test]
-    fn sharded_multithread_server_accepts_probes() {
-        let metrics = Arc::new(Registry::new("recv-shard-test"));
+    fn multithread_server_accepts_probes() {
+        let metrics = Arc::new(Registry::new("recv-threads-test"));
         let handle = start_server(ServerConfig {
             metrics: Some(metrics.clone()),
             recv_threads: 2,
-            shards: 4,
             ..ServerConfig::any(local0(), 8)
         })
         .unwrap();

@@ -11,7 +11,7 @@
 //! lives in the receiver's unit tests, where timestamps are synthetic.
 
 use badabing_core::config::BadabingConfig;
-use badabing_live::batch_io::{IoMode, SteerMode};
+use badabing_live::batch_io::IoMode;
 use badabing_live::control::ControlConfig;
 use badabing_live::kernel_offload_caps;
 use badabing_live::provider::Provider;
@@ -36,22 +36,19 @@ fn fast_tool() -> BadabingConfig {
 /// forced to `io`; returns the sender manifest and the report the
 /// control plane fetched.
 fn run_mode(io: IoMode, session: u32) -> (SenderManifest, ReceiverLog) {
-    run_mode_steered(io, SteerMode::Shared, 1, session)
+    run_mode_threads(io, 1, session)
 }
 
-/// [`run_mode`] with the receive-steering tier pinned: `steer` and
-/// `recv_threads` select between the shared socket and the per-thread
-/// `SO_REUSEPORT` group.
-fn run_mode_steered(
+/// [`run_mode`] with `recv_threads` drain threads: one plain socket, or
+/// one `SO_REUSEPORT` group member per thread.
+fn run_mode_threads(
     io: IoMode,
-    steer: SteerMode,
     recv_threads: usize,
     session: u32,
 ) -> (SenderManifest, ReceiverLog) {
     let server = start_server(ServerConfig {
         provider: Provider::udp(io),
         idle_timeout: Some(Duration::from_secs(10)),
-        steer,
         recv_threads,
         ..ServerConfig::any(local0(), 4)
     })
@@ -145,17 +142,18 @@ fn offload_paths_agree_with_batched_end_to_end() {
     }
 }
 
-/// The receive-steering tier must be invisible to the accounting: a
-/// session ingested through a per-thread `SO_REUSEPORT` socket group
-/// produces the same probe keys and counts as the shared-socket path.
-/// Skips (passes trivially) on kernels without `SO_REUSEPORT`.
+/// The drain-thread count must be invisible to the accounting: a
+/// session ingested by four threads over a per-thread `SO_REUSEPORT`
+/// socket group produces the same probe keys and counts as one thread
+/// on one socket. Skips (passes trivially) on kernels without
+/// `SO_REUSEPORT`.
 #[test]
-fn reuseport_and_shared_socket_paths_agree_end_to_end() {
+fn one_and_four_drain_threads_agree_end_to_end() {
     if !kernel_offload_caps().reuseport_ready() {
         eprintln!("skipping: kernel has no SO_REUSEPORT");
         return;
     }
-    let shared = run_mode_steered(IoMode::Batched, SteerMode::Shared, 1, 0xF1);
-    let steered = run_mode_steered(IoMode::Batched, SteerMode::Reuseport, 4, 0xF2);
-    assert_modes_agree("shared", &shared, "reuseport", &steered);
+    let one = run_mode_threads(IoMode::Batched, 1, 0xF1);
+    let four = run_mode_threads(IoMode::Batched, 4, 0xF2);
+    assert_modes_agree("1 thread", &one, "4 threads", &four);
 }

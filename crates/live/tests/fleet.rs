@@ -11,13 +11,14 @@
 //!   [`RejectReason::Budget`] or admitted by evicting the longest-idle
 //!   session, whose sender then sees [`RejectReason::Evicted`] on its
 //!   next control exchange;
-//! * the forced epoll and forced timeout loops both serve complete
-//!   sessions end to end over real UDP.
+//! * one drain thread and four (each owning its own virtual lane and
+//!   registry shard) report byte-identical fleets, and a mid-run
+//!   fleet-scope estimate across four threads is exactly the merge of
+//!   the per-session estimates.
 
 use badabing_core::config::BadabingConfig;
-use badabing_live::batch_io::SteerMode;
+use badabing_core::estimator::Estimates;
 use badabing_live::control::{ControlClient, ControlConfig, ControlError};
-use badabing_live::event_loop::PollMode;
 use badabing_live::faultnet::{flow_hash, FaultNet, LinkFaults};
 use badabing_live::persist::ReceiverFile;
 use badabing_live::provider::Provider;
@@ -28,7 +29,7 @@ use badabing_live::receiver::{
 use badabing_live::sender::{run_sender, SenderConfig};
 use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
-use badabing_wire::control::{ControlMessage, RejectReason, SessionParams};
+use badabing_wire::control::{ControlMessage, EstimateScope, RejectReason, SessionParams};
 use badabing_wire::ProbeHeader;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
@@ -361,56 +362,6 @@ fn budget_pressure_evicts_the_longest_idle_session() {
     assert_eq!(metrics.counter("sessions_evicted").get(), 1);
 }
 
-/// A full end-to-end session must complete under both forced poll
-/// modes: the epoll readiness loop (Linux) and the portable timeout
-/// fallback. `Auto` picks between them, so forcing each pins both
-/// implementations, not just the default.
-fn full_session_under(poll: PollMode, session: u32, seed: u64) {
-    let metrics = Arc::new(Registry::new("poll-mode"));
-    let server = start_server(ServerConfig {
-        poll,
-        idle_timeout: Some(Duration::from_secs(10)),
-        metrics: Some(metrics.clone()),
-        ..ServerConfig::any(local0(), 4)
-    })
-    .unwrap();
-    let tool = fast_tool();
-    let mut control = ControlConfig::new(server.local_addr());
-    control.drain = Duration::from_millis(100);
-    let cfg = SenderConfig {
-        tool,
-        control: Some(control),
-        ..SenderConfig::new(tool, 400, server.local_addr(), session)
-    };
-    let outcome = run_sender(cfg, seeded(seed, "poll-mode")).unwrap();
-    assert!(
-        outcome.completed,
-        "session under {poll:?} failed: {:?}",
-        outcome.diagnostics
-    );
-    assert!(outcome.receiver_log.is_some());
-    // The closing ReportAck is fire-and-forget: give the server a
-    // bounded moment to process it before collecting the report.
-    let deadline = Instant::now() + Duration::from_secs(3);
-    while metrics.counter("sessions_completed").get() < 1 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let report = server.stop();
-    assert_eq!(report.sessions.len(), 1);
-    assert_eq!(report.sessions[0].end, SessionEnd::Completed);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn epoll_loop_serves_a_full_session() {
-    full_session_under(PollMode::Epoll, 0xA1, 31);
-}
-
-#[test]
-fn timeout_loop_serves_a_full_session() {
-    full_session_under(PollMode::Timeout, 0xA2, 32);
-}
-
 /// Serialize a fetched receiver log to its canonical JSON bytes (the
 /// on-disk `ReceiverFile` form, arrivals sorted by probe key).
 fn log_bytes(log: &badabing_live::receiver::ReceiverLog, tag: &str) -> Vec<u8> {
@@ -422,30 +373,40 @@ fn log_bytes(log: &badabing_live::receiver::ReceiverLog, tag: &str) -> Vec<u8> {
     bytes
 }
 
+/// The three sender hosts of the multi-lane fleet tests.
+const FLEET_HOSTS: [&str; 3] = ["10.0.0.2", "10.0.0.3", "10.0.0.4"];
+
+/// Virtual reuseport lanes of the multi-thread fleet tests.
+const LANES: u64 = 4;
+
+/// A source address on `host` whose flow lands on lane `lane`, searched
+/// upward from port `from`.
+fn port_on_lane(host: &str, from: u16, lane: u64) -> SocketAddr {
+    (from..from + 1000)
+        .map(|port| addr(&format!("{host}:{port}")))
+        .find(|a| flow_hash(a) % LANES == lane)
+        .expect("a port hashing to the wanted lane")
+}
+
 /// One FaultNet-seeded fleet — three senders on distinct hosts, each
-/// behind a lossy/duplicating/jittery probe link — served under the
-/// given steering mode. Returns each session's report as canonical
-/// bytes. Virtual time makes every arrival stamp a pure function of the
-/// seed, so the reports must not depend on which drain thread ingested
-/// which flow.
-fn run_steered_fleet(steer: SteerMode, recv_threads: usize, tag: &str) -> Vec<(u32, Vec<u8>)> {
+/// behind a lossy/duplicating/jittery probe link — served by
+/// `recv_threads` drain threads. Returns each session's report as
+/// canonical bytes. Virtual time makes every arrival stamp a pure
+/// function of the seed, so the reports must not depend on which drain
+/// thread ingested which flow.
+fn run_fleet(recv_threads: usize, tag: &str) -> Vec<(u32, Vec<u8>)> {
     const RECV: &str = "10.0.0.1:9000";
-    const LANES: u64 = 4;
     let net = FaultNet::new(4242);
 
-    // Pick per-sender probe source ports that land on three *distinct*
-    // virtual reuseport lanes, so the steered run genuinely exercises
-    // multiple drain threads. The same addresses feed the shared run.
-    let hosts = ["10.0.0.2", "10.0.0.3", "10.0.0.4"];
+    // Per-sender probe source ports that land on three *distinct*
+    // virtual reuseport lanes, so the multi-thread run genuinely
+    // exercises several drain threads. The same addresses feed the
+    // one-thread run.
+    let hosts = FLEET_HOSTS;
     let probe_srcs: Vec<SocketAddr> = hosts
         .iter()
         .enumerate()
-        .map(|(i, host)| {
-            (7000..8000)
-                .map(|port| addr(&format!("{host}:{port}")))
-                .find(|a| flow_hash(a) % LANES == i as u64)
-                .expect("a port hashing to the wanted lane")
-        })
+        .map(|(i, host)| port_on_lane(host, 7000, i as u64))
         .collect();
 
     let lossy = LinkFaults {
@@ -464,7 +425,6 @@ fn run_steered_fleet(steer: SteerMode, recv_threads: usize, tag: &str) -> Vec<(u
 
     let server = start_server(ServerConfig {
         provider: provider.clone(),
-        steer,
         recv_threads,
         idle_timeout: Some(Duration::from_secs(10)),
         ..ServerConfig::any(addr(RECV), 8)
@@ -486,7 +446,7 @@ fn run_steered_fleet(steer: SteerMode, recv_threads: usize, tag: &str) -> Vec<(u
             provider: provider.clone(),
             ..SenderConfig::new(tool, 400, addr(RECV), session)
         };
-        // Same per-session seed in both steering modes: identical probe
+        // Same per-session seed for every thread count: identical probe
         // schedule, identical fault draws on each (src, dst) link.
         let outcome = run_sender(cfg, seeded(1000 + i as u64, "steer-fleet")).unwrap();
         assert!(
@@ -503,23 +463,127 @@ fn run_steered_fleet(steer: SteerMode, recv_threads: usize, tag: &str) -> Vec<(u
     out
 }
 
-/// Tentpole differential: the same FaultNet-seeded fleet must produce
-/// byte-identical per-session reports whether the server ingests
-/// through one shared socket or through per-thread reuseport lanes.
-/// Steering may change which thread touches a datagram — never what the
-/// fleet reports.
+/// The multi-thread differential: the same FaultNet-seeded fleet must
+/// produce byte-identical per-session reports whether one drain thread
+/// ingests everything or four threads each own a reuseport lane. The
+/// thread count may change which thread touches a datagram — never what
+/// the fleet reports.
 #[test]
-fn reuseport_and_shared_ingest_report_byte_identical_fleets() {
-    let shared = run_steered_fleet(SteerMode::Shared, 1, "shared");
-    let steered = run_steered_fleet(SteerMode::Reuseport, 4, "reuseport");
-    assert_eq!(shared.len(), steered.len());
-    for ((sa, bytes_a), (sb, bytes_b)) in shared.iter().zip(&steered) {
+fn one_and_four_drain_threads_report_byte_identical_fleets() {
+    let one = run_fleet(1, "one-thread");
+    let four = run_fleet(4, "four-threads");
+    assert_eq!(one.len(), four.len());
+    for ((sa, bytes_a), (sb, bytes_b)) in one.iter().zip(&four) {
         assert_eq!(sa, sb);
         assert!(
             bytes_a == bytes_b,
-            "session {sa:#x}: report bytes differ between shared and reuseport ingest"
+            "session {sa:#x}: report bytes differ between 1 and 4 drain threads"
         );
     }
+}
+
+/// A fleet read across drain threads: three sessions, each owned by a
+/// different one of four threads, with probes accepted and no FIN yet.
+/// The fleet-scope estimate must be exactly the merge of the three
+/// session-scope estimates — every shard counted once, none missed.
+#[test]
+fn mid_run_fleet_estimate_across_four_threads_merges_every_session() {
+    const RECV: &str = "10.0.0.1:9000";
+    let net = FaultNet::new(99);
+    let provider = Provider::Fault(net.clone());
+    let metrics = Arc::new(Registry::new("fleet-read"));
+    let server = start_server(ServerConfig {
+        provider: provider.clone(),
+        recv_threads: LANES as usize,
+        metrics: Some(metrics.clone()),
+        ..ServerConfig::any(addr(RECV), 8)
+    })
+    .unwrap();
+
+    let params = SessionParams {
+        n_slots: 64,
+        slot_ns: 5_000_000,
+        probe_packets: 2,
+        packet_bytes: 64,
+        p: 0.3,
+        improved: false,
+    };
+    let mut clients = Vec::new();
+    let mut sent = 0u64;
+    for (i, host) in FLEET_HOSTS.iter().enumerate() {
+        let session = 0xD1 + i as u32;
+        // Control and probe flows of session i both land on lane i, so
+        // thread i owns it from the SYN on.
+        let mut control = ControlConfig::new(addr(RECV));
+        control.bind = Some(port_on_lane(host, 7100, i as u64));
+        control.provider = provider.clone();
+        let client = ControlClient::connect(control, None).unwrap();
+        client.handshake(session, params).unwrap();
+
+        let sock = provider.bind(port_on_lane(host, 7000, i as u64)).unwrap();
+        let mut seq = 0u64;
+        for j in 0..12u64 {
+            for slot in [2 * j, 2 * j + 1] {
+                // A short train marks the slot congested; each session
+                // congests a different pattern of slots.
+                let packets = 2 - u8::from((slot + i as u64).is_multiple_of(5));
+                for idx in 0..packets {
+                    let h = ProbeHeader {
+                        session,
+                        experiment: j,
+                        slot,
+                        seq,
+                        send_ns: 1_000_000 * slot,
+                        idx,
+                        probe_len: 2,
+                    };
+                    sock.send_to(&h.encode(64), addr(RECV)).unwrap();
+                    seq += 1;
+                    sent += 1;
+                }
+            }
+        }
+        clients.push((session, client));
+    }
+    let accepted = metrics.counter("packets_accepted");
+    net.unenrolled(|| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while accepted.get() < sent && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+    assert_eq!(accepted.get(), sent, "every probe accepted before the read");
+
+    let per_session: Vec<_> = clients
+        .iter()
+        .map(|(session, c)| c.fetch_estimate(*session, EstimateScope::Session).unwrap())
+        .collect();
+    let (first, client) = &clients[0];
+    let fleet = client.fetch_estimate(*first, EstimateScope::Fleet).unwrap();
+
+    assert_eq!(fleet.scope, EstimateScope::Fleet);
+    assert_eq!(fleet.sessions, 3);
+    assert!(
+        per_session.iter().all(|e| e.estimates.experiments > 0),
+        "every session must have folded experiments before the read"
+    );
+    let mut merged = Estimates::default();
+    for e in &per_session {
+        merged.merge(&e.estimates);
+    }
+    assert_eq!(
+        fleet.estimates, merged,
+        "fleet counters must be exactly the merge of the session counters"
+    );
+    assert_eq!(
+        fleet.delay_samples,
+        per_session.iter().map(|e| e.delay_samples).sum::<u64>()
+    );
+
+    let report = server.stop();
+    assert_eq!(report.steer_handoffs, 0, "every flow landed on its owner");
+    let busy = report.rx_packets_per_thread.iter().filter(|&&n| n > 0);
+    assert_eq!(busy.count(), 3, "three sessions on three distinct threads");
 }
 
 /// Hostile rebind: a sender that changes source port mid-run moves to a
@@ -534,13 +598,11 @@ fn reuseport_and_shared_ingest_report_byte_identical_fleets() {
 #[test]
 fn rebound_sender_flows_ride_the_handoff_ring() {
     const RECV: &str = "10.0.0.1:9000";
-    const LANES: u64 = 4;
     let net = FaultNet::new(7);
     let provider = Provider::Fault(net.clone());
     let metrics = Arc::new(Registry::new("steer-rebind"));
     let server = start_server(ServerConfig {
         provider: provider.clone(),
-        steer: SteerMode::Reuseport,
         recv_threads: LANES as usize,
         // No idle watchdog: the unenrolled waits below let virtual time
         // run free, and a reap between the two probe batches would
@@ -651,20 +713,4 @@ fn rebound_sender_flows_ride_the_handoff_ring() {
     assert_eq!(report.reuseport_sockets, LANES);
     assert_eq!(report.steer_fallbacks, 0);
     assert_eq!(report.rx_packets_per_thread.len(), LANES as usize);
-}
-
-/// Forcing epoll on a virtual-network socket is a configuration error,
-/// reported synchronously from `start_server` — not a silent fallback
-/// and not a dead serve thread.
-#[test]
-fn forced_epoll_on_a_virtual_socket_fails_fast() {
-    let net = FaultNet::new(1);
-    match start_server(ServerConfig {
-        provider: Provider::Fault(net),
-        poll: PollMode::Epoll,
-        ..ServerConfig::any(addr("10.0.0.9:9000"), 4)
-    }) {
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::Unsupported),
-        Ok(_) => panic!("forced epoll on a virtual socket must fail at startup"),
-    }
 }

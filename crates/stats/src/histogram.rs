@@ -139,14 +139,10 @@ impl Histogram {
     }
 }
 
-/// Bucket upper edges for [`DelaySketch`], in seconds: a 1–2–4–7
-/// log-scale grid from 1 µs to 30 s, matching the latency buckets the
-/// metrics crate uses so sketch quantiles and metrics histograms line
-/// up row for row.
-pub const SKETCH_BOUNDS_SECS: [f64; 30] = [
-    1e-6, 2e-6, 4e-6, 7e-6, 1e-5, 2e-5, 4e-5, 7e-5, 1e-4, 2e-4, 4e-4, 7e-4, 1e-3, 2e-3, 4e-3, 7e-3,
-    1e-2, 2e-2, 4e-2, 7e-2, 1e-1, 2e-1, 4e-1, 7e-1, 1.0, 2.0, 4.0, 7.0, 10.0, 30.0,
-];
+/// Bucket upper edges for [`DelaySketch`], in seconds: the metrics
+/// crate's 1–2–4–7 log-scale latency grid from 1 µs to 30 s, so sketch
+/// quantiles and metrics histograms line up row for row.
+pub use badabing_metrics::LATENCY_BOUNDS_SECS as SKETCH_BOUNDS_SECS;
 
 /// A fixed-bucket log-scale quantile sketch for delay samples.
 ///
