@@ -11,10 +11,10 @@ use badabing_core::estimator::Estimates;
 use badabing_core::outcome::{ExperimentLog, Outcome};
 use badabing_core::schedule::ExperimentScheduler;
 use badabing_core::validate::Validation;
-use badabing_sim::event::{EventQueue, QueueKind};
+use badabing_sim::event::EventQueue;
 use badabing_sim::monitor::{Monitor, TraceEvent};
 use badabing_sim::topology::Dumbbell;
-use badabing_sim::{set_default_queue_kind, Event, FlowId, NodeId, Packet, PacketKind, SimTime};
+use badabing_sim::{Event, FlowId, NodeId, Packet, PacketKind, SimTime};
 use badabing_stats::rng::seeded;
 use badabing_stats::runs::EpisodeSet;
 use badabing_wire::ProbeHeader;
@@ -106,24 +106,17 @@ fn bench_scheduler(c: &mut Criterion) {
 
 fn bench_engine(c: &mut Criterion) {
     // 10 virtual seconds of the CBR scenario end to end — event loop,
-    // queue, monitor — on each event engine.
+    // queue, monitor.
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
-    for (label, kind) in [
-        ("cbr_scenario_10s_heap", QueueKind::Heap),
-        ("cbr_scenario_10s_calendar", QueueKind::Calendar),
-    ] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                set_default_queue_kind(Some(kind));
-                let mut db = Dumbbell::standard();
-                scenarios::attach(&mut db, Scenario::CbrUniform, 5);
-                db.run_for(10.0);
-                set_default_queue_kind(None);
-                black_box(db.monitor().borrow().drops())
-            })
-        });
-    }
+    g.bench_function("cbr_scenario_10s_calendar", |b| {
+        b.iter(|| {
+            let mut db = Dumbbell::standard();
+            scenarios::attach(&mut db, Scenario::CbrUniform, 5);
+            db.run_for(10.0);
+            black_box(db.monitor().borrow().drops())
+        })
+    });
     g.finish();
 }
 
@@ -133,50 +126,44 @@ fn bench_event_queue(c: &mut Criterion) {
     // to four thousand), each pop scheduling a successor drawn from the
     // simulator's delay mix — mostly sub-100 µs serialization and
     // propagation gaps, a broad band of RTT-scale acks and timers, and
-    // rare second-scale timers. `engine_race` runs the same workload as
-    // an interleaved paired race for noise-resistant A/B numbers.
+    // rare second-scale timers.
     const WORKING_SET: usize = 4_096;
     const OPS: usize = 100_000;
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(OPS as u64));
-    for (label, kind) in [
-        ("mixed_100k_heap", QueueKind::Heap),
-        ("mixed_100k_calendar", QueueKind::Calendar),
-    ] {
-        g.bench_function(label, |b| {
-            b.iter_batched(
-                || {
-                    let mut q = EventQueue::with_kind(kind);
-                    let mut rng = seeded(7, "bench-eventq");
-                    for i in 0..WORKING_SET {
-                        let at = SimTime::from_nanos(rng.random::<u64>() % 2_000_000);
-                        q.push(at, NodeId(i % 16), Event::Timer(i as u64));
-                    }
-                    (q, rng)
-                },
-                |(mut q, mut rng)| {
-                    for i in 0..OPS {
-                        let (now, _, _) = q.pop().expect("queue never drains");
-                        let r = rng.random::<u64>();
-                        let delay = if i % 64 == 0 {
-                            2_000_000_000 + r % 1_000_000_000
-                        } else if i % 8 < 5 {
-                            r % 100_000
-                        } else {
-                            1_000_000 + r % 59_000_000
-                        };
-                        q.push(
-                            SimTime::from_nanos(now.as_nanos() + delay),
-                            NodeId(i % 16),
-                            Event::Timer(i as u64),
-                        );
-                    }
-                    black_box(q.len())
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    g.bench_function("mixed_100k_calendar", |b| {
+        b.iter_batched(
+            || {
+                let mut q = EventQueue::new();
+                let mut rng = seeded(7, "bench-eventq");
+                for i in 0..WORKING_SET {
+                    let at = SimTime::from_nanos(rng.random::<u64>() % 2_000_000);
+                    q.push(at, NodeId(i % 16), Event::Timer(i as u64));
+                }
+                (q, rng)
+            },
+            |(mut q, mut rng)| {
+                for i in 0..OPS {
+                    let (now, _, _) = q.pop().expect("queue never drains");
+                    let r = rng.random::<u64>();
+                    let delay = if i % 64 == 0 {
+                        2_000_000_000 + r % 1_000_000_000
+                    } else if i % 8 < 5 {
+                        r % 100_000
+                    } else {
+                        1_000_000 + r % 59_000_000
+                    };
+                    q.push(
+                        SimTime::from_nanos(now.as_nanos() + delay),
+                        NodeId(i % 16),
+                        Event::Timer(i as u64),
+                    );
+                }
+                black_box(q.len())
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 

@@ -34,16 +34,16 @@
 //!    send-to-timestamp latency; the JSON records its p99 per mode,
 //!    which bounds the staleness batch-granular timestamping can add.
 //!
-//! The offload tier adds two more rows when the running kernel supports
-//! it (probed with [`kernel_offload_caps`], recorded as
-//! `"skipped": true` rather than failing elsewhere): `gso` submits each
-//! burst as flat super-datagrams that the kernel segments
-//! (`UDP_SEGMENT`), and `gso+gro` additionally coalesces on receive
-//! (`UDP_GRO`). For those rows the send loop is timed too, because
-//! kernel segmentation is a *TX*-side claim: the gate demands the
-//! combined (TX + RX) syscalls per packet drop a further ≥ 4× below the
-//! batched row's, and the combined packets/sec (received over TX busy +
-//! RX busy) beat it outright.
+//! The offload tier adds a `gso` row when the running kernel supports
+//! `UDP_SEGMENT` (probed with [`kernel_offload_caps`], recorded as
+//! `"skipped": true` rather than failing elsewhere): it submits each
+//! burst as flat super-datagrams that the kernel segments, and
+//! coalesces on receive (`UDP_GRO`, where the kernel has it). For that
+//! row the send loop is timed too, because kernel segmentation is a
+//! *TX*-side claim: the gate demands the combined (TX + RX) syscalls
+//! per packet drop a further ≥ 4× below the batched row's, and the
+//! combined packets/sec (received over TX busy + RX busy) beat it
+//! outright.
 //!
 //! The steering tier adds two multi-thread rows when the kernel
 //! supports `SO_REUSEPORT` (recorded as `"skipped": true` elsewhere):
@@ -125,11 +125,12 @@ const RECV_BATCH: usize = 32;
 /// "strictly faster" while the syscall reduction carries the multiple).
 const MIN_SYSCALL_REDUCTION: f64 = 8.0;
 const MIN_SPEEDUP: f64 = 1.1;
-/// The offload rows must cut combined (TX + RX) syscalls per packet at
+/// The offload row must cut combined (TX + RX) syscalls per packet at
 /// least this much further below the batched row. Structural: a
 /// 192-packet burst costs batched 64 sendmmsg + 6 recvmmsg, GSO 3
-/// sendmsg + 6 recvmmsg — ~7.8× — so 4× leaves headroom for ring-size
-/// drift without ever passing on a path that fell back to sendmmsg.
+/// sendmsg + at most 6 recvmmsg (fewer once GRO coalesces) — ≥ 7.8× —
+/// so 4× leaves headroom for ring-size drift without ever passing on a
+/// path that fell back to sendmmsg.
 const MIN_GSO_SYSCALL_REDUCTION: f64 = 4.0;
 /// Combined drained pps must grow at least this much from 1 to 4 drain
 /// threads — gated only on hosts with ≥ 4 usable cores (see module
@@ -163,7 +164,7 @@ fn tx_alloc_phase(trains: u64) -> (u64, u64) {
 
     let anchor = Instant::now();
     let mut train = vec![0u8; TRAIN * PACKET_BYTES];
-    let mut sender = BatchSender::new(TRAIN, IoMode::Auto);
+    let mut sender = BatchSender::new(TRAIN, IoMode::Batched);
     let mut seq = 0u64;
     let send_train = |sender: &mut BatchSender, train: &mut [u8], seq: &mut u64| {
         for idx in 0..TRAIN {
@@ -248,9 +249,9 @@ const BURST: u64 = 192;
 /// send-to-timestamp latency.
 ///
 /// Non-offload modes queue per train of [`TRAIN`] — the live sender's
-/// unit of work. GSO modes encode the whole burst into one flat buffer
-/// and submit it in `MAX_GSO_SEGMENTS`-sized super-datagrams, which is
-/// exactly how a fleet sender amortizes a dense schedule.
+/// unit of work. The GSO mode encodes the whole burst into one flat
+/// buffer and submits it in `MAX_GSO_SEGMENTS`-sized super-datagrams,
+/// which is exactly how a fleet sender amortizes a dense schedule.
 fn rx_phase(mode: IoMode, label: &'static str, count: u64) -> RxResult {
     let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
     set_buffer_sizes(&rx, 1 << 22, 1 << 20);
@@ -567,25 +568,17 @@ fn main() {
     );
 
     // Phases 2+3: receive throughput and latency, fallback first, then
-    // the offload rows where the running kernel supports them.
+    // the offload row where the running kernel supports it.
     let caps = kernel_offload_caps();
     let fallback = rx_phase(IoMode::Fallback, "fallback", count);
     let batched = rx_phase(IoMode::Batched, "batched", count);
     let gso = caps
         .gso_ready()
         .then(|| rx_phase(IoMode::Gso, "gso", count));
-    let gso_gro = caps
-        .gro_ready()
-        .then(|| rx_phase(IoMode::GsoGro, "gso+gro", count));
-    let rows: Vec<&RxResult> = [
-        Some(&fallback),
-        Some(&batched),
-        gso.as_ref(),
-        gso_gro.as_ref(),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
+    let rows: Vec<&RxResult> = [Some(&fallback), Some(&batched), gso.as_ref()]
+        .into_iter()
+        .flatten()
+        .collect();
     for r in &rows {
         println!(
             "rx {:>8}: {:>9.0} pkts/s ({} of {} in {:.3}s busy), {} rx + {} tx syscalls for \
@@ -609,9 +602,6 @@ fn main() {
     }
     if gso.is_none() {
         println!("rx      gso: skipped (kernel lacks UDP_SEGMENT)");
-    }
-    if gso_gro.is_none() {
-        println!("rx  gso+gro: skipped (kernel lacks UDP_SEGMENT+UDP_GRO)");
     }
 
     let speedup = if fallback.pps > 0.0 {
@@ -653,7 +643,7 @@ fn main() {
     // segmentation is worthless if it just moves syscalls to the other
     // side of the wire.
     let mut gso_reduction = 0.0;
-    for r in gso.iter().chain(gso_gro.iter()) {
+    if let Some(r) = &gso {
         let reduction = batched.combined_syscalls_per_pkt() / r.combined_syscalls_per_pkt();
         println!(
             "{} vs batched: combined syscalls/pkt {:.4} vs {:.4} ({reduction:.1}x), \
@@ -692,9 +682,7 @@ fn main() {
             "perf gate: {} must decode every cmsg it asked for",
             r.mode
         );
-        if r.mode == "gso" {
-            gso_reduction = reduction;
-        }
+        gso_reduction = reduction;
     }
 
     // Steering rows: 1 vs 4 drain threads over a reuseport group.
@@ -780,10 +768,6 @@ fn main() {
     rx_rows.push(match &gso {
         Some(r) => rx_json(r),
         None => skipped_json("gso", "kernel lacks UDP_SEGMENT"),
-    });
-    rx_rows.push(match &gso_gro {
-        Some(r) => rx_json(r),
-        None => skipped_json("gso+gro", "kernel lacks UDP_SEGMENT+UDP_GRO"),
     });
     let steer_json = |r: &SteerResult| {
         let per_socket = r

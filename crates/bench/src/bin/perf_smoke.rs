@@ -14,12 +14,11 @@
 //!
 //! ```text
 //! perf_smoke [--quick] [--seconds S] [--seed N] [--reps N] [--threads N]
-//!            [--engine heap|calendar] [--trace] [--out PATH]
+//!            [--trace] [--out PATH]
 //! ```
 
 use badabing_bench::runner::{aggregate_all, run_jobs};
 use badabing_bench::scenarios::{self, Scenario};
-use badabing_sim::{set_default_queue_kind, QueueKind};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -54,14 +53,13 @@ fn run_one(scenario: Scenario, seed: u64, secs: f64, trace: bool) -> RepResult {
 }
 
 fn main() {
-    // perf_smoke shares RunOpts' flag set but adds --engine/--trace, so it
+    // perf_smoke shares RunOpts' flag set but adds --trace, so it
     // parses by hand (mirroring dump_trace).
     let mut seconds: Option<f64> = None;
     let mut quick = false;
     let mut seed = 20050821u64;
     let mut reps = 3u32;
     let mut threads: Option<usize> = None;
-    let mut engine = QueueKind::Calendar;
     let mut trace = false;
     let mut out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -73,16 +71,6 @@ fn main() {
             "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
             "--reps" => reps = args.next().and_then(|v| v.parse().ok()).unwrap_or(reps),
             "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
-            "--engine" => {
-                engine = match args.next().as_deref() {
-                    Some("heap") => QueueKind::Heap,
-                    Some("calendar") => QueueKind::Calendar,
-                    other => {
-                        eprintln!("unknown engine {other:?} (use heap|calendar)");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--out" => out = args.next().map(PathBuf::from),
             other => {
                 eprintln!("unknown flag {other}");
@@ -94,14 +82,8 @@ fn main() {
     let threads = threads.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
-    set_default_queue_kind(Some(engine));
-    let engine_label = match engine {
-        QueueKind::Heap => "heap",
-        QueueKind::Calendar => "calendar",
-    };
-
     println!(
-        "=== perf_smoke: {engine_label} engine, {} monitor, {secs}s x {reps} reps ===",
+        "=== perf_smoke: {} monitor, {secs}s x {reps} reps ===",
         if trace { "trace" } else { "streaming" }
     );
 
@@ -239,7 +221,6 @@ fn main() {
             "{{\n",
             "  \"name\": \"perf_smoke\",\n",
             "  \"seed\": {},\n",
-            "  \"engine\": \"{}\",\n",
             "  \"trace_mode\": {},\n",
             "  \"seconds\": {},\n",
             "  \"reps\": {},\n",
@@ -251,7 +232,6 @@ fn main() {
             "}}\n"
         ),
         seed,
-        engine_label,
         trace,
         secs,
         reps,

@@ -1,28 +1,20 @@
 //! Differential determinism tests.
 //!
-//! Two independent equivalences guard the perf refactors:
+//! **Monitor modes**: a seeded run observed by a streaming monitor and
+//! the same run observed by a full-trace monitor must produce the exact
+//! same `GroundTruth` (episodes, congested slots, qdelay series, loss
+//! rate). Exact `f64` equality, not tolerance: both paths perform the
+//! same comparison/min sequence, so any drift is a bug.
 //!
-//! * **Monitor modes** — a seeded run observed by a streaming monitor and
-//!   the same run observed by a full-trace monitor must produce the exact
-//!   same `GroundTruth` (episodes, congested slots, qdelay series, loss
-//!   rate). Exact `f64` equality, not tolerance: both paths perform the
-//!   same comparison/min sequence, so any drift is a bug.
-//! * **Event engines** — the heap and calendar engines must dispatch the
-//!   same events in the same order. Checked end to end: identical
-//!   `dispatched()` counts and ground truth per scenario, and
-//!   byte-identical CSV from a full seeded table binary.
+//! In debug builds every run here also checks the event engine: the
+//! calendar queue asserts its dispatch order against a heap oracle on
+//! every operation (see `badabing_sim::event`).
 
 use badabing_bench::scenarios::{self, Scenario};
-use badabing_bench::RunOpts;
-use badabing_sim::{set_default_queue_kind, GroundTruth, GroundTruthConfig, QueueKind};
-use std::sync::Mutex;
+use badabing_sim::{GroundTruth, GroundTruthConfig};
 
-/// Serializes the tests that flip the process-wide engine default, so a
-/// concurrently running test never observes a half-switched state.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `scenario` for `secs` on the current default engine and return
-/// (ground truth via the requested monitor mode, events dispatched).
+/// Run `scenario` for `secs` and return (ground truth via the requested
+/// monitor mode, events dispatched).
 fn run(scenario: Scenario, seed: u64, secs: f64, trace: bool) -> (GroundTruth, u64) {
     let mut db = scenarios::build_with(scenario, seed, trace);
     db.run_for(secs + 1.0);
@@ -79,57 +71,4 @@ fn trace_monitor_agrees_at_every_horizon() {
         let streamed = m.ground_truth(horizon, cfg);
         assert_truth_eq(&traced, &streamed, &format!("horizon {horizon}"));
     }
-}
-
-#[test]
-fn heap_and_calendar_engines_dispatch_identically() {
-    let _guard = ENGINE_LOCK.lock().unwrap();
-    for scenario in [Scenario::CbrUniform, Scenario::Web] {
-        set_default_queue_kind(Some(QueueKind::Heap));
-        let (heap_truth, heap_events) = run(scenario, 99, 15.0, false);
-        set_default_queue_kind(Some(QueueKind::Calendar));
-        let (cal_truth, cal_events) = run(scenario, 99, 15.0, false);
-        set_default_queue_kind(None);
-        assert_eq!(
-            heap_events,
-            cal_events,
-            "{}: dispatched() differs between engines",
-            scenario.label()
-        );
-        assert_truth_eq(&heap_truth, &cal_truth, scenario.label());
-    }
-}
-
-#[test]
-fn engines_produce_byte_identical_table_csv() {
-    // Full seeded table binary through both engines: the CSV mirrors must
-    // match byte for byte. Runs print_zing_table in-process with distinct
-    // temp out paths.
-    let _guard = ENGINE_LOCK.lock().unwrap();
-    let dir = std::env::temp_dir().join(format!("badabing-diff-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut csv = Vec::new();
-    for (kind, label) in [(QueueKind::Heap, "heap"), (QueueKind::Calendar, "calendar")] {
-        set_default_queue_kind(Some(kind));
-        let out = dir.join(format!("tab2-{label}.csv"));
-        let opts = RunOpts {
-            quick: true,
-            out: Some(out.clone()),
-            threads: Some(2),
-            ..RunOpts::default()
-        };
-        badabing_bench::runs::print_zing_table(
-            Scenario::CbrUniform,
-            &opts,
-            180.0,
-            30.0,
-            "diff_tab2",
-            "differential tab2",
-        );
-        csv.push(std::fs::read(&out).unwrap());
-    }
-    set_default_queue_kind(None);
-    assert!(!csv[0].is_empty(), "table CSV must not be empty");
-    assert_eq!(csv[0], csv[1], "table CSV bytes differ between engines");
-    let _ = std::fs::remove_dir_all(&dir);
 }

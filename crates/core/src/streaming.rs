@@ -61,30 +61,8 @@ impl StreamingEstimator {
         let end_slot = o.start_slot.saturating_add(u64::from(o.probes) - 1);
         self.max_slot_seen = self.max_slot_seen.max(end_slot);
 
-        // Estimator counters are the shared incremental fold; only the
-        // finer-grained validation tallies stay local to this type.
         self.estimates.push(o);
-        match o.probes {
-            2 => match o.pattern() {
-                0b00 => self.validation.n00 += 1,
-                0b01 => self.validation.n01 += 1,
-                0b10 => self.validation.n10 += 1,
-                0b11 => self.validation.n11 += 1,
-                _ => unreachable!("2-probe pattern out of range"),
-            },
-            3 => match o.pattern() {
-                0b000 => self.validation.n000 += 1,
-                0b001 => self.validation.n001 += 1,
-                0b100 => self.validation.n100 += 1,
-                0b011 => self.validation.n011 += 1,
-                0b110 => self.validation.n110 += 1,
-                0b010 => self.validation.n010 += 1,
-                0b101 => self.validation.n101 += 1,
-                0b111 => self.validation.n111 += 1,
-                _ => unreachable!("3-probe pattern out of range"),
-            },
-            _ => unreachable!("rejected above"),
-        }
+        self.validation.push(o);
     }
 
     /// Current estimates snapshot.

@@ -14,7 +14,7 @@
 //! (`N`) and accuracy — see [`duration_stddev_model`] and
 //! [`required_slots`].
 
-use crate::outcome::ExperimentLog;
+use crate::outcome::{ExperimentLog, Outcome};
 use serde::{Deserialize, Serialize};
 
 /// Pattern tallies and symmetry checks for one run.
@@ -49,25 +49,36 @@ pub struct Validation {
 impl Validation {
     /// Tally a log.
     pub fn from_log(log: &ExperimentLog) -> Self {
-        let mut v = Validation::default();
-        for o in log.outcomes() {
-            match (o.probes, o.pattern()) {
-                (2, 0b00) => v.n00 += 1,
-                (2, 0b01) => v.n01 += 1,
-                (2, 0b10) => v.n10 += 1,
-                (2, 0b11) => v.n11 += 1,
-                (3, 0b000) => v.n000 += 1,
-                (3, 0b001) => v.n001 += 1,
-                (3, 0b010) => v.n010 += 1,
-                (3, 0b011) => v.n011 += 1,
-                (3, 0b100) => v.n100 += 1,
-                (3, 0b101) => v.n101 += 1,
-                (3, 0b110) => v.n110 += 1,
-                (3, 0b111) => v.n111 += 1,
-                (n, p) => panic!("impossible outcome: {n} probes, pattern {p:#b}"),
-            }
-        }
-        v
+        log.outcomes()
+            .iter()
+            .fold(Validation::default(), |mut v, o| {
+                v.push(o);
+                v
+            })
+    }
+
+    /// Tally one outcome.
+    ///
+    /// # Panics
+    /// Panics on a malformed outcome (probe count outside {2, 3});
+    /// streaming callers filter those first.
+    pub fn push(&mut self, o: &Outcome) {
+        let n = match (o.probes, o.pattern()) {
+            (2, 0b00) => &mut self.n00,
+            (2, 0b01) => &mut self.n01,
+            (2, 0b10) => &mut self.n10,
+            (2, 0b11) => &mut self.n11,
+            (3, 0b000) => &mut self.n000,
+            (3, 0b001) => &mut self.n001,
+            (3, 0b010) => &mut self.n010,
+            (3, 0b011) => &mut self.n011,
+            (3, 0b100) => &mut self.n100,
+            (3, 0b101) => &mut self.n101,
+            (3, 0b110) => &mut self.n110,
+            (3, 0b111) => &mut self.n111,
+            (n, p) => panic!("impossible outcome: {n} probes, pattern {p:#b}"),
+        };
+        *n += 1;
     }
 
     /// Relative discrepancy between the `01` and `10` counts:

@@ -16,21 +16,23 @@
 //! *same* API, so the receiver and sender code is identical on both
 //! paths and differential tests can force either one.
 //!
-//! A third tier sits above batching: **segmentation offload**. In
-//! [`IoMode::Gso`] the sender hands the kernel one flat super-datagram
-//! per `sendmsg` with a `UDP_SEGMENT` cmsg and lets the kernel split it
-//! into wire packets (up to [`crate::cmsg::MAX_GSO_SEGMENTS`] per
-//! call), and the receiver enables `SO_TIMESTAMPING` so every datagram
-//! carries the kernel's software RX stamp instead of a userspace
-//! timestamp taken after scheduler noise. [`IoMode::GsoGro`] adds
-//! `UDP_GRO` on the receive side: the ring's slots grow to
-//! super-datagram size and coalesced reads are split back into logical
-//! datagrams by the cmsg-reported segment size (tail segment included)
-//! before the caller ever sees them — `datagram(i)` indexes logical
-//! datagrams on every path. Offload support is probed at runtime
-//! ([`kernel_offload_caps`]); a send the kernel refuses (`EINVAL`/`EIO`
-//! — typical for missing offload support) flips the sender back to the
-//! `sendmmsg` path permanently for that socket, so the offload tier
+//! A third tier sits above batching: **offload**. In [`IoMode::Gso`]
+//! the sender hands the kernel one flat super-datagram per `sendmsg`
+//! with a `UDP_SEGMENT` cmsg and lets the kernel split it into wire
+//! packets (up to [`crate::cmsg::MAX_GSO_SEGMENTS`] per call). The
+//! receiver enables `UDP_GRO` and `SO_TIMESTAMPING`: the ring's slots
+//! grow to super-datagram size, coalesced reads are split back into
+//! logical datagrams by the cmsg-reported segment size (tail segment
+//! included) before the caller ever sees them — `datagram(i)` indexes
+//! logical datagrams on every path — and every read carries the
+//! kernel's software RX stamp instead of a userspace timestamp taken
+//! after scheduler noise. Segments GRO coalesced into one read share
+//! that read's stamp. Offload support is probed at runtime
+//! ([`kernel_offload_caps`]) and degrades per socket: a kernel that
+//! refuses `UDP_GRO` leaves the ring receiving one datagram per slot,
+//! still kernel-stamped; a send the kernel refuses (`EINVAL`/`EIO` —
+//! typical for missing offload support) flips the sender back to the
+//! `sendmmsg` path permanently for that socket. The offload tier
 //! degrades to the batched tier instead of failing.
 //!
 //! Behaviour contract: all paths deliver the same datagrams with the
@@ -54,53 +56,41 @@ pub const DATAGRAM_BYTES: usize = 4096;
 /// Which I/O implementation a [`BatchReceiver`] / [`BatchSender`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoMode {
-    /// Batched syscalls where the platform has them (Linux), the
-    /// portable path elsewhere.
-    #[default]
-    Auto,
     /// Batched syscalls. On platforms without them this quietly behaves
     /// like [`IoMode::Fallback`] so cross-platform tests still run.
+    #[default]
     Batched,
     /// The portable one-datagram-per-syscall path, everywhere.
     Fallback,
-    /// The offload tier, TX side: `UDP_SEGMENT` super-datagram sends
-    /// plus kernel software RX timestamps (`SO_TIMESTAMPING`) on the
-    /// receive ring. Falls back to the batched tier per-socket when the
-    /// kernel refuses the offload, and to the portable path off Linux.
+    /// The offload tier: `UDP_SEGMENT` super-datagram sends, and
+    /// `UDP_GRO` coalescing plus kernel software RX timestamps
+    /// (`SO_TIMESTAMPING`) on the receive ring. Each option the kernel
+    /// refuses degrades on its own, per socket: to `sendmmsg` on
+    /// transmit, to uncoalesced kernel-stamped reads on receive. Off
+    /// Linux it is the portable path.
     Gso,
-    /// The full offload tier: [`IoMode::Gso`] plus `UDP_GRO` receive
-    /// coalescing — the receive ring grows super-datagram slots and
-    /// splits coalesced reads by the cmsg segment size.
-    GsoGro,
 }
 
 impl IoMode {
     /// Whether this mode resolves to the batched implementation here.
     pub fn use_batched(self) -> bool {
         match self {
-            IoMode::Auto | IoMode::Batched | IoMode::Gso | IoMode::GsoGro => {
-                cfg!(target_os = "linux")
-            }
+            IoMode::Batched | IoMode::Gso => cfg!(target_os = "linux"),
             IoMode::Fallback => false,
         }
     }
 
     /// Whether senders should attempt `UDP_SEGMENT` offload sends.
     pub fn wants_gso(self) -> bool {
-        matches!(self, IoMode::Gso | IoMode::GsoGro)
+        self == IoMode::Gso
     }
 
-    /// Whether receive rings should enable `UDP_GRO` coalescing.
-    pub fn wants_gro(self) -> bool {
-        matches!(self, IoMode::GsoGro)
-    }
-
-    /// Whether receive rings should enable kernel software RX
-    /// timestamps (`SO_TIMESTAMPING`). Both offload modes do: the
-    /// kernel stamp is taken before scheduler noise, which is the whole
-    /// point of the tier for delay measurement.
+    /// Whether receive rings should enable `UDP_GRO` coalescing and
+    /// kernel software RX timestamps (`SO_TIMESTAMPING`). The kernel
+    /// stamp is taken before scheduler noise, which is the whole point
+    /// of the tier for delay measurement.
     pub fn wants_kernel_stamps(self) -> bool {
-        matches!(self, IoMode::Gso | IoMode::GsoGro)
+        self == IoMode::Gso
     }
 }
 
@@ -109,13 +99,11 @@ impl std::str::FromStr for IoMode {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "auto" => Ok(IoMode::Auto),
             "batched" => Ok(IoMode::Batched),
             "fallback" => Ok(IoMode::Fallback),
             "gso" => Ok(IoMode::Gso),
-            "gso+gro" | "gso-gro" => Ok(IoMode::GsoGro),
             other => Err(format!(
-                "unknown io mode {other:?} (expected auto|batched|fallback|gso|gso+gro)"
+                "unknown io mode {other:?} (expected batched|fallback|gso)"
             )),
         }
     }
@@ -220,8 +208,8 @@ pub struct BatchReceiver {
     views: Vec<View>,
     count: usize,
     batched: bool,
-    want_gro: bool,
-    want_stamps: bool,
+    /// Whether the mode asks for `UDP_GRO` and kernel RX stamps.
+    offload: bool,
     gro_on: bool,
     stamps_on: bool,
     configured: bool,
@@ -249,9 +237,8 @@ impl BatchReceiver {
     pub fn new(cap: usize, mode: IoMode) -> Self {
         assert!(cap >= 1, "batch capacity must be at least 1");
         let batched = mode.use_batched();
-        let want_gro = mode.wants_gro() && batched;
-        let want_stamps = mode.wants_kernel_stamps() && batched;
-        let slot = if want_gro {
+        let offload = mode.wants_kernel_stamps() && batched;
+        let slot = if offload {
             GRO_SLOT_BYTES
         } else {
             DATAGRAM_BYTES
@@ -260,7 +247,7 @@ impl BatchReceiver {
         // datagrams (the kernel's own coalescing cap); one extra slot
         // of headroom absorbs a misbehaving kernel via tail-merge
         // without ever reallocating mid-drain.
-        let max_views = if want_gro {
+        let max_views = if offload {
             cap * (cmsg::MAX_GSO_SEGMENTS + 1)
         } else {
             cap
@@ -276,8 +263,7 @@ impl BatchReceiver {
             views: Vec::with_capacity(max_views),
             count: 0,
             batched,
-            want_gro,
-            want_stamps,
+            offload,
             gro_on: false,
             stamps_on: false,
             configured: false,
@@ -287,7 +273,7 @@ impl BatchReceiver {
             gro_segments_split: 0,
             cmsg_decode_errors: 0,
             #[cfg(target_os = "linux")]
-            ctrl: if want_gro || want_stamps {
+            ctrl: if offload {
                 vec![0u8; cap * cmsg::RECV_CONTROL_BYTES]
             } else {
                 Vec::new()
@@ -361,9 +347,10 @@ impl BatchReceiver {
 
     /// Enable the requested socket options the first time the ring sees
     /// its socket. Failures degrade stickily (the flag stays off and is
-    /// never retried): an old kernel without `UDP_GRO` still receives,
-    /// it just never coalesces, and timestamp consumers fall back to the
-    /// userspace clock.
+    /// never retried): a kernel without `UDP_GRO` still receives, one
+    /// kernel-stamped datagram per slot, and one without
+    /// `SO_TIMESTAMPING` leaves timestamp consumers on the userspace
+    /// clock.
     #[cfg(target_os = "linux")]
     fn ensure_socket_setup(&mut self, socket: &UdpSocket) {
         use std::os::fd::AsRawFd;
@@ -372,7 +359,7 @@ impl BatchReceiver {
         }
         self.configured = true;
         let fd = socket.as_raw_fd();
-        if self.want_stamps {
+        if self.offload {
             let flags: u32 = cmsg::SOF_TIMESTAMPING_RX_SOFTWARE | cmsg::SOF_TIMESTAMPING_SOFTWARE;
             // SAFETY: passes a 4-byte value the kernel only reads.
             let rc = unsafe {
@@ -385,8 +372,6 @@ impl BatchReceiver {
                 )
             };
             self.stamps_on = rc == 0;
-        }
-        if self.want_gro {
             let on: i32 = 1;
             // SAFETY: passes a 4-byte value the kernel only reads.
             let rc = unsafe {
@@ -969,12 +954,12 @@ pub struct OffloadCaps {
 }
 
 impl OffloadCaps {
-    /// Whether `--io gso` can engage its fast path here.
+    /// Whether `--io gso` can engage its transmit offload here.
     pub fn gso_ready(&self) -> bool {
         self.udp_segment
     }
 
-    /// Whether `--io gso+gro` can engage both directions here.
+    /// Whether `--io gso` can also coalesce on receive here.
     pub fn gro_ready(&self) -> bool {
         self.udp_segment && self.udp_gro
     }
@@ -1234,30 +1219,27 @@ mod tests {
     }
 
     #[test]
-    fn auto_roundtrip() {
-        roundtrip(IoMode::Auto);
+    fn batched_roundtrip() {
+        roundtrip(IoMode::Batched);
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn batched_mode_resolves_on_linux() {
-        assert!(IoMode::Auto.use_batched());
+        assert_eq!(IoMode::default(), IoMode::Batched);
         assert!(IoMode::Batched.use_batched());
         assert!(!IoMode::Fallback.use_batched());
         assert!(IoMode::Gso.use_batched());
-        assert!(IoMode::GsoGro.use_batched());
-        assert!(IoMode::Gso.wants_gso() && !IoMode::Gso.wants_gro());
-        assert!(IoMode::GsoGro.wants_gso() && IoMode::GsoGro.wants_gro());
-        assert!(IoMode::Gso.wants_kernel_stamps() && IoMode::GsoGro.wants_kernel_stamps());
-        assert!(!IoMode::Batched.wants_gso() && !IoMode::Auto.wants_kernel_stamps());
+        assert!(IoMode::Gso.wants_gso() && IoMode::Gso.wants_kernel_stamps());
+        assert!(!IoMode::Batched.wants_gso() && !IoMode::Batched.wants_kernel_stamps());
     }
 
     #[test]
     fn io_mode_parses_offload_spellings() {
         assert_eq!("gso".parse::<IoMode>().unwrap(), IoMode::Gso);
-        assert_eq!("gso+gro".parse::<IoMode>().unwrap(), IoMode::GsoGro);
-        assert_eq!("gso-gro".parse::<IoMode>().unwrap(), IoMode::GsoGro);
-        assert!("gro".parse::<IoMode>().is_err());
+        for gone in ["auto", "gso+gro", "gro"] {
+            assert!(gone.parse::<IoMode>().is_err(), "{gone}");
+        }
     }
 
     #[cfg(target_os = "linux")]
@@ -1287,7 +1269,7 @@ mod tests {
 
     #[test]
     fn segment_send_matches_slice_send() {
-        for mode in [IoMode::Fallback, IoMode::Auto] {
+        for mode in [IoMode::Fallback, IoMode::Batched] {
             let (rx, tx) = pair();
             // A 3-segment train in one flat buffer.
             let seg = 48;
@@ -1318,7 +1300,7 @@ mod tests {
 
     #[test]
     fn oversized_datagrams_are_flagged_truncated_not_decoded_short() {
-        for mode in [IoMode::Fallback, IoMode::Auto] {
+        for mode in [IoMode::Fallback, IoMode::Batched] {
             let (rx, tx) = pair();
             // One datagram larger than a ring slot, one normal-sized.
             tx.send(&vec![0xAB; DATAGRAM_BYTES + 512]).unwrap();
@@ -1423,7 +1405,7 @@ mod tests {
             return;
         }
         let (rx, tx) = pair();
-        let mut ring = BatchReceiver::new(4, IoMode::GsoGro);
+        let mut ring = BatchReceiver::new(4, IoMode::Gso);
         let seg = 512;
         let mut train = vec![0u8; 6 * seg];
         for (i, chunk) in train.chunks_mut(seg).enumerate() {
@@ -1467,6 +1449,8 @@ mod tests {
             eprintln!("skipping: kernel has no SO_TIMESTAMPING");
             return;
         }
+        // A lone datagram gives GRO nothing to coalesce; it must still
+        // carry the kernel stamp.
         let (rx, tx) = pair();
         let mut ring = BatchReceiver::new(4, IoMode::Gso);
         tx.send(&[0x11; 64]).unwrap();

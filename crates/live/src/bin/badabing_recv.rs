@@ -19,7 +19,7 @@
 //! badabing_recv --bind 127.0.0.1:9000 --secs 70 \
 //!     [--session N|any] [--max-sessions N] [--log receiver.json] \
 //!     [--metrics metrics.json] [--idle-timeout 30] \
-//!     [--io auto|batched|fallback|gso|gso+gro] [--recv-threads N] \
+//!     [--io batched|fallback|gso] [--recv-threads N] \
 //!     [--session-budget-mb N] \
 //!     [--global-budget-mb N] [--on-pressure reject|evict] \
 //!     [--estimate-interval-ms N]
@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "badabing_recv --bind ADDR --secs S [--session N|any] [--max-sessions N] \
                      [--log PATH] [--metrics PATH] [--idle-timeout S] \
-                     [--io auto|batched|fallback|gso|gso+gro] [--recv-threads N] \
+                     [--io batched|fallback|gso] [--recv-threads N] \
                      [--session-budget-mb N] \
                      [--global-budget-mb N] [--on-pressure reject|evict] \
                      [--estimate-interval-ms N]";
@@ -76,6 +76,7 @@ fn main() -> std::io::Result<()> {
     let idle_timeout = flags.opt_secs("idle-timeout", Duration::from_secs(30));
     let log_path = PathBuf::from(flags.opt_str("log", "receiver.json"));
     let metrics_path = flags.opt_str("metrics", "");
+    let provider = Provider::Udp(flags.opt("io", IoMode::Batched));
 
     let metrics = Arc::new(Registry::new("badabing_recv"));
     let idle_timeout = (idle_timeout > Duration::ZERO).then_some(idle_timeout);
@@ -90,7 +91,7 @@ fn main() -> std::io::Result<()> {
             idle_timeout,
             max_sessions,
             metrics: Some(metrics.clone()),
-            provider: Provider::udp(flags.opt::<IoMode>("io", IoMode::Auto)),
+            provider,
             recv_threads: flags.opt("recv-threads", 1usize).max(1),
             session_budget_bytes: session_budget_mb << 20,
             global_budget_bytes: (global_budget_mb > 0).then_some(global_budget_mb << 20),
@@ -174,6 +175,7 @@ fn main() -> std::io::Result<()> {
         let handle = start_receiver(ReceiverConfig {
             idle_timeout,
             metrics: Some(metrics.clone()),
+            provider,
             ..ReceiverConfig::new(bind, session)
         })?;
         eprintln!(

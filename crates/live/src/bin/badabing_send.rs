@@ -52,7 +52,7 @@ const USAGE: &str = "badabing_send --target ADDR --secs S [--p P] [--improved] \
                      [--session N] [--seed N] [--bind ADDR] [--manifest PATH] \
                      [--control ADDR] [--no-control] [--log PATH] [--metrics PATH] \
                      [--retry-base-ms MS] [--retry-cap-ms MS] [--attempts N] \
-                     [--hb-ms MS] [--hb-misses N] [--io auto|batched|fallback|gso|gso+gro] \
+                     [--hb-ms MS] [--hb-misses N] [--io batched|fallback|gso] \
                      [--estimate-every-ms MS] [--estimate-out PATH]";
 
 fn main() -> std::io::Result<()> {
@@ -95,7 +95,7 @@ fn main() -> std::io::Result<()> {
         session,
         control,
         metrics: Some(metrics.clone()),
-        provider: Provider::udp(flags.opt::<IoMode>("io", IoMode::Auto)),
+        provider: Provider::Udp(flags.opt("io", IoMode::Batched)),
         estimate_every: (estimate_every_ms > 0).then(|| Duration::from_millis(estimate_every_ms)),
     };
     eprintln!(

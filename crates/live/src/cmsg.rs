@@ -72,6 +72,17 @@ pub const fn cmsg_len(data_len: usize) -> usize {
     align(HDR_BYTES) + data_len
 }
 
+// Pin the layout arithmetic to the 64-bit Linux kernel ABI: a 16-byte
+// header, the `UDP_SEGMENT` `u16` record, and the 48-byte
+// `SCM_TIMESTAMPING` record (three `timespec`s).
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+const _: () = {
+    assert!(HDR_BYTES == 16);
+    assert!(space(2) == 24);
+    assert!(cmsg_len(2) == 18);
+    assert!(space(48) == 64);
+};
+
 /// Control-buffer bytes the receive ring reserves per slot: enough for
 /// an `SCM_TIMESTAMPING` record (16 + 48), a `UDP_GRO` size (16 + 8),
 /// and slack for any extra record a future sockopt attaches.

@@ -5,7 +5,8 @@
 //! instead of concrete `UdpSocket`s, so the identical stack runs over:
 //!
 //! - **real UDP** with batched `recvmmsg`/`sendmmsg` syscalls
-//!   ([`Provider::Udp`] with [`IoMode::Auto`]/[`IoMode::Batched`]),
+//!   ([`Provider::Udp`] with [`IoMode::Batched`], or [`IoMode::Gso`]
+//!   for kernel offload),
 //! - **real UDP** one-datagram-at-a-time ([`IoMode::Fallback`]), or
 //! - the **[`FaultNet`]** — a seeded in-process virtual network with
 //!   virtual time, per-link loss bursts, reordering, duplication,
@@ -14,7 +15,7 @@
 //!
 //! Enum dispatch (not a trait object) keeps the hot path monomorphic
 //! and the configuration structs plain data: a `Provider` is `Clone`
-//! and defaults to real UDP with automatic batching, so existing
+//! and defaults to real UDP with batched syscalls, so existing
 //! `..Config::new(..)` call sites keep working unchanged.
 
 use crate::batch_io::{self, BatchReceiver, BatchSender, IoMode};
@@ -26,38 +27,26 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which I/O backend a component binds its sockets through.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub enum Provider {
-    /// Real UDP sockets; `IoMode` picks batched vs portable syscalls.
-    #[default]
-    Udp,
-    /// Real UDP sockets with an explicit syscall mode.
-    UdpWith(IoMode),
+    /// Real UDP sockets; the [`IoMode`] picks the syscall tier.
+    Udp(IoMode),
     /// The seeded in-process virtual network (virtual time, no
     /// sockets). All components of one run must share the same net.
     Fault(Arc<FaultNet>),
 }
 
+impl Default for Provider {
+    fn default() -> Self {
+        Provider::Udp(IoMode::Batched)
+    }
+}
+
 impl Provider {
-    /// Real UDP with an explicit syscall mode (`Udp` ≡ `Auto`).
-    pub fn udp(mode: IoMode) -> Self {
-        Provider::UdpWith(mode)
-    }
-
-    /// The syscall mode batch rings should use (virtual backends never
-    /// reach the syscall layer).
-    pub fn io_mode(&self) -> IoMode {
-        match self {
-            Provider::Udp => IoMode::Auto,
-            Provider::UdpWith(mode) => *mode,
-            Provider::Fault(_) => IoMode::Fallback,
-        }
-    }
-
     /// Bind a datagram socket on this backend.
     pub fn bind(&self, addr: SocketAddr) -> io::Result<Socket> {
         match self {
-            Provider::Udp | Provider::UdpWith(_) => Ok(Socket::Udp(UdpSocket::bind(addr)?)),
+            Provider::Udp(_) => Ok(Socket::Udp(UdpSocket::bind(addr)?)),
             Provider::Fault(net) => Ok(Socket::Fault(net.bind(addr)?)),
         }
     }
@@ -75,7 +64,7 @@ impl Provider {
     pub fn bind_steered(&self, addr: SocketAddr, n: usize) -> io::Result<Vec<Socket>> {
         assert!(n >= 1, "a reuseport group needs at least one socket");
         match self {
-            Provider::Udp | Provider::UdpWith(_) => {
+            Provider::Udp(_) => {
                 let first = batch_io::bind_reuseport(addr)?;
                 let bound = first.local_addr()?;
                 let mut out = Vec::with_capacity(n);
@@ -99,7 +88,7 @@ impl Provider {
     /// sockets, the net's virtual clock for [`Provider::Fault`].
     pub fn clock(&self) -> Clock {
         match self {
-            Provider::Udp | Provider::UdpWith(_) => Clock::Real,
+            Provider::Udp(_) => Clock::Real,
             Provider::Fault(net) => Clock::Virtual(net.clone()),
         }
     }
@@ -353,9 +342,7 @@ impl RecvBatch {
     /// A ring of `cap` slots on the given backend.
     pub fn new(cap: usize, provider: &Provider) -> Self {
         let inner = match provider {
-            Provider::Udp | Provider::UdpWith(_) => {
-                RecvInner::Udp(BatchReceiver::new(cap, provider.io_mode()))
-            }
+            Provider::Udp(mode) => RecvInner::Udp(BatchReceiver::new(cap, *mode)),
             Provider::Fault(_) => RecvInner::Fault {
                 cap,
                 msgs: Vec::with_capacity(cap),
@@ -502,9 +489,7 @@ impl SendBatch {
     /// A sender batching up to `cap` datagrams per call.
     pub fn new(cap: usize, provider: &Provider) -> Self {
         let inner = match provider {
-            Provider::Udp | Provider::UdpWith(_) => {
-                SendInner::Udp(BatchSender::new(cap, provider.io_mode()))
-            }
+            Provider::Udp(mode) => SendInner::Udp(BatchSender::new(cap, *mode)),
             Provider::Fault(_) => SendInner::Fault {
                 sends: 0,
                 datagrams: 0,
@@ -587,14 +572,13 @@ mod tests {
     #[test]
     fn default_provider_is_real_udp_with_auto_batching() {
         let p = Provider::default();
-        assert!(matches!(p, Provider::Udp));
-        assert_eq!(p.io_mode(), IoMode::Auto);
+        assert!(matches!(p, Provider::Udp(IoMode::Batched)));
         assert!(matches!(p.clock(), Clock::Real));
     }
 
     #[test]
     fn udp_sockets_roundtrip_through_the_seam() {
-        let p = Provider::udp(IoMode::Fallback);
+        let p = Provider::Udp(IoMode::Fallback);
         let rx = p.bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let tx = p.bind("127.0.0.1:0".parse().unwrap()).unwrap();
         tx.connect(rx.local_addr().unwrap()).unwrap();
@@ -687,7 +671,7 @@ mod tests {
 
     #[test]
     fn mismatched_backend_is_an_input_error() {
-        let p_udp = Provider::udp(IoMode::Fallback);
+        let p_udp = Provider::Udp(IoMode::Fallback);
         let sock = p_udp.bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let net = FaultNet::new(1);
         let mut ring = RecvBatch::new(4, &Provider::Fault(net));

@@ -11,7 +11,7 @@
 //! The datapath is split in two. Probes take the **fast path**: drained
 //! in batches (Linux `recvmmsg` via [`crate::batch_io`], one-datagram
 //! fallback elsewhere), timestamped once per batch, and ingested through
-//! [`SessionState::ingest`]. Control messages take the slow path and
+//! `SessionState::ingest`. Control messages take the slow path and
 //! reply through a reused stack buffer. The batched and fallback paths
 //! produce byte-identical per-session reports for the same arrival
 //! sequence (see the differential tests).
@@ -29,8 +29,8 @@
 //! its flow now steers to. Fleet-scope reads lock every shard in index
 //! order, the order migration uses, so a merged estimate is exact.
 //!
-//! Each session keeps its probes in a **dense table**
-//! ([`crate::session_table`]) sized from the SYN: one cell per projected
+//! Each session keeps its probes in a **dense table** (the private
+//! `session_table` module) sized from the SYN: one cell per projected
 //! experiment id, holding the experiment's online-estimator assembly and
 //! up to three inline probe entries, plus one dedup byte per projected
 //! sequence number. A packet of a SYN-sized session costs one indexed
@@ -44,7 +44,7 @@
 //! cells emits the records already in `(experiment, slot)` order.
 //!
 //! Memory is accounted per container from its capacity and its
-//! element's `size_of` (`Footprint` in [`crate::session_table`]): the
+//! element's `size_of` (`Footprint` in `session_table`): the
 //! same formula sizes the SYN's reservation, charges admission's
 //! projected bytes ([`projected_session_bytes`]) against the global
 //! budget, and settles each session's footprint as it grows.
@@ -170,9 +170,9 @@ pub struct ServerConfig {
     /// Per-session instruments are published under a `session_<id>_`
     /// prefix alongside the server-wide ones.
     pub metrics: Option<Arc<Registry>>,
-    /// The I/O backend everything binds through: real UDP with batched
-    /// syscalls where available (the default), real UDP with the
-    /// portable path forced ([`Provider::udp`]), or a seeded in-process
+    /// The I/O backend everything binds through: real UDP on an
+    /// [`crate::batch_io::IoMode`] ([`Provider::Udp`], batched syscalls
+    /// by default), or a seeded in-process
     /// [`crate::faultnet::FaultNet`] — the differential tests pin the
     /// real backends and hold them to identical reports.
     pub provider: Provider,
@@ -346,17 +346,17 @@ impl ReceiverLog {
     /// Rebuild a log from a fetched report (the sender-side inverse of
     /// [`ReceiverLog::to_records`]).
     pub fn from_report(summary: ReportSummary, records: &[ReportRecord]) -> Self {
-        let mut log = ReceiverLog {
+        ReceiverLog {
+            arrivals: records
+                .iter()
+                .map(|r| ((r.experiment, r.slot), arrival_of(r)))
+                .collect(),
             packets: summary.packets,
             rejected: summary.rejected,
             duplicates: summary.duplicates,
             min_raw_delay_ns: summary.min_raw_delay_ns,
-            ..Default::default()
-        };
-        for r in records {
-            log.arrivals.insert((r.experiment, r.slot), arrival_of(r));
+            handshake: None,
         }
-        log
     }
 }
 
@@ -437,7 +437,7 @@ pub struct ServerReport {
     /// owner through the bounded MPSC handoff ring.
     pub steer_handoffs: u64,
     /// Sessions re-homed to the drain thread their probe flow actually
-    /// steers to, after a [`MIGRATE_STRAYS`]-long streak of wrong-thread
+    /// steers to, after a `MIGRATE_STRAYS`-long streak of wrong-thread
     /// arrivals — e.g. a sender whose control and probe sockets hash to
     /// different reuseport members, or a mid-run source-port rebind.
     /// Migration is what keeps the steady-state probe path lock-free:
@@ -588,9 +588,13 @@ const SWEEP_FALLBACK: Duration = Duration::from_millis(200);
 /// across re-requests, with no per-chunk record clone.
 struct Finalized {
     records: Vec<ReportRecord>,
-    total_chunks: u32,
     summary: ReportSummary,
-    log: ReceiverLog,
+}
+
+impl Finalized {
+    fn total_chunks(&self) -> u32 {
+        chunk_count(self.records.len())
+    }
 }
 
 /// Per-session accumulation state in the registry.
@@ -647,13 +651,9 @@ impl SessionState {
     /// reserved, not merely filled, since that is what a hostile SYN
     /// inflates and what the budgets must bound.
     fn footprint(&self) -> Footprint {
-        let (records, arrivals) = self.finalized.as_ref().map_or((0, 0), |f| {
-            (f.records.capacity(), f.log.arrivals.capacity())
-        });
         Footprint {
             raw: self.raw_delays.capacity(),
-            records,
-            arrivals,
+            records: self.finalized.as_ref().map_or(0, |f| f.records.capacity()),
             ..self.table.footprint()
         }
     }
@@ -798,25 +798,14 @@ impl SessionState {
             let records = self
                 .table
                 .finish(&self.raw_delays, &baseline, qdelay_hist.as_deref());
-            let mut arrivals = HashMap::with_capacity(records.len());
-            arrivals.extend(
-                records
-                    .iter()
-                    .map(|r| ((r.experiment, r.slot), arrival_of(r))),
-            );
-            let log = ReceiverLog {
-                arrivals,
-                packets: self.packets,
-                rejected,
-                duplicates: self.duplicates,
-                min_raw_delay_ns: self.min_raw,
-                handshake: self.handshake,
-            };
             self.finalized = Some(Finalized {
-                total_chunks: chunk_count(records.len()),
-                summary: log.summary(),
                 records,
-                log,
+                summary: ReportSummary {
+                    packets: self.packets,
+                    rejected,
+                    duplicates: self.duplicates,
+                    min_raw_delay_ns: self.min_raw,
+                },
             });
         }
         self.finalized.as_ref().expect("just finalized")
@@ -830,7 +819,11 @@ impl SessionState {
         metrics: Option<&Registry>,
     ) -> SessionOutcome {
         self.finalize(rejected, metrics);
-        let log = self.finalized.expect("just finalized").log;
+        let f = self.finalized.expect("just finalized");
+        let log = ReceiverLog {
+            handshake: self.handshake,
+            ..ReceiverLog::from_report(f.summary, &f.records)
+        };
         SessionOutcome { session, end, log }
     }
 }
@@ -2250,7 +2243,7 @@ fn handle_control(
             let finalized = state.finalize(rejected, shared.metrics());
             let ack = ControlMessage::FinAck {
                 session,
-                total_chunks: finalized.total_chunks,
+                total_chunks: finalized.total_chunks(),
                 summary: finalized.summary,
             };
             // Finalization just materialized the record snapshot:
@@ -2280,13 +2273,13 @@ fn handle_control(
             // would leave the sender burning its full retry/backoff
             // schedule per chunk before concluding anything.
             let (total, window) = match &state.finalized {
-                Some(f) if chunk < f.total_chunks => {
-                    (f.total_chunks, chunk_window(&f.records, chunk))
+                Some(f) if chunk < f.total_chunks() => {
+                    (f.total_chunks(), chunk_window(&f.records, chunk))
                 }
                 Some(f) => {
                     shared.chunk_nacks.fetch_add(1, Ordering::Relaxed);
                     inc(&shared.c.chunk_nacks);
-                    (f.total_chunks, &[][..])
+                    (f.total_chunks(), &[][..])
                 }
                 None => {
                     shared.chunk_nacks.fetch_add(1, Ordering::Relaxed);
@@ -2307,7 +2300,7 @@ fn handle_control(
                     state
                         .finalized
                         .as_ref()
-                        .is_some_and(|f| chunk >= f.total_chunks)
+                        .is_some_and(|f| chunk >= f.total_chunks())
                 }
                 None => {
                     // Duplicate closing ack to an already-reaped
@@ -2736,7 +2729,7 @@ mod tests {
 
         let fs = single.finalize(3, None);
         let single_records = fs.records.clone();
-        let single_total = fs.total_chunks;
+        let single_total = fs.total_chunks();
         let single_summary = fs.summary;
         assert!(
             single_records.iter().any(|r| r.flags == 0)
@@ -2752,7 +2745,7 @@ mod tests {
         for (label, other) in [("batched", &mut batched), ("gro", &mut gro)] {
             let fb = other.finalize(3, None);
             assert_eq!(fb.records, single_records, "{label} records differ");
-            assert_eq!(fb.total_chunks, single_total);
+            assert_eq!(fb.total_chunks(), single_total);
             assert_eq!(fb.summary, single_summary);
             for chunk in 0..single_total {
                 let na = encode_report_chunk_into(
@@ -2765,7 +2758,7 @@ mod tests {
                 let nb = encode_report_chunk_into(
                     11,
                     chunk,
-                    fb.total_chunks,
+                    fb.total_chunks(),
                     chunk_window(&fb.records, chunk),
                     &mut buf_b,
                 );

@@ -37,7 +37,6 @@
 //! there does not count as a new slot for the online assembly. Both
 //! forms keep "entry exists" apart from "slot counted" to preserve it.
 
-use crate::receiver::ArrivalRecord;
 use crate::skew::Baseline;
 use badabing_core::estimator::Estimates;
 use badabing_core::outcome::Outcome;
@@ -211,8 +210,6 @@ pub(crate) struct Footprint {
     pub spill_exps: usize,
     /// Finalized report records.
     pub records: usize,
-    /// The finalized log's arrival-map entries.
-    pub arrivals: usize,
 }
 
 const fn map_entry<K, V>() -> usize {
@@ -229,7 +226,6 @@ impl Footprint {
             + self.spill_seen * map_entry::<(u64, u8), ()>()
             + self.spill_exps * map_entry::<u64, ExpAssembly>()
             + self.records * size_of::<ReportRecord>()
-            + self.arrivals * map_entry::<(u64, u64), ArrivalRecord>()
     }
 
     /// Every count scaled by `num / den` (rounded down), so the bytes
@@ -245,7 +241,6 @@ impl Footprint {
             spill_seen: s(self.spill_seen),
             spill_exps: s(self.spill_exps),
             records: s(self.records),
-            arrivals: s(self.arrivals),
         }
     }
 }

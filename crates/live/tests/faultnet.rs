@@ -15,7 +15,9 @@ use badabing_live::control::{ControlClient, ControlConfig, ControlError};
 use badabing_live::faultnet::{FaultNet, LinkFaults};
 use badabing_live::persist::ManifestFile;
 use badabing_live::provider::Provider;
-use badabing_live::receiver::{start_server, ReceiverLog, ServerConfig};
+use badabing_live::receiver::{
+    start_server, ReceiverLog, ServerConfig, SessionEnd, SessionOutcome,
+};
 use badabing_live::sender::{run_sender, SenderConfig, SenderOutcome};
 use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
@@ -46,6 +48,8 @@ fn fast_tool() -> BadabingConfig {
 
 struct Run {
     outcome: SenderOutcome,
+    /// The server's record of the session, if it ended.
+    server: Option<SessionOutcome>,
     /// Real elapsed time of the sender run (virtual runs must be fast).
     wall: Duration,
     metrics: Arc<Registry>,
@@ -82,9 +86,14 @@ fn run_session(seed: u64, n_slots: u64, configure: fn(&Arc<FaultNet>)) -> Run {
     let started = Instant::now();
     let outcome = run_sender(cfg, seeded(seed, "faultnet-run")).unwrap();
     let wall = started.elapsed();
-    server.stop();
+    let server = server
+        .stop()
+        .sessions
+        .into_iter()
+        .find(|o| o.session == SESSION);
     Run {
         outcome,
+        server,
         wall,
         metrics,
     }
@@ -115,6 +124,15 @@ fn full_session_completes_on_a_clean_virtual_net() {
     assert!(outcome.completed, "{:?}", outcome.diagnostics);
     assert!(outcome.diagnostics.is_empty(), "{:?}", outcome.diagnostics);
     let log = outcome.receiver_log.expect("control plane fetches report");
+    // The server's finished log is the report the sender fetched, summary
+    // (rejected and min_raw_delay_ns included) and records alike, plus
+    // the handshake the report does not carry.
+    let server = run.server.expect("server recorded the session");
+    assert_eq!(server.end, SessionEnd::Completed);
+    assert_eq!(server.log.summary(), log.summary());
+    assert!(server.log.min_raw_delay_ns.is_some());
+    assert_eq!(server.log.to_records(), log.to_records());
+    assert_eq!(server.log.handshake.map(|p| p.n_slots), Some(400));
     let manifest = outcome.manifest;
     assert!(!manifest.sent.is_empty());
     assert_eq!(manifest.packets_refused, 0);

@@ -1,6 +1,6 @@
 //! The simulation engine: node registry plus event loop.
 
-use crate::event::{Event, EventQueue, QueueKind};
+use crate::event::{Event, EventQueue};
 use crate::node::{Context, Node, NodeId};
 use crate::time::SimTime;
 use badabing_metrics::{Counter, Histogram, Registry};
@@ -40,17 +40,11 @@ impl Default for Simulator {
 }
 
 impl Simulator {
-    /// An empty simulator at t = 0, on the process-default event engine
-    /// (see [`crate::event::default_queue_kind`]).
+    /// An empty simulator at t = 0.
     pub fn new() -> Self {
-        Self::with_queue_kind(crate::event::default_queue_kind())
-    }
-
-    /// An empty simulator at t = 0 on a specific event engine.
-    pub fn with_queue_kind(kind: QueueKind) -> Self {
         Self {
             nodes: Vec::new(),
-            queue: EventQueue::with_kind(kind),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             started: false,
             next_packet_id: 0,
@@ -58,11 +52,6 @@ impl Simulator {
             out_buf: Vec::new(),
             instruments: None,
         }
-    }
-
-    /// Which event engine this simulator runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Attach a metrics registry: every subsequent dispatch counts into

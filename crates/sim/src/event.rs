@@ -6,42 +6,33 @@
 //! intuitive "FIFO among simultaneous events" semantics that the
 //! store-and-forward queue relies on.
 //!
-//! ## Engines
+//! ## Engine
 //!
-//! Two interchangeable engines implement the queue, selected by
-//! [`QueueKind`]:
+//! The queue is a calendar queue (Brown 1988) / two-level hierarchical
+//! timer wheel (Varghese–Lauck 1987) keyed directly on `SimTime`
+//! nanoseconds: a fine ring of `FINE_BUCKETS` buckets of
+//! `1 << FINE_SHIFT` ns each (≈67 ms of virtual time), a coarse ring of
+//! one-fine-window epochs spanning ≈69 s, occupancy bitmaps for
+//! constant-time advance, and a min-heap overflow beyond the coarse
+//! window. Pushes within the windows are `O(1)`; dispatch drains a span
+//! of consecutive buckets into a sorted front stack, so pops are
+//! `Vec::pop` with an amortized `O(log k)` sort per event, and
+//! short-delay pushes insert directly into the small, cache-resident
+//! front.
 //!
-//! * **Heap** — the reference `BinaryHeap<Scheduled>`: `O(log n)` push and
-//!   pop, comparison-based.
-//! * **Calendar** — a calendar queue (Brown 1988) / two-level
-//!   hierarchical timer wheel (Varghese–Lauck 1987) keyed directly on
-//!   `SimTime` nanoseconds: a fine ring of [`FINE_BUCKETS`] buckets of
-//!   `1 << FINE_SHIFT` ns each (≈67 ms of virtual time), a coarse ring
-//!   of one-fine-window epochs spanning ≈69 s, occupancy bitmaps for
-//!   constant-time advance, and a min-heap overflow beyond the coarse
-//!   window. Pushes within the windows are `O(1)`; dispatch drains a
-//!   span of consecutive buckets into a sorted front stack, so pops are
-//!   `Vec::pop` with an amortized `O(log k)` sort per event, and
-//!   short-delay pushes insert directly into the small, cache-resident
-//!   front.
-//!
-//! Both engines dispatch in **exactly** the same order — ascending
-//! `(time, insertion-seq)`, a total order because `seq` is unique — so
-//! seeded runs are byte-identical under either. The calendar engine does
-//! not rely on bucket insertion order: it selects the bucket minimum by
-//! key, which makes the equivalence structural rather than incidental
-//! (see the differential tests). The default engine is Calendar; set the
-//! `BADABING_ENGINE` environment variable to `heap` or `calendar`, or
-//! call [`set_default_queue_kind`], to pin one (differential testing,
-//! benchmarking).
+//! Dispatch order is ascending `(time, insertion-seq)`, a total order
+//! because `seq` is unique. The calendar queue does not rely on bucket
+//! insertion order: it selects the bucket minimum by key. Debug builds
+//! check this on every operation against a reference `BinaryHeap`
+//! oracle (see [`EventQueue`]), so every simulation `cargo test` runs
+//! doubles as a differential test of the dispatch order; release builds
+//! carry only the calendar queue.
 
 use crate::node::NodeId;
 use crate::packet::Packet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-use std::sync::OnceLock;
 
 /// An event to be dispatched to a node.
 #[derive(Debug, Clone)]
@@ -52,47 +43,9 @@ pub enum Event {
     Timer(u64),
 }
 
-/// Which engine backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Reference binary-heap engine.
-    Heap,
-    /// Calendar-queue / timer-wheel engine (default).
-    Calendar,
-}
-
-/// Process-wide default engine override: 0 = unset, 1 = heap, 2 = calendar.
-static KIND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-/// Lazily parsed `BADABING_ENGINE` environment default.
-static KIND_ENV: OnceLock<Option<QueueKind>> = OnceLock::new();
-
-/// The engine new queues are built with: the programmatic override if one
-/// was set, else the `BADABING_ENGINE` environment variable (`heap` or
-/// `calendar`), else [`QueueKind::Calendar`].
-pub fn default_queue_kind() -> QueueKind {
-    match KIND_OVERRIDE.load(AtomicOrdering::Relaxed) {
-        1 => return QueueKind::Heap,
-        2 => return QueueKind::Calendar,
-        _ => {}
-    }
-    let env = KIND_ENV.get_or_init(|| match std::env::var("BADABING_ENGINE").as_deref() {
-        Ok("heap") => Some(QueueKind::Heap),
-        Ok("calendar") => Some(QueueKind::Calendar),
-        _ => None,
-    });
-    env.unwrap_or(QueueKind::Calendar)
-}
-
-/// Set (or with `None`, clear) the process-wide default engine. Meant for
-/// differential tests and benchmarks that build many simulators and want
-/// them all on one engine without threading a parameter everywhere.
-pub fn set_default_queue_kind(kind: Option<QueueKind>) {
-    let v = match kind {
-        None => 0,
-        Some(QueueKind::Heap) => 1,
-        Some(QueueKind::Calendar) => 2,
-    };
-    KIND_OVERRIDE.store(v, AtomicOrdering::Relaxed);
+/// Firing time of a packed `(at, seq)` key.
+fn key_time(key: u128) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
 }
 
 #[derive(Debug)]
@@ -116,7 +69,7 @@ impl Scheduled {
     }
 
     fn at(&self) -> SimTime {
-        SimTime::from_nanos((self.key >> 64) as u64)
+        key_time(self.key)
     }
 }
 
@@ -504,11 +457,11 @@ impl CalendarQueue {
             self.coarse[b].iter().map(|s| s.key).min()
         };
         let far_key = self.far.peek().map(|o| o.key);
-        let key = [fine_key, coarse_key, far_key]
+        [fine_key, coarse_key, far_key]
             .into_iter()
             .flatten()
-            .min()?;
-        Some(SimTime::from_nanos((key >> 64) as u64))
+            .min()
+            .map(key_time)
     }
 
     fn len(&self) -> usize {
@@ -516,18 +469,19 @@ impl CalendarQueue {
     }
 }
 
-#[derive(Debug)]
-enum Engine {
-    Heap(BinaryHeap<Scheduled>),
-    Calendar(Box<CalendarQueue>),
-}
-
 /// Priority queue of scheduled events, earliest first, FIFO among ties.
+///
+/// Backed by the calendar queue alone in release builds. Debug builds
+/// also keep the reference oracle: a `BinaryHeap` of every pending
+/// event's `(key, target)`, without the payload. `push`, `pop`,
+/// `pop_at_or_before`, `peek_time` and `len` each assert that the
+/// calendar queue agrees with it.
 #[derive(Debug)]
 pub struct EventQueue {
-    engine: Engine,
-    kind: QueueKind,
+    cal: CalendarQueue,
     next_seq: u64,
+    #[cfg(debug_assertions)]
+    oracle: BinaryHeap<std::cmp::Reverse<(u128, NodeId)>>,
 }
 
 impl Default for EventQueue {
@@ -537,28 +491,14 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue on the process-default engine (see
-    /// [`default_queue_kind`]).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_kind(default_queue_kind())
-    }
-
-    /// An empty queue on a specific engine.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let engine = match kind {
-            QueueKind::Heap => Engine::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => Engine::Calendar(Box::new(CalendarQueue::new())),
-        };
         Self {
-            engine,
-            kind,
+            cal: CalendarQueue::new(),
             next_seq: 0,
+            #[cfg(debug_assertions)]
+            oracle: BinaryHeap::new(),
         }
-    }
-
-    /// Which engine backs this queue.
-    pub fn kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// Schedule `event` for `target` at absolute time `at`.
@@ -566,52 +506,73 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         let s = Scheduled::new(at, seq, target, event);
-        match &mut self.engine {
-            Engine::Heap(h) => h.push(s),
-            Engine::Calendar(c) => c.push(s),
-        }
+        #[cfg(debug_assertions)]
+        self.oracle.push(std::cmp::Reverse((s.key, target)));
+        self.cal.push(s);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.cal.len(),
+            self.oracle.len(),
+            "oracle length after push"
+        );
     }
 
     /// Remove and return the earliest event as `(time, target, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, NodeId, Event)> {
-        match &mut self.engine {
-            Engine::Heap(h) => h.pop(),
-            Engine::Calendar(c) => c.pop(),
-        }
-        .map(|s| (s.at(), s.target, s.event))
+        let s = self.cal.pop();
+        #[cfg(debug_assertions)]
+        self.check_pop(s.as_ref(), None);
+        s.map(|s| (s.at(), s.target, s.event))
     }
 
     /// Remove and return the earliest event if it fires at or before
     /// `t_end`; otherwise leave the queue untouched. One front lookup
     /// instead of a peek-then-pop pair — the dispatch loop's fast path.
     pub fn pop_at_or_before(&mut self, t_end: SimTime) -> Option<(SimTime, NodeId, Event)> {
-        match &mut self.engine {
-            Engine::Heap(h) => {
-                if h.peek().is_some_and(|s| s.at() <= t_end) {
-                    h.pop()
-                } else {
-                    None
-                }
-            }
-            Engine::Calendar(c) => c.pop_at_or_before(t_end),
+        let s = self.cal.pop_at_or_before(t_end);
+        #[cfg(debug_assertions)]
+        self.check_pop(s.as_ref(), Some(t_end));
+        s.map(|s| (s.at(), s.target, s.event))
+    }
+
+    /// The oracle's side of a pop: its minimum (if due by `bound`) must
+    /// be exactly what the calendar queue returned, and leaves the
+    /// oracle only when the calendar queue popped it.
+    #[cfg(debug_assertions)]
+    fn check_pop(&mut self, got: Option<&Scheduled>, bound: Option<SimTime>) {
+        let want = self
+            .oracle
+            .peek()
+            .map(|r| r.0)
+            .filter(|&(key, _)| bound.is_none_or(|t| key_time(key) <= t));
+        assert_eq!(
+            got.map(|s| (s.key, s.target)),
+            want,
+            "calendar queue diverged from the heap oracle"
+        );
+        if want.is_some() {
+            self.oracle.pop();
         }
-        .map(|s| (s.at(), s.target, s.event))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.engine {
-            Engine::Heap(h) => h.peek().map(|s| s.at()),
-            Engine::Calendar(c) => c.peek_time(),
-        }
+        let t = self.cal.peek_time();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            t,
+            self.oracle.peek().map(|r| key_time(r.0 .0)),
+            "peek_time diverged from the heap oracle"
+        );
+        t
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.engine {
-            Engine::Heap(h) => h.len(),
-            Engine::Calendar(c) => c.len(),
-        }
+        let n = self.cal.len();
+        #[cfg(debug_assertions)]
+        assert_eq!(n, self.oracle.len(), "len diverged from the heap oracle");
+        n
     }
 
     /// Whether no events are pending.
@@ -623,8 +584,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const KINDS: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
+    use std::cmp::Reverse;
 
     fn timer_at(q: &mut EventQueue, ns: u64, node: usize, token: u64) {
         q.push(SimTime::from_nanos(ns), NodeId(node), Event::Timer(token));
@@ -641,75 +601,61 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            timer_at(&mut q, 30, 0, 3);
-            timer_at(&mut q, 10, 0, 1);
-            timer_at(&mut q, 20, 0, 2);
-            assert_eq!(drain_tokens(&mut q), vec![1, 2, 3], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        timer_at(&mut q, 30, 0, 3);
+        timer_at(&mut q, 10, 0, 1);
+        timer_at(&mut q, 20, 0, 2);
+        assert_eq!(drain_tokens(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            for token in 0..100 {
-                timer_at(&mut q, 5, 0, token);
-            }
-            assert_eq!(
-                drain_tokens(&mut q),
-                (0..100).collect::<Vec<_>>(),
-                "{kind:?}"
-            );
+        let mut q = EventQueue::new();
+        for token in 0..100 {
+            timer_at(&mut q, 5, 0, token);
         }
+        assert_eq!(drain_tokens(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_and_len() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            timer_at(&mut q, 42, 1, 0);
-            timer_at(&mut q, 7, 2, 0);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
-            q.pop();
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        timer_at(&mut q, 42, 1, 0);
+        timer_at(&mut q, 7, 2, 0);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
+        q.pop();
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
     }
 
     #[test]
     fn targets_are_preserved() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            timer_at(&mut q, 1, 9, 0);
-            let (_, target, _) = q.pop().unwrap();
-            assert_eq!(target, NodeId(9));
-        }
+        let mut q = EventQueue::new();
+        timer_at(&mut q, 1, 9, 0);
+        let (_, target, _) = q.pop().unwrap();
+        assert_eq!(target, NodeId(9));
     }
 
     #[test]
     fn pop_at_or_before_respects_the_bound() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            timer_at(&mut q, 100, 0, 1);
-            timer_at(&mut q, 200, 0, 2);
-            assert!(q.pop_at_or_before(SimTime::from_nanos(50)).is_none());
-            assert_eq!(q.len(), 2, "{kind:?}: a refused pop must not remove");
-            let (at, _, _) = q.pop_at_or_before(SimTime::from_nanos(100)).unwrap();
-            assert_eq!(at, SimTime::from_nanos(100));
-            assert!(q.pop_at_or_before(SimTime::from_nanos(150)).is_none());
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        timer_at(&mut q, 100, 0, 1);
+        timer_at(&mut q, 200, 0, 2);
+        assert!(q.pop_at_or_before(SimTime::from_nanos(50)).is_none());
+        assert_eq!(q.len(), 2, "a refused pop must not remove");
+        let (at, _, _) = q.pop_at_or_before(SimTime::from_nanos(100)).unwrap();
+        assert_eq!(at, SimTime::from_nanos(100));
+        assert!(q.pop_at_or_before(SimTime::from_nanos(150)).is_none());
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn far_future_events_take_the_overflow_path_and_still_order() {
         // Mix events inside the fine window (< 67 ms) with seconds-away
         // timers (coarse ring), interleaving pushes and pops.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         timer_at(&mut q, 5_000_000_000, 0, 50); // 5 s — overflow
         timer_at(&mut q, 1_000, 0, 1);
         timer_at(&mut q, 2_000_000_000, 0, 20); // 2 s — overflow
@@ -727,7 +673,7 @@ mod tests {
     fn overflow_and_ring_ties_keep_insertion_order() {
         // An overflow item and a ring item at the same instant: the one
         // pushed first must pop first, across the structural boundary.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         timer_at(&mut q, 200_000_000, 0, 1); // 200 ms: overflow at push time
         timer_at(&mut q, 1, 0, 0);
         // Drain to 150 ms so the window now covers 200 ms.
@@ -742,16 +688,28 @@ mod tests {
 
     #[test]
     fn engines_agree_on_a_randomized_workload() {
-        // Deterministic LCG; interleaved pushes and pops with clustered
-        // times (ties), window-local times, and far-future overflow times.
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
-        let mut cal = EventQueue::with_kind(QueueKind::Calendar);
+        // The calendar queue in lockstep with a plain `BinaryHeap` on
+        // `(at, token, node)`: tokens are issued in push order, so heap
+        // order is exactly `(at, seq)`. Deterministic LCG; interleaved
+        // pushes and pops with clustered times (ties), window-local
+        // times, and far-future overflow times.
+        let mut heap = BinaryHeap::new();
+        let mut cal = EventQueue::new();
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut rng = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             state >> 11
+        };
+        let pop_both = |heap: &mut BinaryHeap<Reverse<(u64, u64, usize)>>, cal: &mut EventQueue| {
+            let a = heap.pop().map(|Reverse(x)| x);
+            let b = cal.pop().map(|(t, n, e)| match e {
+                Event::Timer(k) => (t.as_nanos(), k, n.0),
+                _ => unreachable!(),
+            });
+            assert_eq!(a, b, "engines disagree");
+            a
         };
         let mut now = 0u64;
         let mut token = 0u64;
@@ -761,46 +719,44 @@ mod tests {
                 // Push at now + jitter; every ~20th lands seconds away.
                 let horizon = if r % 20 == 7 { 3_000_000_000 } else { 400_000 };
                 let at = now + (rng() % horizon) / (1 + (r % 4)); // clusters
-                timer_at(&mut heap, at, (round % 5) as usize, token);
-                timer_at(&mut cal, at, (round % 5) as usize, token);
+                let node = (round % 5) as usize;
+                heap.push(Reverse((at, token, node)));
+                timer_at(&mut cal, at, node, token);
                 token += 1;
-            } else {
-                let a = heap.pop();
-                let b = cal.pop();
-                match (a, b) {
-                    (None, None) => {}
-                    (Some((ta, na, Event::Timer(ka))), Some((tb, nb, Event::Timer(kb)))) => {
-                        assert_eq!((ta, na, ka), (tb, nb, kb), "divergence at round {round}");
-                        now = ta.as_nanos();
-                    }
-                    other => panic!("engines disagree on emptiness: {other:?}"),
-                }
+            } else if let Some((at, _, _)) = pop_both(&mut heap, &mut cal) {
+                now = at;
             }
             assert_eq!(heap.len(), cal.len());
         }
         // Drain the rest in lockstep.
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (Some((ta, na, Event::Timer(ka))), Some((tb, nb, Event::Timer(kb)))) => {
-                    assert_eq!((ta, na, ka), (tb, nb, kb));
-                }
-                other => panic!("tail divergence: {other:?}"),
-            }
-        }
+        while pop_both(&mut heap, &mut cal).is_some() {}
+        assert!(cal.is_empty());
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn default_kind_override_round_trips() {
-        // Serialize against other tests touching the global: this test is
-        // the only one that mutates it (the rest pin kinds explicitly).
-        set_default_queue_kind(Some(QueueKind::Heap));
-        assert_eq!(default_queue_kind(), QueueKind::Heap);
-        assert_eq!(EventQueue::new().kind(), QueueKind::Heap);
-        set_default_queue_kind(Some(QueueKind::Calendar));
-        assert_eq!(default_queue_kind(), QueueKind::Calendar);
-        set_default_queue_kind(None);
-        let k = default_queue_kind();
-        assert!(k == QueueKind::Heap || k == QueueKind::Calendar);
+    fn oracle_tracks_len_through_push_pop_and_bounded_pop() {
+        let mut q = EventQueue::new();
+        let oracle_len = |q: &EventQueue| q.oracle.len();
+        for (i, ns) in [300u64, 100, 5_000_000_000, 200, 100]
+            .into_iter()
+            .enumerate()
+        {
+            timer_at(&mut q, ns, i, i as u64);
+            assert_eq!(oracle_len(&q), i + 1);
+            assert_eq!(oracle_len(&q), q.len());
+        }
+        q.pop();
+        assert_eq!((oracle_len(&q), q.len()), (4, 4));
+        assert!(q.pop_at_or_before(SimTime::from_nanos(50)).is_none());
+        assert_eq!(
+            (oracle_len(&q), q.len()),
+            (4, 4),
+            "a refused pop keeps both"
+        );
+        q.pop_at_or_before(SimTime::from_nanos(250)).unwrap();
+        assert_eq!((oracle_len(&q), q.len()), (3, 3));
+        while q.pop().is_some() {}
+        assert_eq!((oracle_len(&q), q.len()), (0, 0));
     }
 }

@@ -37,7 +37,7 @@ pub mod time;
 pub mod topology;
 
 pub use engine::Simulator;
-pub use event::{default_queue_kind, set_default_queue_kind, Event, QueueKind};
+pub use event::Event;
 pub use monitor::{
     GroundTruth, GroundTruthConfig, Monitor, MonitorHandle, TraceEvent, TraceRecord,
 };

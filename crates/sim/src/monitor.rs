@@ -22,7 +22,7 @@
 //!
 //! By default the monitor is **streaming**: every event is folded online
 //! into exactly the state ground truth needs — per-slot queue-delay maxima
-//! (`O(slots)`), one compact [`DropPoint`] per drop (`O(drops)`), and the
+//! (`O(slots)`), one compact `DropPoint` per drop (`O(drops)`), and the
 //! running minimum delay since the last drop. Memory is therefore bounded
 //! by the observation grid and the loss process, *not* by the event count:
 //! a minutes-long run at OC3 rates folds tens of millions of events into a
