@@ -4,17 +4,17 @@
 //! in front of one), then writes the run manifest — every probe sent plus
 //! the tool configuration — to a JSON file for `badabing_report`.
 //!
-//! By default the sender also drives the control plane against the
-//! receiver: handshake before the run, heartbeats during it, and report
-//! retrieval afterwards (written with `--log`, replacing the manual copy
-//! of the receiver's log file). `--control` names the receiver's own
-//! address when probes are routed through an emulator; `--no-control`
-//! reverts to the old open-loop behaviour.
+//! The sender also drives the control plane against the receiver:
+//! handshake before the run (the SYN that opens the session), heartbeats
+//! during it, and report retrieval afterwards (written with `--log`,
+//! replacing the manual copy of the receiver's log file). `--control`
+//! names the receiver's own address when probes are routed through an
+//! emulator.
 //!
 //! ```text
 //! badabing_send --target 127.0.0.1:9000 --secs 60 \
 //!     [--p 0.3] [--improved] [--session 1] [--seed 1] \
-//!     [--control ADDR | --no-control] [--manifest manifest.json] \
+//!     [--control ADDR] [--manifest manifest.json] \
 //!     [--log receiver.json] [--metrics metrics.json] \
 //!     [--retry-base-ms 25] [--retry-cap-ms 400] [--attempts 12] \
 //!     [--hb-ms 200] [--hb-misses 3] \
@@ -50,13 +50,13 @@ use std::time::Duration;
 
 const USAGE: &str = "badabing_send --target ADDR --secs S [--p P] [--improved] \
                      [--session N] [--seed N] [--bind ADDR] [--manifest PATH] \
-                     [--control ADDR] [--no-control] [--log PATH] [--metrics PATH] \
+                     [--control ADDR] [--log PATH] [--metrics PATH] \
                      [--retry-base-ms MS] [--retry-cap-ms MS] [--attempts N] \
                      [--hb-ms MS] [--hb-misses N] [--io batched|fallback|gso] \
                      [--estimate-every-ms MS] [--estimate-out PATH]";
 
 fn main() -> std::io::Result<()> {
-    let flags = Flags::parse(USAGE, &["improved", "no-control"]);
+    let flags = Flags::parse(USAGE, &["improved"]);
     let target: SocketAddr = flags.req("target");
     let secs = flags.req_secs("secs").as_secs_f64();
     let p: f64 = flags.opt("p", 0.3);
@@ -74,17 +74,12 @@ fn main() -> std::io::Result<()> {
         tool = tool.with_improved();
     }
 
-    let control = if flags.has("no-control") {
-        None
-    } else {
-        let mut c = ControlConfig::new(flags.opt("control", target));
-        c.retry_base = Duration::from_millis(flags.opt("retry-base-ms", 25));
-        c.retry_cap = Duration::from_millis(flags.opt("retry-cap-ms", 400));
-        c.max_attempts = flags.opt("attempts", 12);
-        c.heartbeat_interval = Duration::from_millis(flags.opt("hb-ms", 200));
-        c.heartbeat_misses = flags.opt("hb-misses", 3);
-        Some(c)
-    };
+    let mut control = ControlConfig::new(flags.opt("control", target));
+    control.retry_base = Duration::from_millis(flags.opt("retry-base-ms", 25));
+    control.retry_cap = Duration::from_millis(flags.opt("retry-cap-ms", 400));
+    control.max_attempts = flags.opt("attempts", 12);
+    control.heartbeat_interval = Duration::from_millis(flags.opt("hb-ms", 200));
+    control.heartbeat_misses = flags.opt("hb-misses", 3);
     let metrics = Arc::new(Registry::new("badabing_send"));
 
     let cfg = SenderConfig {
@@ -93,7 +88,7 @@ fn main() -> std::io::Result<()> {
         target,
         bind,
         session,
-        control,
+        control: Some(control),
         metrics: Some(metrics.clone()),
         provider: Provider::Udp(flags.opt("io", IoMode::Batched)),
         estimate_every: (estimate_every_ms > 0).then(|| Duration::from_millis(estimate_every_ms)),

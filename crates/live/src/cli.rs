@@ -33,6 +33,13 @@ pub fn nonneg_secs(raw: &str) -> Result<Duration, String> {
     Duration::try_from_secs_f64(secs).map_err(|e| format!("`{raw}`: {e}"))
 }
 
+/// Whether `usage` names the flag `--key`.
+fn names_flag(usage: &str, key: &str) -> bool {
+    usage
+        .split(|c: char| c.is_whitespace() || matches!(c, '[' | ']' | '|'))
+        .any(|word| word.strip_prefix("--") == Some(key))
+}
+
 /// Parsed `--key value` flags (and bare `--switch`es, stored as empty
 /// strings).
 #[derive(Debug, Default)]
@@ -43,7 +50,8 @@ pub struct Flags {
 
 impl Flags {
     /// Parse the process arguments. `switches` lists flags that take no
-    /// value. Exits with `usage` on malformed input or `--help`.
+    /// value. Exits with `usage` on malformed input, on a flag `usage`
+    /// does not name, or on `--help`.
     pub fn parse(usage: &'static str, switches: &[&str]) -> Self {
         let mut values = HashMap::new();
         let mut args = std::env::args().skip(1);
@@ -54,6 +62,9 @@ impl Flags {
             if key == "help" {
                 println!("usage: {usage}");
                 std::process::exit(0);
+            }
+            if !names_flag(usage, key) {
+                Self::die(usage, &format!("unknown flag --{key}"));
             }
             if switches.contains(&key) {
                 values.insert(key.to_string(), String::new());
@@ -139,6 +150,17 @@ mod tests {
         assert_eq!(positive_secs("60").unwrap(), Duration::from_secs(60));
         for bad in ["nan", "-1", "0", "-0.0", "inf", "-inf", "1e300", "week"] {
             assert!(positive_secs(bad).is_err(), "`{bad}` must be rejected");
+        }
+    }
+
+    #[test]
+    fn only_flags_the_usage_names_are_known() {
+        let usage = "tool --bind ADDR [--secs S] [--io a|b] [--quiet]";
+        for key in ["bind", "secs", "io", "quiet"] {
+            assert!(names_flag(usage, key), "--{key}");
+        }
+        for key in ["bin", "sec", "session", "a", "ADDR", ""] {
+            assert!(!names_flag(usage, key), "--{key}");
         }
     }
 

@@ -24,8 +24,7 @@
 //!   clock offset/skew via a lower-envelope fit (yielding *queueing*
 //!   delay, which is what the α/OWDmax threshold actually needs),
 //!   builds per-probe records at finalization, and answers the control
-//!   plane on the same socket; the single-session receiver remains as a
-//!   thin wrapper;
+//!   plane on the same socket. Only a sender's SYN opens a session;
 //! * [`control`] — the sender-side driver for the UDP control plane
 //!   (SYN/SYN-ACK handshake, heartbeats, FIN + chunked report retrieval
 //!   with capped exponential backoff; wire format in
@@ -71,8 +70,7 @@ pub use event_loop::{PollWaker, Poller};
 pub use faultnet::{flow_hash, FaultDatagram, FaultNet, FaultSocket, LinkFaults};
 pub use provider::{Clock, Provider, RecvBatch, SendBatch, Socket, TimestampSource};
 pub use receiver::{
-    start_receiver, start_server, PressurePolicy, ReceiverConfig, ReceiverHandle, ReceiverLog,
-    ServerConfig, ServerHandle, ServerReport, SessionEnd, SessionOutcome, SessionPolicy,
-    DEFAULT_SESSION_BUDGET_BYTES,
+    start_server, PressurePolicy, ReceiverLog, ServerConfig, ServerHandle, ServerReport,
+    SessionEnd, SessionOutcome, DEFAULT_SESSION_BUDGET_BYTES,
 };
 pub use sender::{run_sender, SenderConfig, SenderManifest, SenderOutcome, SentProbeInfo};

@@ -33,15 +33,14 @@
 //! `session_table` module) sized from the SYN: one cell per projected
 //! experiment id, holding the experiment's online-estimator assembly and
 //! up to three inline probe entries, plus one dedup byte per projected
-//! sequence number. A packet of a SYN-sized session costs one indexed
-//! load per structure and allocates nothing. Keys outside that form
-//! (ids or seqs past the projection, a 4th slot on one experiment,
-//! `idx == 255`, a second idx on one seq, any key of a session opened
-//! without a handshake) spill into hash maps with the same semantics,
-//! so reports and online estimates do not depend on which form held a
-//! key. FIN walks the same table: one pass over the raw delays keeps
-//! each probe's last and largest queueing delay, and one pass over the
-//! cells emits the records already in `(experiment, slot)` order.
+//! sequence number. A packet costs one indexed load per structure and
+//! allocates nothing. Keys outside that form (ids or seqs past the
+//! projection, a 4th slot on one experiment, `idx == 255`, a second idx
+//! on one seq) spill into hash maps with the same semantics, so reports
+//! and online estimates do not depend on which form held a key. FIN
+//! walks the same table: one pass over the raw delays keeps each
+//! probe's last and largest queueing delay, and one pass over the cells
+//! emits the records already in `(experiment, slot)` order.
 //!
 //! Memory is accounted per container from its capacity and its
 //! element's `size_of` (`Footprint` in `session_table`): the
@@ -52,15 +51,14 @@
 //! One process serves **many concurrent sender sessions**: a session
 //! registry keyed by session id holds per-session accumulation state
 //! (probe table, raw-delay series for the skew fit, control-plane
-//! finalization snapshot, idle deadline, metrics). Under
-//! [`SessionPolicy::Any`] sessions are opened dynamically by the
-//! control-plane SYN handshake, bounded by `max_sessions` — a SYN past
-//! the cap is refused with an explicit NACK, and sessions are reaped on
-//! completion or per-session idle timeout *without* terminating the
-//! serve loop. [`SessionPolicy::Single`] preserves the original
-//! one-sender tool shape (probes may open the session without a
-//! handshake, and the loop exits when that session ends);
-//! [`start_receiver`] is a thin wrapper over it.
+//! finalization snapshot, idle deadline, metrics). A session has one
+//! lifecycle: only the control-plane SYN opens it, under admission
+//! (`max_sessions` and the memory budgets — a SYN past either is
+//! refused with an explicit NACK), and it ends completed, idle-reaped,
+//! evicted or stopped. Sessions end one at a time *without* terminating
+//! the serve loop, which runs until stopped. Probes and control
+//! messages for a session no SYN opened are not accepted (probes count
+//! as rejected; stale control retransmits are ignored).
 //!
 //! Sample-record integrity: real networks duplicate and reorder
 //! datagrams, and a duplicated arrival must not make a lost probe look
@@ -97,64 +95,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Single-session receiver configuration (the original tool shape).
-#[derive(Debug, Clone)]
-pub struct ReceiverConfig {
-    /// Address to listen on.
-    pub bind: SocketAddr,
-    /// Only accept packets stamped with this session id.
-    pub session: u32,
-    /// Watchdog: exit after this long without any datagram, once a
-    /// session has started. `None` waits forever.
-    pub idle_timeout: Option<Duration>,
-    /// Answer control-plane messages (handshake, heartbeat, report
-    /// retrieval). Disable for raw packet-capture use.
-    pub serve_control: bool,
-    /// Run counters and delay histograms, if observability is wanted.
-    pub metrics: Option<Arc<Registry>>,
-    /// Which I/O backend to bind through (real UDP by default).
-    pub provider: Provider,
-}
-
-impl ReceiverConfig {
-    /// A receiver on `bind` for `session`: control plane on, no
-    /// watchdog, no metrics, real UDP.
-    pub fn new(bind: SocketAddr, session: u32) -> Self {
-        Self {
-            bind,
-            session,
-            idle_timeout: None,
-            serve_control: true,
-            metrics: None,
-            provider: Provider::default(),
-        }
-    }
-}
-
-/// Which sessions the server admits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionPolicy {
-    /// Accept exactly this pre-configured session id. Probes may open
-    /// the session without a handshake, and the serve loop exits when
-    /// the session completes or its idle watchdog fires — the original
-    /// one-sender/one-receiver tool shape.
-    Single(u32),
-    /// Accept any session that opens with a SYN handshake, up to
-    /// `max_sessions` concurrently. Completion or idle timeout reaps
-    /// the individual session; the serve loop keeps running until
-    /// stopped. Probe or control datagrams for unregistered sessions
-    /// are not accepted (probes count as rejected; stale control
-    /// retransmits are ignored).
-    Any,
-}
-
 /// Multi-session server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Address to listen on.
     pub bind: SocketAddr,
-    /// Session admission policy.
-    pub policy: SessionPolicy,
     /// Registry capacity: SYNs arriving while this many sessions are
     /// active are refused with [`RejectReason::Capacity`]. Completion
     /// and idle reaping free capacity.
@@ -163,9 +108,6 @@ pub struct ServerConfig {
     /// this long is finalized and reaped. `None` keeps idle sessions
     /// forever.
     pub idle_timeout: Option<Duration>,
-    /// Answer control-plane messages (handshake, heartbeat, report
-    /// retrieval). Disable for raw packet-capture use.
-    pub serve_control: bool,
     /// Run counters and delay histograms, if observability is wanted.
     /// Per-session instruments are published under a `session_<id>_`
     /// prefix alongside the server-wide ones.
@@ -246,17 +188,15 @@ pub fn projected_session_bytes(params: &SessionParams, session_budget: usize) ->
 }
 
 impl ServerConfig {
-    /// A server on `bind` admitting any session up to `max_sessions`:
-    /// control plane on, no idle watchdog, no metrics, auto-batched I/O
+    /// A server on `bind` admitting any session that opens with a SYN,
+    /// up to `max_sessions`: no idle watchdog, no metrics, batched I/O
     /// on a single drain thread, and the default per-session budget
     /// with no global ceiling.
     pub fn any(bind: SocketAddr, max_sessions: usize) -> Self {
         Self {
             bind,
-            policy: SessionPolicy::Any,
             max_sessions,
             idle_timeout: None,
-            serve_control: true,
             metrics: None,
             provider: Provider::default(),
             recv_threads: 1,
@@ -405,9 +345,8 @@ pub struct ServerReport {
     /// at stop are appended last, sorted by id, as
     /// [`SessionEnd::Stopped`]).
     pub sessions: Vec<SessionOutcome>,
-    /// Datagrams rejected across the whole run (unknown-session probes,
-    /// undecodable noise, wrong-session traffic in single mode,
-    /// over-budget probe drops).
+    /// Datagrams rejected across the whole run (probes for sessions no
+    /// SYN opened, undecodable noise, over-budget probe drops).
     pub rejected: u64,
     /// SYNs refused at admission — registry at `max_sessions`, or over
     /// the global memory budget.
@@ -482,9 +421,9 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// Whether the serve loop exited on its own (single-session
-    /// completion or watchdog; an any-policy server only exits when
-    /// stopped).
+    /// Whether the serve loop exited on its own, which only a hard
+    /// socket error causes: sessions end one by one, the server runs
+    /// until stopped.
     pub fn is_finished(&self) -> bool {
         self.joined.is_finished()
     }
@@ -504,63 +443,6 @@ impl ServerHandle {
         self.clock
             .unenrolled(|| joined.join())
             .expect("receiver thread panicked")
-    }
-
-    /// Wait for the serve loop to exit on its own and collect the
-    /// report. Blocks indefinitely for an any-policy server that is
-    /// never stopped.
-    pub fn join(self) -> ServerReport {
-        let joined = self.joined;
-        self.clock
-            .unenrolled(|| joined.join())
-            .expect("receiver thread panicked")
-    }
-}
-
-/// Handle to a running single-session receiver (thin wrapper over the
-/// session server).
-pub struct ReceiverHandle {
-    session: u32,
-    inner: ServerHandle,
-}
-
-impl ReceiverHandle {
-    /// The actual bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// Whether the receiver exited on its own (session complete or
-    /// watchdog fired).
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
-
-    /// Stop the receiver and collect its log.
-    pub fn stop(self) -> ReceiverLog {
-        let session = self.session;
-        Self::extract(session, self.inner.stop())
-    }
-
-    /// Wait for the receiver to exit on its own (session completion or
-    /// idle watchdog) and collect its log. Blocks indefinitely if the
-    /// config has no watchdog and no sender ever completes a session.
-    pub fn join(self) -> ReceiverLog {
-        let session = self.session;
-        Self::extract(session, self.inner.join())
-    }
-
-    fn extract(session: u32, report: ServerReport) -> ReceiverLog {
-        let mut log = report
-            .sessions
-            .into_iter()
-            .find(|o| o.session == session)
-            .map(|o| o.log)
-            .unwrap_or_default();
-        // Single-session semantics: the one log owns the global reject
-        // count (it predates the multi-session registry).
-        log.rejected = report.rejected;
-        log
     }
 }
 
@@ -606,7 +488,8 @@ struct SessionState {
     packets: u64,
     duplicates: u64,
     min_raw: Option<i64>,
-    handshake: Option<SessionParams>,
+    /// The tool parameters the opening SYN announced.
+    handshake: SessionParams,
     /// Clock time (absolute, since the provider clock's epoch) of the
     /// last datagram for this session — the idle watchdog's input.
     last_activity: Duration,
@@ -628,18 +511,44 @@ struct SessionState {
 }
 
 impl SessionState {
-    fn new(session: u32, metrics: Option<&Registry>, now: Duration) -> Self {
+    /// A session opened by a SYN announcing `params`, pre-sized so a
+    /// full-length run never reallocates mid-flight: the dense table
+    /// covers the projected experiments and one dedup byte per
+    /// projected packet, and the raw-delay series one sample per
+    /// packet. Hard caps ([`SessionState::desired`]) plus the
+    /// per-session byte budget bound what a malicious SYN can balloon.
+    /// The online estimator's slot width is seeded from the same
+    /// expression the report-side fold uses, so the FIN differential is
+    /// bit-exact.
+    fn new(
+        session: u32,
+        params: SessionParams,
+        session_budget: usize,
+        metrics: Option<&Registry>,
+        now: Duration,
+    ) -> Self {
+        let mut want = Self::desired(&params);
+        // Scale the reservation down to the per-session budget: a SYN
+        // may promise any run size, the receiver only pays up to the
+        // budget for it.
+        let bytes = want.bytes();
+        if bytes > session_budget {
+            want = want.scaled(session_budget, bytes);
+        }
         let scope = metrics.map(|m| m.scope(format!("session_{session}")));
         Self {
-            raw_delays: Vec::new(),
-            table: SessionTable::default(),
+            raw_delays: Vec::with_capacity(want.raw),
+            table: SessionTable::dense(want.cells, want.seqs),
             packets: 0,
             duplicates: 0,
             min_raw: None,
-            handshake: None,
+            handshake: params,
             last_activity: now,
             finalized: None,
-            online: Estimates::default(),
+            online: Estimates {
+                slot_secs: params.slot_ns as f64 / 1e9,
+                ..Estimates::default()
+            },
             delay_sketch: DelaySketch::new(),
             accounted_bytes: 0,
             m_packets: scope.as_ref().map(|s| s.counter("packets_accepted")),
@@ -694,50 +603,11 @@ impl SessionState {
         }
     }
 
-    /// The bytes [`SessionState::reserve_for`] would take a fresh
-    /// session to, clamped by the per-session budget — what admission
+    /// The bytes [`SessionState::new`] reserves for a SYN announcing
+    /// `params`, clamped by the per-session budget — what admission
     /// charges against the global budget before any container exists.
     fn projected_bytes(params: &SessionParams, session_budget: usize) -> usize {
         Self::desired(params).bytes().min(session_budget)
-    }
-
-    /// Pre-size the session from the SYN-carried tool config, so a
-    /// full-length run never reallocates mid-flight: the dense table
-    /// covers the projected experiments and one dedup byte per
-    /// projected packet, and the raw-delay series one sample per
-    /// packet. Hard caps ([`SessionState::desired`]) plus the
-    /// per-session byte budget bound what a malicious SYN can balloon.
-    /// The dense form is sized only while the table is pristine: keys a
-    /// session without a handshake already spilled keep spilling, and a
-    /// SYN retransmit never moves a key. `reserve` is additive, so
-    /// re-announcing never shrinks anything.
-    fn reserve_for(&mut self, params: &SessionParams, session_budget: usize) {
-        let mut want = Self::desired(params);
-        // Scale the reservation down to what the per-session budget
-        // leaves: a SYN may promise any run size, the receiver only
-        // pays up to the budget for it.
-        let (bytes, remaining) = (
-            want.bytes(),
-            session_budget.saturating_sub(self.mem_bytes()),
-        );
-        if bytes > remaining {
-            want = want.scaled(remaining, bytes);
-        }
-        if self.table.is_pristine() {
-            self.table = SessionTable::dense(want.cells, want.seqs);
-        }
-        self.raw_delays
-            .reserve(want.raw.saturating_sub(self.raw_delays.len()));
-    }
-
-    /// Record the SYN-announced tool configuration: keep the params for
-    /// the final log, seed the online estimator's slot width (the same
-    /// expression the report-side fold uses, so the FIN differential is
-    /// bit-exact), and pre-size the session.
-    fn apply_handshake(&mut self, params: SessionParams, session_budget: usize) {
-        self.handshake = Some(params);
-        self.online.slot_secs = params.slot_ns as f64 / 1e9;
-        self.reserve_for(&params, session_budget);
     }
 
     /// Per-probe accounting shared verbatim by the batched and fallback
@@ -821,38 +691,15 @@ impl SessionState {
         self.finalize(rejected, metrics);
         let f = self.finalized.expect("just finalized");
         let log = ReceiverLog {
-            handshake: self.handshake,
+            handshake: Some(self.handshake),
             ..ReceiverLog::from_report(f.summary, &f.records)
         };
         SessionOutcome { session, end, log }
     }
 }
 
-/// Start a single-session receiver; it records until stopped, until its
-/// idle watchdog fires, or until the sender completes the control-plane
-/// session (FIN + full report retrieval).
-pub fn start_receiver(cfg: ReceiverConfig) -> std::io::Result<ReceiverHandle> {
-    let session = cfg.session;
-    let inner = start_server(ServerConfig {
-        bind: cfg.bind,
-        policy: SessionPolicy::Single(session),
-        max_sessions: 1,
-        idle_timeout: cfg.idle_timeout,
-        serve_control: cfg.serve_control,
-        metrics: cfg.metrics,
-        provider: cfg.provider,
-        recv_threads: 1,
-        session_budget_bytes: DEFAULT_SESSION_BUDGET_BYTES,
-        global_budget_bytes: None,
-        on_pressure: PressurePolicy::default(),
-        estimate_interval: None,
-    })?;
-    Ok(ReceiverHandle { session, inner })
-}
-
-/// Start a multi-session server thread; it serves sessions under the
-/// configured policy until stopped (or, under
-/// [`SessionPolicy::Single`], until that session ends).
+/// Start a multi-session server thread; it serves every session a SYN
+/// opens until stopped.
 pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     // One socket per drain thread: a plain bind for one thread, an
     // `SO_REUSEPORT` group (virtual lanes) for more. A kernel or backend
@@ -1056,7 +903,6 @@ struct Shared<'a> {
     /// Clock reading at serve start; per-packet delay stamps are taken
     /// relative to it so the time base matches the old `Instant` anchor.
     t0: Duration,
-    single_id: Option<u32>,
     shards: Vec<Mutex<Shard>>,
     /// Session id → owner shard (+ stray streak). Touched on session
     /// open/close, on control messages and on fast-path *misses* —
@@ -1089,8 +935,7 @@ struct Shared<'a> {
     /// High-water mark of `mem_used`.
     mem_peak: AtomicUsize,
     tombstones: Mutex<Tombstones>,
-    /// Set when the serve loop should exit: single-session completion,
-    /// a hard socket error, or external stop.
+    /// Set when the serve loop should exit on a hard socket error.
     done: AtomicBool,
     stop: &'a AtomicBool,
     /// Kicks parked epoll waiters on `done`/stop transitions: one per
@@ -1188,8 +1033,7 @@ impl Shared<'_> {
     }
 
     /// Finalize a session already removed from its shard and record its
-    /// outcome. Releases its settled memory and ends the whole serve
-    /// loop in single mode.
+    /// outcome, releasing its settled memory.
     fn end_session(&self, id: u32, state: SessionState, end: SessionEnd) {
         self.mem_used
             .fetch_sub(state.accounted_bytes, Ordering::Relaxed);
@@ -1199,10 +1043,6 @@ impl Shared<'_> {
         self.active.fetch_sub(1, Ordering::Relaxed);
         self.router.lock().expect("router lock").remove(&id);
         self.mark_sweep_dirty();
-        if self.single_id == Some(id) {
-            self.done.store(true, Ordering::Relaxed);
-            self.wake_all();
-        }
     }
 
     /// Re-settle a session's capacity-based memory estimate against the
@@ -1373,10 +1213,6 @@ fn serve_loop(
     wakers: &[PollWaker],
     steer_fallback: bool,
 ) -> ServerReport {
-    let single_id = match cfg.policy {
-        SessionPolicy::Single(id) => Some(id),
-        SessionPolicy::Any => None,
-    };
     // One drain thread per socket, each owning the shard of its index.
     let nthreads = sockets.len();
     let shared = Shared {
@@ -1385,7 +1221,6 @@ fn serve_loop(
         socket: &sockets[0],
         clock,
         t0,
-        single_id,
         shards: (0..nthreads).map(|_| Mutex::new(HashMap::new())).collect(),
         router: Mutex::new(HashMap::new()),
         handoff: (0..nthreads).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -1529,18 +1364,14 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize, run_watchdog: boo
         if run_watchdog {
             maybe_sweep(shared, &mut next_sweep);
             maybe_estimate(shared, &mut next_estimate);
-            if shared.done.load(Ordering::Relaxed) {
-                break;
-            }
         }
         // Probes that reached another thread's socket after a sender
         // rebind are replayed here, on their owner, with their original
         // arrival stamps.
         accepted_here += drain_handoffs(shared, me);
         // Under epoll, park until a datagram arrives, the waker fires
-        // (stop / single-session completion / a handoff), or the next
-        // watchdog / estimate-snapshot deadline — idle sessions cost
-        // zero wakeups. The timeout backend reports ready immediately
+        // (stop / a handoff), or the next watchdog / estimate-snapshot
+        // deadline — idle sessions cost zero wakeups. The timeout backend reports ready immediately
         // and lets the socket's own read timeout pace the loop (the
         // pre-epoll shape).
         if poller.is_epoll() {
@@ -1645,11 +1476,10 @@ fn drain_handoffs(shared: &Shared<'_>, me: usize) -> u64 {
 }
 
 /// The deadline-scheduled watchdog. Reaps sessions idle past the
-/// configured timeout without stopping the loop (single mode: that one
-/// session ending ends the loop, preserving the original watchdog
-/// semantics), re-settles per-session memory accounting (ingest growth
-/// since the last sweep), and — under [`PressurePolicy::EvictIdle`] —
-/// evicts until back under the global budget.
+/// configured timeout without stopping the loop, re-settles
+/// per-session memory accounting (ingest growth since the last sweep),
+/// and — under [`PressurePolicy::EvictIdle`] — evicts until back under
+/// the global budget.
 ///
 /// `next_sweep` is the absolute clock time before which nothing can
 /// possibly expire: the minimum session deadline at the last sweep. At
@@ -1814,7 +1644,7 @@ fn process_batch(
                 Ingest::Handoff => {}
             }
         } else if let Ok(msg) = ControlMessage::decode(data) {
-            rejected += u64::from(!handle_control(shared, msg, src, abs, me, scratch));
+            handle_control(shared, msg, src, abs, me, scratch);
         } else {
             rejected += 1;
         }
@@ -1863,32 +1693,9 @@ fn ingest_probe(
     {
         return ingest_into(shared, state, h, rel, source, abs);
     }
-    // Own-shard miss: resolve or claim ownership.
-    match shared.single_id {
-        Some(id) if h.session == id => {
-            // Probes open the session only in single mode (the legacy
-            // open-loop tool has no handshake); under `Any` the SYN is
-            // the sole door in. The session may open on any thread, but
-            // the router arbitrates so concurrent first-packets on two
-            // threads cannot open it twice in different shards.
-            let owner = shared.claim_owner(id, me);
-            if owner == me {
-                let mut sessions = shared.shards[me].lock().expect("shard lock");
-                let state = sessions.entry(id).or_insert_with(|| {
-                    shared.active.fetch_add(1, Ordering::Relaxed);
-                    inc(&shared.c.opened);
-                    SessionState::new(id, shared.metrics(), abs)
-                });
-                let out = ingest_into(shared, state, h, rel, source, abs);
-                drop(sessions);
-                shared.mark_sweep_dirty();
-                return out;
-            }
-            steer_or_migrate(shared, h, rel, abs, source, me, fresh)
-        }
-        Some(_) => Ingest::Rejected,
-        None => steer_or_migrate(shared, h, rel, abs, source, me, fresh),
-    }
+    // Own-shard miss: another thread owns the session, or no SYN
+    // opened it (the SYN is the sole door in).
+    steer_or_migrate(shared, h, rel, abs, source, me, fresh)
 }
 
 /// A probe whose session another thread owns: count the stray
@@ -2078,8 +1885,7 @@ fn send_reply(
     let _ = socket.send_to(&scratch[..n], src);
 }
 
-/// The control slow path. Returns `false` when the datagram is counted
-/// as rejected (control plane off, or wrong session in single mode).
+/// The control slow path.
 fn handle_control(
     shared: &Shared<'_>,
     msg: ControlMessage,
@@ -2087,24 +1893,21 @@ fn handle_control(
     abs: Duration,
     me: usize,
     scratch: &mut [u8; MAX_CONTROL_BYTES],
-) -> bool {
+) {
     let cfg = shared.cfg;
-    if !cfg.serve_control || matches!((shared.single_id, msg.session()), (Some(id), s) if s != id) {
-        return false;
-    }
     inc(&shared.c.ctrl);
     let id = msg.session();
     match msg {
         ControlMessage::Syn { session, params } => {
-            // An existing session's SYN retransmit is refreshed and
-            // re-acked (idempotent) under its own shard lock, without
-            // touching admission.
+            // A SYN for an open session (a retransmit, or a SYN racing
+            // the sender's own) refreshes its idle deadline and is
+            // re-acked under its own shard lock, without touching
+            // admission. It never rewrites the session: the opening
+            // SYN's params sized it and seeded its online estimate.
             {
                 let mut sessions = shared.shard_for(session, me).lock().expect("shard lock");
                 if let Some(state) = sessions.get_mut(&session) {
                     state.last_activity = abs;
-                    state.apply_handshake(params, cfg.session_budget_bytes);
-                    shared.settle_mem(state);
                     drop(sessions);
                     send_reply(
                         shared.socket,
@@ -2112,7 +1915,7 @@ fn handle_control(
                         src,
                         scratch,
                     );
-                    return true;
+                    return;
                 }
             }
             // New session: admission below the registry cap, then below
@@ -2123,23 +1926,16 @@ fn handle_control(
             // hostile SYNs cannot over-commit memory that is only
             // allocated a moment later.
             let projected = SessionState::projected_bytes(&params, cfg.session_budget_bytes);
-            if shared.single_id.is_none() {
-                if !shared.try_admit() {
-                    shared.refuse_syn(session, RejectReason::Capacity, src, scratch);
-                    return true;
-                }
-                if !shared.try_charge(projected) {
-                    shared.active.fetch_sub(1, Ordering::Relaxed);
-                    shared.budget_rejects.fetch_add(1, Ordering::Relaxed);
-                    inc(&shared.c.budget_rejected);
-                    shared.refuse_syn(session, RejectReason::Budget, src, scratch);
-                    return true;
-                }
-            } else {
-                // Single mode: probes and heartbeats can open the one
-                // session too; no admission beyond the id filter above.
-                shared.mem_used.fetch_add(projected, Ordering::Relaxed);
-                shared.active.fetch_add(1, Ordering::Relaxed);
+            if !shared.try_admit() {
+                shared.refuse_syn(session, RejectReason::Capacity, src, scratch);
+                return;
+            }
+            if !shared.try_charge(projected) {
+                shared.active.fetch_sub(1, Ordering::Relaxed);
+                shared.budget_rejects.fetch_add(1, Ordering::Relaxed);
+                inc(&shared.c.budget_rejected);
+                shared.refuse_syn(session, RejectReason::Budget, src, scratch);
+                return;
             }
             // Claim ownership *after* admission (a refused SYN must not
             // leave a router entry behind); concurrent SYNs for the
@@ -2154,18 +1950,20 @@ fn handle_control(
                     // charge, then refresh like a retransmit.
                     shared.active.fetch_sub(1, Ordering::Relaxed);
                     shared.mem_used.fetch_sub(projected, Ordering::Relaxed);
-                    let state = e.get_mut();
-                    state.last_activity = abs;
-                    state.apply_handshake(params, cfg.session_budget_bytes);
-                    shared.settle_mem(state);
+                    e.get_mut().last_activity = abs;
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
                     inc(&shared.c.opened);
-                    let state = e.insert(SessionState::new(session, shared.metrics(), abs));
-                    // The SYN announces the run size: pre-size the
-                    // accumulation maps so the hot path never rehashes
-                    // mid-run.
-                    state.apply_handshake(params, cfg.session_budget_bytes);
+                    // The SYN announces the run size: the session is
+                    // pre-sized from it, so the hot path never
+                    // reallocates mid-run.
+                    let state = e.insert(SessionState::new(
+                        session,
+                        params,
+                        cfg.session_budget_bytes,
+                        shared.metrics(),
+                        abs,
+                    ));
                     // The admission charge holds `projected`; settle to
                     // the actual capacity-based figure.
                     state.accounted_bytes = projected;
@@ -2183,30 +1981,15 @@ fn handle_control(
             );
         }
         ControlMessage::Heartbeat { session, seq } => {
-            // In single mode a heartbeat may arrive before any probe
-            // and still opens the session (arming the watchdog, as
-            // the pre-registry receiver did). Under `Any` a
-            // heartbeat for an unknown session is a stale
-            // retransmit from a reaped session: ignoring it (no
-            // ack) lets the sender's own watchdog conclude death.
-            let idx = match shared.single_id {
-                Some(sid) => shared.claim_owner(sid, me),
-                None => shared.shard_index(id, me),
-            };
-            let mut sessions = shared.shards[idx].lock().expect("shard lock");
-            let state = match shared.single_id {
-                Some(sid) => Some(sessions.entry(sid).or_insert_with(|| {
-                    shared.active.fetch_add(1, Ordering::Relaxed);
-                    inc(&shared.c.opened);
-                    SessionState::new(sid, shared.metrics(), abs)
-                })),
-                None => sessions.get_mut(&session),
-            };
-            let Some(state) = state else {
+            // A heartbeat for an unknown session is a stale retransmit
+            // from a reaped session: ignoring it (no ack) lets the
+            // sender's own watchdog conclude death.
+            let mut sessions = shared.shard_for(session, me).lock().expect("shard lock");
+            let Some(state) = sessions.get_mut(&session) else {
                 drop(sessions);
                 shared.reply_if_evicted(session, src, scratch);
                 inc(&shared.c.stale);
-                return true;
+                return;
             };
             state.last_activity = abs;
             send_reply(
@@ -2217,24 +2000,12 @@ fn handle_control(
             );
         }
         ControlMessage::Fin { session, .. } => {
-            let idx = match shared.single_id {
-                Some(sid) => shared.claim_owner(sid, me),
-                None => shared.shard_index(id, me),
-            };
-            let mut sessions = shared.shards[idx].lock().expect("shard lock");
-            let state = match shared.single_id {
-                Some(sid) => Some(sessions.entry(sid).or_insert_with(|| {
-                    shared.active.fetch_add(1, Ordering::Relaxed);
-                    inc(&shared.c.opened);
-                    SessionState::new(sid, shared.metrics(), abs)
-                })),
-                None => sessions.get_mut(&session),
-            };
-            let Some(state) = state else {
+            let mut sessions = shared.shard_for(session, me).lock().expect("shard lock");
+            let Some(state) = sessions.get_mut(&session) else {
                 drop(sessions);
                 shared.reply_if_evicted(session, src, scratch);
                 inc(&shared.c.stale);
-                return true;
+                return;
             };
             state.last_activity = abs;
             // Finalize once; FIN retransmits re-serve the same
@@ -2260,7 +2031,7 @@ fn handle_control(
                 drop(sessions);
                 shared.reply_if_evicted(id, src, scratch);
                 inc(&shared.c.stale);
-                return true;
+                return;
             };
             state.last_activity = abs;
             // Every request from a live session gets a deterministic
@@ -2329,7 +2100,7 @@ fn handle_control(
                     drop(sessions);
                     shared.reply_if_evicted(id, src, scratch);
                     inc(&shared.c.stale);
-                    return true;
+                    return;
                 };
                 state.last_activity = abs;
                 let reply = estimate_reply(session, scope, 1, &state.online, &state.delay_sketch);
@@ -2354,7 +2125,6 @@ fn handle_control(
         | ControlMessage::ReportChunk { .. }
         | ControlMessage::EstimateReply { .. } => {}
     }
-    true
 }
 
 /// Build an [`ControlMessage::EstimateReply`] from online state: raw
@@ -2386,7 +2156,6 @@ mod tests {
     use badabing_core::outcome::Outcome;
     use std::collections::{BTreeMap, BTreeSet};
     use std::net::UdpSocket;
-    use std::time::Instant;
 
     fn local0() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
@@ -2400,63 +2169,130 @@ mod tests {
         std::thread::sleep(Duration::from_millis(120));
     }
 
-    #[test]
-    fn accepts_session_packets_and_rejects_others() {
-        let handle = start_receiver(ReceiverConfig::new(local0(), 42)).unwrap();
-        let target = handle.local_addr();
-        let sock = UdpSocket::bind(local0()).unwrap();
-        let good = ProbeHeader {
-            session: 42,
-            experiment: 1,
-            slot: 10,
-            seq: 0,
+    /// Fixed virtual addresses on the seeded fault net.
+    const RECV: &str = "10.0.0.1:9000";
+    const PROBE_SRC: &str = "10.0.0.2:7000";
+    const CTL_SRC: &str = "10.0.0.2:7001";
+
+    /// The run a test session's SYN announces.
+    fn params() -> SessionParams {
+        SessionParams {
+            n_slots: 100,
+            slot_ns: 5_000_000,
+            probe_packets: 3,
+            packet_bytes: 64,
+            p: 0.3,
+            improved: true,
+        }
+    }
+
+    fn probe(session: u32, experiment: u64, slot: u64, seq: u64) -> ProbeHeader {
+        ProbeHeader {
+            session,
+            experiment,
+            slot,
+            seq,
             send_ns: 0,
             idx: 0,
+            probe_len: 1,
+        }
+    }
+
+    /// A server on a fresh seeded FaultNet, with a probe socket and a
+    /// control client on the same net: stamps and spacing come from
+    /// the net's virtual clock, not from a loaded host's scheduler.
+    struct Rig {
+        server: ServerHandle,
+        target: SocketAddr,
+        probes: Socket,
+        client: crate::control::ControlClient,
+        clock: Clock,
+    }
+
+    fn rig(seed: u64, configure: impl FnOnce(ServerConfig) -> ServerConfig) -> Rig {
+        let provider = Provider::Fault(crate::faultnet::FaultNet::new(seed));
+        let target: SocketAddr = RECV.parse().unwrap();
+        let server = start_server(configure(ServerConfig {
+            provider: provider.clone(),
+            ..ServerConfig::any(target, 4)
+        }))
+        .unwrap();
+        let mut control = crate::control::ControlConfig::new(target);
+        control.provider = provider.clone();
+        control.bind = Some(CTL_SRC.parse().unwrap());
+        Rig {
+            server,
+            target,
+            probes: provider.bind(PROBE_SRC.parse().unwrap()).unwrap(),
+            client: crate::control::ControlClient::connect(control, None).unwrap(),
+            clock: provider.clock(),
+        }
+    }
+
+    impl Rig {
+        /// Open `session` with a SYN announcing [`params`].
+        fn open(&self, session: u32) {
+            self.client.handshake(session, params()).unwrap();
+        }
+
+        fn send(&self, h: &ProbeHeader, bytes: usize) {
+            self.probes.send_to(&h.encode(bytes), self.target).unwrap();
+        }
+
+        /// Let in-flight datagrams land, then stop the server.
+        fn finish(self) -> ServerReport {
+            self.clock.sleep(Duration::from_millis(50));
+            self.server.stop()
+        }
+    }
+
+    #[test]
+    fn accepts_session_packets_and_rejects_others() {
+        let rig = rig(1, |c| c);
+        rig.open(42);
+        let good = ProbeHeader {
             probe_len: 2,
+            ..probe(42, 1, 10, 0)
         };
         let bad_session = ProbeHeader { session: 9, ..good };
-        send_header(&sock, target, &good, 100);
-        send_header(&sock, target, &bad_session, 100);
-        sock.send_to(b"garbage", target).unwrap();
-        settle();
-        let log = handle.stop();
+        rig.send(&good, 100);
+        rig.send(&bad_session, 100);
+        rig.probes.send_to(b"garbage", rig.target).unwrap();
+        let report = rig.finish();
+        // The probe for a session no SYN opened and the garbage.
+        assert_eq!(report.rejected, 2);
+        let log = report.log_for(42).unwrap();
         assert_eq!(log.packets, 1);
         assert_eq!(log.rejected, 2);
         assert_eq!(log.duplicates, 0);
         assert_eq!(log.arrivals.len(), 1);
         assert_eq!(log.arrivals[&(1, 10)].received, 1);
+        assert_eq!(report.log_for(9).map(|l| l.packets), None);
     }
 
     #[test]
     fn offset_removal_yields_relative_queueing_delay() {
-        let handle = start_receiver(ReceiverConfig::new(local0(), 1)).unwrap();
-        let target = handle.local_addr();
-        let sock = UdpSocket::bind(local0()).unwrap();
+        let rig = rig(2, |c| c);
+        rig.open(1);
         // Two packets with send timestamps from an unrelated clock: the
         // second "left" 50 ms earlier than its arrival spacing implies,
         // i.e. it queued ~50 ms longer.
         let base = 1_000_000_000_000u64; // arbitrary foreign clock
         let h1 = ProbeHeader {
-            session: 1,
-            experiment: 0,
-            slot: 0,
-            seq: 0,
             send_ns: base,
-            idx: 0,
-            probe_len: 1,
+            ..probe(1, 0, 0, 0)
         };
         let h2 = ProbeHeader {
             experiment: 1,
             slot: 5,
             seq: 1,
-            send_ns: base,
             ..h1
         };
-        send_header(&sock, target, &h1, 100);
-        std::thread::sleep(Duration::from_millis(50));
-        send_header(&sock, target, &h2, 100);
-        settle();
-        let log = handle.stop();
+        rig.send(&h1, 100);
+        rig.clock.sleep(Duration::from_millis(50));
+        rig.send(&h2, 100);
+        let report = rig.finish();
+        let log = report.log_for(1).unwrap();
         let q1 = log.arrivals[&(0, 0)].qdelay_max_secs;
         let q2 = log.arrivals[&(1, 5)].qdelay_max_secs;
         assert!(q1 < 0.01, "first packet defines the baseline, got {q1}");
@@ -2471,36 +2307,22 @@ mod tests {
         // A sender whose clock runs fast by 1% (exaggerated for a 2 s
         // test; real skews are ppm over hours): send_ns grows 1.01× real
         // time. Without skew removal the early packets would read tens
-        // of ms of phantom queueing. Runs on a seeded virtual network,
-        // so stamps and spacing come from the net's clock, not from a
-        // loaded host's scheduler.
-        let net = crate::faultnet::FaultNet::new(5);
-        let provider = Provider::Fault(net);
-        let target: SocketAddr = "10.0.0.1:9000".parse().unwrap();
-        let handle = start_receiver(ReceiverConfig {
-            provider: provider.clone(),
-            ..ReceiverConfig::new(target, 5)
-        })
-        .unwrap();
-        let sock = provider.bind("10.0.0.2:7000".parse().unwrap()).unwrap();
-        let clock = provider.clock();
-        let start = clock.now();
+        // of ms of phantom queueing.
+        let rig = rig(5, |c| c);
+        rig.open(5);
+        let start = rig.clock.now();
         for i in 0..40u64 {
-            let real_ns = (clock.now() - start).as_nanos() as u64;
+            let real_ns = (rig.clock.now() - start).as_nanos() as u64;
             let skewed_ns = (real_ns as f64 * 1.01) as u64;
             let h = ProbeHeader {
-                session: 5,
-                experiment: i,
-                slot: i,
-                seq: i,
                 send_ns: skewed_ns,
-                idx: 0,
-                probe_len: 1,
+                ..probe(5, i, i, i)
             };
-            sock.send_to(&h.encode(64), target).unwrap();
-            clock.sleep(Duration::from_millis(50));
+            rig.send(&h, 64);
+            rig.clock.sleep(Duration::from_millis(50));
         }
-        let log = handle.stop();
+        let report = rig.finish();
+        let log = report.log_for(5).unwrap();
         assert_eq!(log.packets, 40);
         // Every packet is idle; after baseline removal all queueing
         // delays must be small. (1% over 2 s = 20 ms of drift, so the
@@ -2518,54 +2340,42 @@ mod tests {
 
     #[test]
     fn multi_packet_probe_aggregates() {
-        let handle = start_receiver(ReceiverConfig::new(local0(), 3)).unwrap();
-        let target = handle.local_addr();
-        let sock = UdpSocket::bind(local0()).unwrap();
+        let rig = rig(3, |c| c);
+        rig.open(3);
         for idx in 0..3u8 {
             let h = ProbeHeader {
-                session: 3,
-                experiment: 8,
-                slot: 2,
-                seq: idx as u64,
-                send_ns: 0,
                 idx,
                 probe_len: 3,
+                ..probe(3, 8, 2, u64::from(idx))
             };
-            send_header(&sock, target, &h, 64);
+            rig.send(&h, 64);
         }
-        settle();
-        let log = handle.stop();
-        assert_eq!(log.arrivals[&(8, 2)].received, 3);
+        let report = rig.finish();
+        assert_eq!(report.log_for(3).unwrap().arrivals[&(8, 2)].received, 3);
     }
 
     #[test]
     fn duplicates_are_counted_but_never_inflate_arrivals() {
         let metrics = Arc::new(Registry::new("recv-dup-test"));
-        let handle = start_receiver(ReceiverConfig {
+        let rig = rig(6, |c| ServerConfig {
             metrics: Some(metrics.clone()),
-            ..ReceiverConfig::new(local0(), 6)
-        })
-        .unwrap();
-        let target = handle.local_addr();
-        let sock = UdpSocket::bind(local0()).unwrap();
+            ..c
+        });
+        rig.open(6);
         // A 3-packet probe that loses packet idx 2 but has idx 0
         // duplicated three times: without dedup the count would read 4
         // (debug-overflow territory on a u8 under longer floods) and the
         // lost packet would be masked.
         for (seq, idx) in [(0u64, 0u8), (0, 0), (0, 0), (0, 0), (1, 1)] {
             let h = ProbeHeader {
-                session: 6,
-                experiment: 4,
-                slot: 9,
-                seq,
-                send_ns: 0,
                 idx,
                 probe_len: 3,
+                ..probe(6, 4, 9, seq)
             };
-            send_header(&sock, target, &h, 64);
+            rig.send(&h, 64);
         }
-        settle();
-        let log = handle.stop();
+        let report = rig.finish();
+        let log = report.log_for(6).unwrap();
         let rec = log.arrivals[&(4, 9)];
         assert_eq!(rec.received, 2, "one packet genuinely lost");
         assert_eq!(rec.duplicates, 3);
@@ -2578,41 +2388,75 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_exits_after_idle_timeout() {
-        let handle = start_receiver(ReceiverConfig {
-            idle_timeout: Some(Duration::from_millis(150)),
-            ..ReceiverConfig::new(local0(), 2)
-        })
-        .unwrap();
-        let target = handle.local_addr();
-        let sock = UdpSocket::bind(local0()).unwrap();
-        // Watchdog arms only once a session starts.
-        std::thread::sleep(Duration::from_millis(300));
-        assert!(
-            !handle.is_finished(),
-            "watchdog must not fire before any activity"
+    fn idle_session_is_reaped_and_the_server_keeps_serving() {
+        let metrics = Arc::new(Registry::new("recv-idle-test"));
+        let idle = Duration::from_millis(150);
+        let rig = rig(7, |c| ServerConfig {
+            idle_timeout: Some(idle),
+            metrics: Some(metrics.clone()),
+            ..c
+        });
+        let reaped = || metrics.counter("sessions_idle_reaped").get();
+        rig.open(2);
+        rig.send(&probe(2, 0, 0, 0), 64);
+        // Virtual time: the session is idle from the probe's arrival.
+        rig.clock.sleep(idle - Duration::from_millis(20));
+        assert_eq!(reaped(), 0, "reaped before its idle timeout");
+        rig.clock.sleep(idle);
+        assert_eq!(reaped(), 1, "idle session outlived its timeout");
+        // The server keeps serving: a new SYN opens a new session.
+        rig.open(3);
+        let report = rig.finish();
+        let ends: Vec<(u32, SessionEnd, u64)> = report
+            .sessions
+            .iter()
+            .map(|o| (o.session, o.end, o.log.packets))
+            .collect();
+        assert_eq!(
+            ends,
+            [(2, SessionEnd::IdleTimeout, 1), (3, SessionEnd::Stopped, 0)]
         );
-        let h = ProbeHeader {
-            session: 2,
-            experiment: 0,
-            slot: 0,
-            seq: 0,
-            send_ns: 0,
-            idx: 0,
-            probe_len: 1,
+    }
+
+    /// A SYN for an open session is acked and refreshes it, but never
+    /// rewrites it: the opening SYN's params stay in the online
+    /// estimate's slot width and in the final log.
+    #[test]
+    fn a_syn_for_an_open_session_cannot_rewrite_it() {
+        let rig = rig(8, |c| c);
+        let first = params();
+        rig.client.handshake(7, first).unwrap();
+        // One complete two-slot experiment, so the estimate counts it.
+        for slot in 0..2 {
+            rig.send(&probe(7, 0, slot, slot), 64);
+        }
+        rig.clock.sleep(Duration::from_millis(20));
+        let before = rig
+            .client
+            .fetch_estimate(7, EstimateScope::Session)
+            .unwrap();
+        assert_eq!(before.estimates.experiments, 1);
+        assert_eq!(before.estimates.slot_secs, first.slot_ns as f64 / 1e9);
+
+        rig.client
+            .handshake(7, first)
+            .expect("a same-params re-SYN is acked");
+        let other = SessionParams {
+            n_slots: 9_999,
+            slot_ns: 1_000_000,
+            ..first
         };
-        send_header(&sock, target, &h, 64);
-        let started = Instant::now();
-        let log = handle.join();
-        assert!(
-            started.elapsed() >= Duration::from_millis(140),
-            "exited before the idle timeout"
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "watchdog too slow"
-        );
-        assert_eq!(log.packets, 1);
+        rig.client
+            .handshake(7, other)
+            .expect("a SYN for an open session is acked");
+        let after = rig
+            .client
+            .fetch_estimate(7, EstimateScope::Session)
+            .unwrap();
+        assert_eq!(after.estimates, before.estimates);
+
+        let report = rig.finish();
+        assert_eq!(report.log_for(7).unwrap().handshake, Some(first));
     }
 
     #[test]
@@ -2709,8 +2553,19 @@ mod tests {
     fn batched_and_single_ingest_reports_are_byte_identical() {
         let arrivals = synthetic_arrivals();
 
+        let params = SessionParams {
+            n_slots: 200,
+            p: 0.2,
+            ..params()
+        };
         let ingest_in_chunks = |chunk: usize| -> SessionState {
-            let mut state = SessionState::new(11, None, Duration::ZERO);
+            let mut state = SessionState::new(
+                11,
+                params,
+                DEFAULT_SESSION_BUDGET_BYTES,
+                None,
+                Duration::ZERO,
+            );
             for batch in arrivals.chunks(chunk) {
                 for (h, now, source) in batch {
                     state.ingest(h, *now, *source);
@@ -2784,8 +2639,13 @@ mod tests {
             p: 0.3,
             improved: true,
         };
-        let mut state = SessionState::new(1, None, Duration::ZERO);
-        state.reserve_for(&params, DEFAULT_SESSION_BUDGET_BYTES);
+        let state = SessionState::new(
+            1,
+            params,
+            DEFAULT_SESSION_BUDGET_BYTES,
+            None,
+            Duration::ZERO,
+        );
         // ceil(10_000 * 0.3) experiments (plus headroom) × 3 slots
         // each × 3 packets = at least 27_000 packet-level entries.
         let fp = state.footprint();
@@ -2803,8 +2663,13 @@ mod tests {
             p: 1.0,
             ..params
         };
-        let mut state = SessionState::new(2, None, Duration::ZERO);
-        state.reserve_for(&hostile, DEFAULT_SESSION_BUDGET_BYTES);
+        let state = SessionState::new(
+            2,
+            hostile,
+            DEFAULT_SESSION_BUDGET_BYTES,
+            None,
+            Duration::ZERO,
+        );
         assert!(state.footprint().cells < (1 << 21), "reserve cap ignored");
     }
 
@@ -2824,8 +2689,13 @@ mod tests {
             p: 1.0,
             improved: true,
         };
-        let mut state = SessionState::new(3, None, Duration::ZERO);
-        state.reserve_for(&hostile, DEFAULT_SESSION_BUDGET_BYTES);
+        let state = SessionState::new(
+            3,
+            hostile,
+            DEFAULT_SESSION_BUDGET_BYTES,
+            None,
+            Duration::ZERO,
+        );
         let fp = state.footprint();
         assert!(fp.seqs <= 1 << 22, "dedup reservation unbounded: {fp:?}");
         assert!(fp.raw <= 1 << 22, "raw-delay reservation unbounded: {fp:?}");
@@ -2839,8 +2709,7 @@ mod tests {
         // A tight budget scales the reservation down proportionally
         // and composes with admission's projected charge.
         let budget = 1 << 20; // 1 MiB
-        let mut tight = SessionState::new(4, None, Duration::ZERO);
-        tight.reserve_for(&hostile, budget);
+        let tight = SessionState::new(4, hostile, budget, None, Duration::ZERO);
         let projected = SessionState::projected_bytes(&hostile, budget);
         assert!(
             projected <= budget,
@@ -3015,8 +2884,13 @@ mod tests {
         for i in (0..stream.len().saturating_sub(8)).step_by(5) {
             stream.swap(i, i + 7);
         }
-        let mut state = SessionState::new(1, None, Duration::ZERO);
-        state.apply_handshake(params, DEFAULT_SESSION_BUDGET_BYTES);
+        let mut state = SessionState::new(
+            1,
+            params,
+            DEFAULT_SESSION_BUDGET_BYTES,
+            None,
+            Duration::ZERO,
+        );
 
         let before = alloc_count::allocations();
         for (i, h) in stream.iter().enumerate() {
@@ -3253,26 +3127,15 @@ mod tests {
     /// same records, summary and online `Estimates`.
     fn check_against_model(
         params: SessionParams,
-        handshake: u32,
         budget: usize,
         stream: &[(ProbeHeader, Duration, TimestampSource)],
         fin_at: usize,
     ) -> Result<SessionState, String> {
-        let mut state = SessionState::new(1, None, Duration::ZERO);
+        let mut state = SessionState::new(1, params, budget, None, Duration::ZERO);
         let mut model = Model::default();
-        // 0: SYN before any probe; 1: no handshake; 2: a SYN after the
-        // first probes (too late to size the dense table).
-        let syn_at = match handshake {
-            0 => Some(0),
-            1 => None,
-            _ => Some(stream.len().min(5)),
-        };
+        model.online.slot_secs = params.slot_ns as f64 / 1e9;
         let mut fin = None;
         for i in 0..=stream.len() {
-            if syn_at == Some(i) {
-                state.apply_handshake(params, budget);
-                model.online.slot_secs = params.slot_ns as f64 / 1e9;
-            }
             if i == fin_at.min(stream.len()) && fin.is_none() {
                 let f = state.finalize(2, None);
                 let want_summary = ReportSummary {
@@ -3321,11 +3184,11 @@ mod tests {
         #[test]
         fn session_table_matches_the_reference_model(
             shape in ((1u64..1_500, 1u32..=10), (proptest::prelude::any::<bool>(), 1u8..=3), 0u64..1_000),
-            mode in (0u32..3, 0u32..4, 0u32..=100),
+            mode in (0u32..4, 0u32..=100),
             ops in proptest::collection::vec((0u32..100, proptest::prelude::any::<u64>(), 0u32..100_000), 1..700),
         ) {
             let ((n_slots, p10), (improved, probe_packets), seed) = shape;
-            let (handshake, tight, fin_pct) = mode;
+            let (tight, fin_pct) = mode;
             let params = SessionParams {
                 n_slots,
                 slot_ns: 5_000_000,
@@ -3338,7 +3201,7 @@ mod tests {
             let budget = [DEFAULT_SESSION_BUDGET_BYTES, 4_096, 16_384, 65_536][tight as usize];
             let stream = hostile_stream(planned_stream(&params, seed), &ops);
             let fin_at = stream.len() * fin_pct as usize / 100;
-            let checked = check_against_model(params, handshake, budget, &stream, fin_at);
+            let checked = check_against_model(params, budget, &stream, fin_at);
             proptest::prop_assert!(checked.is_ok(), "{}", checked.err().unwrap_or_default());
         }
     }
@@ -3365,23 +3228,13 @@ mod tests {
         }
         ops.extend((0..planned.len() as u64).map(|i| (0, i, 29)));
         let stream = hostile_stream(planned, &ops);
-        let state = check_against_model(
-            params,
-            0,
-            DEFAULT_SESSION_BUDGET_BYTES,
-            &stream,
-            stream.len(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        let state =
+            check_against_model(params, DEFAULT_SESSION_BUDGET_BYTES, &stream, stream.len())
+                .unwrap_or_else(|e| panic!("{e}"));
         let fp = state.footprint();
         assert!(
             fp.spill_probes > 0 && fp.spill_seen > 0 && fp.spill_exps > 0,
             "{fp:?}"
         );
-
-        // Without a handshake everything spills, with the same result.
-        let state = check_against_model(params, 1, DEFAULT_SESSION_BUDGET_BYTES, &stream, 120)
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(state.footprint().cells, 0);
     }
 }

@@ -41,8 +41,9 @@ pub struct SenderConfig {
     pub bind: SocketAddr,
     /// Session id stamped into every packet.
     pub session: u32,
-    /// Control-plane policy. `None` runs open-loop (probes only), as the
-    /// pre-control tool did.
+    /// Control-plane policy. `None` only paces probes: no handshake, so
+    /// a receiver accepts them only into a session some other SYN
+    /// opened.
     pub control: Option<ControlConfig>,
     /// Run counters and latency histograms, if observability is wanted.
     pub metrics: Option<Arc<Registry>>,
@@ -60,7 +61,7 @@ pub struct SenderConfig {
 }
 
 impl SenderConfig {
-    /// An open-loop sender (no control plane, no metrics).
+    /// A sender that only paces probes (no control plane, no metrics).
     pub fn new(tool: BadabingConfig, n_slots: u64, target: SocketAddr, session: u32) -> Self {
         Self {
             tool,

@@ -6,8 +6,8 @@
 //! slots at start probability `p` schedules about `p·N` experiments with
 //! consecutive ids from 0, each probing 2–3 contiguous slots, and the
 //! sender numbers its packets with consecutive sequence numbers from 0.
-//! So a session opened by a SYN keeps its state in flat vectors sized
-//! from the SYN's projection:
+//! Every session is opened by a SYN, so it keeps its state in flat
+//! vectors sized once, from the SYN's projection:
 //!
 //! * `cells[exp]` holds the experiment's assembly and up to three inline
 //!   `(slot, ProbeArrivals)` entries;
@@ -27,9 +27,7 @@
 //! * experiment ids or sequence numbers past the SYN's projection;
 //! * a 4th distinct slot on one experiment;
 //! * `idx == 255` (its `idx + 1` does not fit the dedup byte);
-//! * a second idx on one sequence number;
-//! * every key of a session opened without a handshake (there is no
-//!   projection to size from).
+//! * a second idx on one sequence number.
 //!
 //! One odd case is part of that contract: a duplicate `(seq, idx)` whose
 //! header names another `(experiment, slot)` creates that probe's entry
@@ -246,7 +244,6 @@ impl Footprint {
 }
 
 /// One session's probe table (see the module docs).
-#[derive(Default)]
 pub(crate) struct SessionTable {
     /// Experiments the dense form covers: ids `0..dense_exps`. Cells
     /// are materialized up to the highest id seen, inside a capacity
@@ -280,13 +277,6 @@ impl SessionTable {
             first_idx: vec![0; seqs],
             spill: Spill::default(),
         }
-    }
-
-    /// True while the table has neither a dense form nor any probe: the
-    /// only state a handshake may size the dense form from (a key that
-    /// already spilled must keep spilling).
-    pub fn is_pristine(&self) -> bool {
-        self.dense_exps == 0 && self.first_idx.is_empty() && self.spill.probes.is_empty()
     }
 
     /// The table's share of the session's [`Footprint`].

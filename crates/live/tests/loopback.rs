@@ -12,15 +12,42 @@ use badabing_core::config::BadabingConfig;
 use badabing_live::analyze::analyze_run;
 use badabing_live::control::ControlConfig;
 use badabing_live::emulator::{Emulator, EmulatorConfig};
-use badabing_live::receiver::{start_receiver, ReceiverConfig};
+use badabing_live::receiver::{start_server, ServerConfig, ServerHandle, SessionEnd};
 use badabing_live::sender::{run_sender, SenderConfig};
+use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
 use rand::RngExt;
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn local0() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()
+}
+
+/// A session server on loopback with its counters.
+fn server(idle_timeout: Option<Duration>) -> (ServerHandle, Arc<Registry>) {
+    let metrics = Arc::new(Registry::new("loopback"));
+    let handle = start_server(ServerConfig {
+        idle_timeout,
+        metrics: Some(metrics.clone()),
+        ..ServerConfig::any(local0(), 4)
+    })
+    .unwrap();
+    (handle, metrics)
+}
+
+/// Whether the server completes a session (the sender's closing
+/// `ReportAck`) within `limit` from now.
+fn completes_within(metrics: &Registry, limit: Duration) -> bool {
+    let started = Instant::now();
+    while metrics.counter("sessions_completed").get() == 0 {
+        if started.elapsed() > limit {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    true
 }
 
 fn fast_tool() -> BadabingConfig {
@@ -101,19 +128,21 @@ fn dup_reorder_proxy(target: SocketAddr) -> SocketAddr {
 #[test]
 fn clean_path_reports_no_congestion() {
     let session = 0xA1;
-    let receiver = start_receiver(ReceiverConfig::new(local0(), session)).unwrap();
+    let (receiver, _) = server(None);
     let tool = fast_tool();
     let cfg = SenderConfig {
         tool,
+        control: Some(ControlConfig::new(receiver.local_addr())),
         ..SenderConfig::new(tool, 600 /* 3 s */, receiver.local_addr(), session)
     };
     let outcome = run_sender(cfg, seeded(1, "clean")).unwrap();
     assert!(outcome.completed);
-    std::thread::sleep(Duration::from_millis(300));
-    let log = receiver.stop();
+    let report = receiver.stop();
+    assert_eq!(report.rejected, 0);
+    let log = report.log_for(session).expect("session log");
     assert_eq!(log.rejected, 0);
     assert_eq!(log.duplicates, 0);
-    let analysis = analyze_run(&tool, &outcome.manifest, &log);
+    let analysis = analyze_run(&tool, &outcome.manifest, log);
     assert_eq!(
         analysis.packets_lost, 0,
         "loopback without emulator loses nothing"
@@ -130,7 +159,7 @@ fn clean_path_reports_no_congestion() {
 #[test]
 fn emulated_bottleneck_produces_loss_episodes() {
     let session = 0xB2;
-    let receiver = start_receiver(ReceiverConfig::new(local0(), session)).unwrap();
+    let (receiver, _) = server(None);
     let emu_cfg = EmulatorConfig {
         rate_bps: 10_000_000,
         buffer_bytes: 125_000,      // 100 ms at 10 Mb/s
@@ -141,18 +170,21 @@ fn emulated_bottleneck_produces_loss_episodes() {
     };
     let emulator = Emulator::start(emu_cfg, seeded(2, "emu")).unwrap();
     let tool = fast_tool();
+    // Probes cross the emulator; the control plane talks to the
+    // receiver directly.
     let cfg = SenderConfig {
         tool,
+        control: Some(ControlConfig::new(receiver.local_addr())),
         ..SenderConfig::new(tool, 1_600 /* 8 s */, emulator.local_addr(), session)
     };
     let outcome = run_sender(cfg, seeded(3, "probe")).unwrap();
-    std::thread::sleep(Duration::from_millis(500));
     let stats = emulator.stop();
-    let log = receiver.stop();
+    let report = receiver.stop();
     assert!(stats.episodes >= 2, "scripted episodes: {}", stats.episodes);
     assert!(stats.dropped > 0, "emulator dropped nothing");
 
-    let analysis = analyze_run(&tool, &outcome.manifest, &log);
+    let log = report.log_for(session).expect("session log");
+    let analysis = analyze_run(&tool, &outcome.manifest, log);
     assert!(analysis.packets_lost > 0);
     let f = analysis.frequency().expect("nonempty run");
     assert!(f > 0.0, "estimated frequency should be positive");
@@ -166,14 +198,11 @@ fn emulated_bottleneck_produces_loss_episodes() {
 #[test]
 fn control_plane_runs_the_full_session() {
     // The two-process workflow end to end: handshake, heartbeats, FIN,
-    // chunked report retrieval. The receiver exits on its own once the
-    // sender acknowledges the full report — no out-of-band coordination.
+    // chunked report retrieval. The receiver completes the session on
+    // its own once the sender acknowledges the full report — no
+    // out-of-band coordination.
     let session = 0xC3;
-    let receiver = start_receiver(ReceiverConfig {
-        idle_timeout: Some(Duration::from_secs(10)),
-        ..ReceiverConfig::new(local0(), session)
-    })
-    .unwrap();
+    let (receiver, metrics) = server(Some(Duration::from_secs(10)));
     let tool = fast_tool();
     let mut control = ControlConfig::new(receiver.local_addr());
     control.drain = Duration::from_millis(100);
@@ -188,14 +217,15 @@ fn control_plane_runs_the_full_session() {
     let fetched = outcome.receiver_log.expect("control plane fetches the log");
     assert!(fetched.handshake.is_none(), "summary carries no params");
 
-    // Session-complete exit: join() must return promptly, well before
-    // the 10 s idle watchdog.
-    let started = Instant::now();
-    let local = receiver.join();
+    // The session completes promptly, well before the 10 s idle
+    // watchdog.
     assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "receiver should exit via ReportAck, not the watchdog"
+        completes_within(&metrics, Duration::from_secs(5)),
+        "session should complete via ReportAck, not the watchdog"
     );
+    let report = receiver.stop();
+    assert_eq!(report.sessions[0].end, SessionEnd::Completed);
+    let local = &report.sessions[0].log;
     assert_eq!(local.handshake.map(|p| p.n_slots), Some(400));
 
     // The fetched report and the receiver's own log agree.
@@ -224,11 +254,7 @@ fn handshake_survives_heavy_control_loss() {
     // chunk through. Heartbeats cross the same lossy path — give them a
     // deep miss budget so liveness noise cannot abort the run.
     let session = 0xD4;
-    let receiver = start_receiver(ReceiverConfig {
-        idle_timeout: Some(Duration::from_secs(10)),
-        ..ReceiverConfig::new(local0(), session)
-    })
-    .unwrap();
+    let (receiver, _) = server(Some(Duration::from_secs(10)));
     let proxy = lossy_proxy(receiver.local_addr(), 0.30, 77);
     let tool = fast_tool();
     let mut control = ControlConfig::new(proxy);
@@ -253,7 +279,7 @@ fn handshake_survives_heavy_control_loss() {
 #[test]
 fn receiver_death_mid_run_degrades_to_partial_manifest() {
     let session = 0xE5;
-    let receiver = start_receiver(ReceiverConfig::new(local0(), session)).unwrap();
+    let (receiver, _) = server(None);
     let target = receiver.local_addr();
     let tool = fast_tool();
     let mut control = ControlConfig::new(target);
@@ -315,11 +341,7 @@ fn report_survives_idle_timeout_shorter_than_drain() {
     // arrived and an otherwise-complete report was lost. Liveness must
     // keep flowing until report retrieval starts.
     let session = 0xA7;
-    let receiver = start_receiver(ReceiverConfig {
-        idle_timeout: Some(Duration::from_millis(300)),
-        ..ReceiverConfig::new(local0(), session)
-    })
-    .unwrap();
+    let (receiver, metrics) = server(Some(Duration::from_millis(300)));
     let tool = fast_tool();
     let mut control = ControlConfig::new(receiver.local_addr());
     control.drain = Duration::from_millis(900); // 3× the idle timeout
@@ -337,11 +359,11 @@ fn report_survives_idle_timeout_shorter_than_drain() {
         .expect("heartbeats must keep the session alive through the drain wait");
     assert_eq!(fetched.packets, outcome.manifest.packets_sent);
 
-    // The receiver exits via the closing ReportAck, not its watchdog.
-    let started = Instant::now();
-    let local = receiver.join();
-    assert!(started.elapsed() < Duration::from_secs(5));
-    assert_eq!(local.packets, fetched.packets);
+    // The session ends via the closing ReportAck, not the watchdog.
+    assert!(completes_within(&metrics, Duration::from_secs(5)));
+    let report = receiver.stop();
+    assert_eq!(report.sessions[0].end, SessionEnd::Completed);
+    assert_eq!(report.sessions[0].log.packets, fetched.packets);
 }
 
 #[test]
@@ -352,11 +374,7 @@ fn zero_record_session_completes_cleanly() {
     // set — the `chunk >= total_chunks` completion edge at zero chunks —
     // rather than wedging the receiver until its watchdog.
     let session = 0xB8;
-    let receiver = start_receiver(ReceiverConfig {
-        idle_timeout: Some(Duration::from_secs(10)),
-        ..ReceiverConfig::new(local0(), session)
-    })
-    .unwrap();
+    let (receiver, metrics) = server(Some(Duration::from_secs(10)));
     let blackhole = UdpSocket::bind(local0()).unwrap(); // bound, never read
     let tool = fast_tool();
     let mut control = ControlConfig::new(receiver.local_addr());
@@ -379,13 +397,13 @@ fn zero_record_session_completes_cleanly() {
     assert_eq!(fetched.packets, 0);
     assert!(fetched.arrivals.is_empty(), "no probe ever arrived");
 
-    let started = Instant::now();
-    let local = receiver.join();
     assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "receiver must exit via the closing ReportAck, not the watchdog"
+        completes_within(&metrics, Duration::from_secs(5)),
+        "session must complete via the closing ReportAck, not the watchdog"
     );
-    assert!(local.arrivals.is_empty());
+    let report = receiver.stop();
+    assert_eq!(report.sessions[0].end, SessionEnd::Completed);
+    assert!(report.sessions[0].log.arrivals.is_empty());
 
     // Loss accounting off the manifest alone: everything sent was lost.
     let analysis = analyze_run(&tool, &outcome.manifest, &fetched);
@@ -399,16 +417,20 @@ fn duplicated_and_reordered_datagrams_leave_loss_accounting_unchanged() {
     // (seq, idx) must keep the loss accounting identical to a clean
     // path: zero loss, zero estimated frequency.
     let session = 0xF6;
-    let receiver = start_receiver(ReceiverConfig::new(local0(), session)).unwrap();
+    let (receiver, _) = server(None);
     let proxy = dup_reorder_proxy(receiver.local_addr());
     let tool = fast_tool();
+    // Probes cross the one-way proxy; the control plane talks to the
+    // receiver directly.
     let cfg = SenderConfig {
         tool,
+        control: Some(ControlConfig::new(receiver.local_addr())),
         ..SenderConfig::new(tool, 600 /* 3 s */, proxy, session)
     };
     let outcome = run_sender(cfg, seeded(7, "dupes")).unwrap();
-    std::thread::sleep(Duration::from_millis(300));
-    let log = receiver.stop();
+    assert!(outcome.completed, "diagnostics: {:?}", outcome.diagnostics);
+    let report = receiver.stop();
+    let log = report.log_for(session).expect("session log");
 
     assert!(log.duplicates > 0, "proxy injected duplicates");
     assert_eq!(
@@ -419,7 +441,7 @@ fn duplicated_and_reordered_datagrams_leave_loss_accounting_unchanged() {
     for rec in log.arrivals.values() {
         assert!(rec.received <= tool.probe_packets);
     }
-    let analysis = analyze_run(&tool, &outcome.manifest, &log);
+    let analysis = analyze_run(&tool, &outcome.manifest, log);
     assert_eq!(
         analysis.packets_lost, 0,
         "duplicates/reordering must not be mistaken for (or mask) loss"

@@ -24,7 +24,7 @@ use badabing_core::config::BadabingConfig;
 use badabing_live::analyze::analyze_run;
 use badabing_live::control::ControlConfig;
 use badabing_live::emulator::{Emulator, EmulatorConfig};
-use badabing_live::receiver::{start_receiver, ReceiverConfig};
+use badabing_live::receiver::{start_server, ServerConfig};
 use badabing_live::sender::{run_sender, SenderConfig};
 use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
@@ -36,13 +36,13 @@ fn main() -> std::io::Result<()> {
     let local0 = "127.0.0.1:0".parse().expect("static addr");
 
     // 1. The receiver owns the final UDP port and serves the control
-    //    plane on it. The idle watchdog is its safety net if the sender
-    //    vanishes.
+    //    plane on it; the sender's SYN opens the session. The idle
+    //    watchdog is its safety net if the sender vanishes.
     let recv_metrics = Arc::new(Registry::new("receiver"));
-    let receiver = start_receiver(ReceiverConfig {
+    let receiver = start_server(ServerConfig {
         idle_timeout: Some(Duration::from_secs(10)),
         metrics: Some(recv_metrics.clone()),
-        ..ReceiverConfig::new(local0, session)
+        ..ServerConfig::any(local0, 1)
     })?;
     eprintln!("receiver listening on {}", receiver.local_addr());
 
@@ -128,8 +128,7 @@ fn main() -> std::io::Result<()> {
         send_metrics.snapshot_json()
     );
 
-    // The receiver exits by itself once the sender acknowledges the full
-    // report.
-    let _ = receiver.join();
+    // The receiver serves until stopped.
+    let _ = receiver.stop();
     Ok(())
 }
