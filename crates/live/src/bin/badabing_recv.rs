@@ -20,11 +20,12 @@
 //! ```
 //!
 //! Each drain thread owns its own socket and registry shard. With
-//! `--recv-threads N > 1` the sockets form an `SO_REUSEPORT` group and
-//! the kernel steers flows per 4-tuple, so the probe fast path touches
-//! no cross-thread locks. Where the kernel lacks `SO_REUSEPORT` the
-//! server runs one thread and counts the fallback (`steer_fallbacks`).
-//! The drain threads park on epoll where the platform has it.
+//! `--recv-threads N > 1` the sockets form an `SO_REUSEPORT` group whose
+//! classic-BPF program sends every datagram of session `s` to thread
+//! `s % N`, so the probe fast path touches no cross-thread locks. Where
+//! the kernel lacks `SO_REUSEPORT` or refuses the program the server
+//! runs one thread and counts the fallback (`steer_fallbacks`). The
+//! drain threads park on epoll where the platform has it.
 //!
 //! With `--estimate-interval-ms N` (N > 0) the server periodically
 //! merges every live session's online estimator and publishes the
@@ -123,13 +124,9 @@ fn main() -> std::io::Result<()> {
         .collect::<Vec<_>>()
         .join("/");
     eprintln!(
-        "steering: {} reuseport sockets, {} cross-thread handoffs, \
-         {} sessions re-homed, {} single-thread fallbacks, \
+        "steering: {} reuseport sockets, {} single-thread fallbacks, \
          per-thread rx [{per_thread}]",
-        report.reuseport_sockets,
-        report.steer_handoffs,
-        report.steer_migrations,
-        report.steer_fallbacks
+        report.reuseport_sockets, report.steer_fallbacks
     );
     for outcome in &report.sessions {
         let end = match outcome.end {

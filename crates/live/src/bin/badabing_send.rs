@@ -29,10 +29,10 @@
 //! Exits 0 on a complete run, 1 if the receiver went silent mid-run (a
 //! partial manifest is still written), 2 on usage errors.
 //!
-//! One sender process sends its probes from one UDP 4-tuple: a
-//! receiver running `--recv-threads N > 1` steers this whole probe flow
-//! to a single drain thread. That is the intended shape — per-thread
-//! steering pays off across *many* concurrent senders, not within one.
+//! A receiver running `--recv-threads N > 1` steers this whole session,
+//! probes and control alike, to drain thread `session % N`. That is the
+//! intended shape — per-thread steering pays off across *many*
+//! concurrent sessions, not within one.
 
 use badabing_core::config::BadabingConfig;
 use badabing_live::batch_io::IoMode;

@@ -56,6 +56,7 @@
 //! differently between runs, but by construction it cannot perturb
 //! the probe link's RNG stream or the finalized report snapshot.
 
+use crate::batch_io::steer_lane;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cell::RefCell;
@@ -163,28 +164,6 @@ impl LinkFaults {
     }
 }
 
-/// FNV-1a over a socket address (ip bytes then port) — the virtual
-/// net's flow-steering hash. A multi-lane bind
-/// ([`FaultNet::bind_lanes`]) delivers each datagram to lane
-/// `flow_hash(src) % lanes`, mirroring the *shape* of the kernel's
-/// `SO_REUSEPORT` per-4-tuple steering: every flow lands on exactly one
-/// lane, and which lane is a pure function of the source address. (The
-/// kernel's own hash differs; only the same-flow-same-socket invariant
-/// is contractual, and that is all the receiver relies on.)
-pub fn flow_hash(addr: &SocketAddr) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    match addr.ip() {
-        std::net::IpAddr::V4(ip) => ip.octets().into_iter().for_each(&mut eat),
-        std::net::IpAddr::V6(ip) => ip.octets().into_iter().for_each(&mut eat),
-    }
-    addr.port().to_be_bytes().into_iter().for_each(&mut eat);
-    h
-}
-
 /// One datagram as delivered by the virtual network.
 #[derive(Debug, Clone)]
 pub struct FaultDatagram {
@@ -212,7 +191,7 @@ struct Flight {
 struct SockState {
     /// Per-lane delivery queues. A plain bind has one lane; a multi-lane
     /// bind ([`FaultNet::bind_lanes`]) has one per drain thread, and
-    /// [`flow_hash`] picks the lane at delivery.
+    /// [`steer_lane`] picks the lane at delivery.
     lanes: Vec<VecDeque<FaultDatagram>>,
     /// Live [`FaultSocket`] handles on this address; the address
     /// unbinds when the last one drops.
@@ -482,10 +461,11 @@ impl FaultNet {
     /// Bind one virtual address split into `n` lanes — the
     /// virtual twin of an `SO_REUSEPORT` socket group. Each returned
     /// handle drains exactly one lane; deliveries go to lane
-    /// `flow_hash(src) % n`, so every flow lands on one handle for its
-    /// whole lifetime. Connected-peer filtering and the read timeout
-    /// are address-wide (set through any handle), and the address stays
-    /// bound until the **last** handle drops.
+    /// [`steer_lane`]`(payload, n)`, so every datagram of session `s`
+    /// lands on handle `s % n` whatever its source. Connected-peer
+    /// filtering and the read timeout are address-wide (set through any
+    /// handle), and the address stays bound until the **last** handle
+    /// drops.
     pub fn bind_lanes(
         self: &Arc<Self>,
         addr: SocketAddr,
@@ -542,14 +522,8 @@ impl FaultNet {
             any = true;
             if let Some(sock) = core.sockets.get_mut(&f.dst) {
                 if sock.connected.is_none_or(|peer| peer == f.src) {
-                    // Per-flow steering: a single-lane bind is lane 0, a
-                    // multi-lane bind hashes the source address so a flow
-                    // always lands on the same lane.
-                    let lane = if sock.lanes.len() == 1 {
-                        0
-                    } else {
-                        (flow_hash(&f.src) % sock.lanes.len() as u64) as usize
-                    };
+                    // Session steering, as the kernel program does it.
+                    let lane = steer_lane(&f.data, sock.lanes.len());
                     sock.lanes[lane].push_back(FaultDatagram {
                         data: f.data,
                         src: f.src,
@@ -1047,18 +1021,26 @@ mod tests {
 
     #[test]
     fn steered_lanes_partition_flows_deterministically() {
+        use badabing_wire::ProbeHeader;
         let net = FaultNet::new(77);
         let lanes = net.bind_lanes(addr("10.0.0.9:700"), 4).unwrap();
         let dst = lanes[0].local_addr();
         assert!(lanes.iter().all(|l| l.local_addr() == dst));
-        // Several distinct source ports; each flow must land wholly on
-        // the lane its hash picks.
-        let senders: Vec<FaultSocket> = (0..8)
-            .map(|i| net.bind(addr(&format!("10.0.1.{i}:50"))).unwrap())
-            .collect();
-        for s in &senders {
-            for k in 0u8..3 {
-                s.send_to(&[k; 8], dst).unwrap();
+        // Eight sessions from *one* source: each session's datagrams must
+        // land wholly on the lane its id picks, not the source's.
+        let sender = net.bind(addr("10.0.1.1:50")).unwrap();
+        for session in 0u32..8 {
+            for seq in 0u64..3 {
+                let h = ProbeHeader {
+                    session,
+                    experiment: seq,
+                    slot: seq,
+                    seq,
+                    send_ns: 0,
+                    idx: 0,
+                    probe_len: 1,
+                };
+                sender.send_to(&h.encode(64), dst).unwrap();
             }
         }
         for l in &lanes {
@@ -1067,8 +1049,9 @@ mod tests {
         let mut total = 0usize;
         for (i, l) in lanes.iter().enumerate() {
             while let Ok(m) = l.recv_msg() {
-                let want = (flow_hash(&m.src) % 4) as usize;
-                assert_eq!(i, want, "flow {} leaked across lanes", m.src);
+                let session = ProbeHeader::decode(&m.data).unwrap().session;
+                assert_eq!(i, steer_lane(&m.data, 4), "session {session} on lane {i}");
+                assert_eq!(i, session as usize % 4);
                 total += 1;
             }
         }

@@ -67,7 +67,7 @@ pub use batch_io::{
 pub use control::{ControlClient, ControlConfig, ControlError};
 pub use emulator::{Emulator, EmulatorConfig, EmulatorStats, SessionFlow};
 pub use event_loop::{PollWaker, Poller};
-pub use faultnet::{flow_hash, FaultDatagram, FaultNet, FaultSocket, LinkFaults};
+pub use faultnet::{FaultDatagram, FaultNet, FaultSocket, LinkFaults};
 pub use provider::{Clock, Provider, RecvBatch, SendBatch, Socket, TimestampSource};
 pub use receiver::{
     start_server, PressurePolicy, ReceiverLog, ServerConfig, ServerHandle, ServerReport,

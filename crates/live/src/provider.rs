@@ -51,30 +51,33 @@ impl Provider {
         }
     }
 
-    /// Bind `n` sockets sharing one address with per-flow receive
-    /// steering — one per drain thread under `--recv-threads N`. Real UDP
-    /// builds an `SO_REUSEPORT` group (every member sets the option
-    /// before bind; the kernel then steers each 4-tuple to exactly one
-    /// member). The virtual net splits the address into `n` lanes
-    /// picked by [`crate::faultnet::flow_hash`] over the source
-    /// address — the same same-flow-same-socket invariant, which is
-    /// what lets FaultNet differential tests cover multi-thread ingest.
-    /// Errors (no `SO_REUSEPORT` on this kernel, non-Linux) surface so
-    /// the caller can fall back to one drain thread.
+    /// Bind `n` sockets sharing one address, one per drain thread under
+    /// `--recv-threads N`, with every datagram of session `s` delivered
+    /// to socket `s % n` ([`crate::batch_io::steer_lane`]). Real UDP
+    /// binds an `SO_REUSEPORT` group (every member sets the option
+    /// before bind), then attaches the session-steering program to it.
+    /// The virtual net splits the address into `n` lanes and delivers by
+    /// the same function, which is what lets FaultNet differential tests
+    /// cover multi-thread ingest. Errors (no `SO_REUSEPORT`, a refused
+    /// program, non-Linux) surface so the caller can fall back to one
+    /// drain thread.
     pub fn bind_steered(&self, addr: SocketAddr, n: usize) -> io::Result<Vec<Socket>> {
         assert!(n >= 1, "a reuseport group needs at least one socket");
         match self {
             Provider::Udp(_) => {
                 let first = batch_io::bind_reuseport(addr)?;
                 let bound = first.local_addr()?;
-                let mut out = Vec::with_capacity(n);
-                out.push(Socket::Udp(first));
+                let mut group = Vec::with_capacity(n);
+                group.push(first);
                 for _ in 1..n {
                     // Later members bind the now-concrete address so a
                     // port-0 request still yields one shared port.
-                    out.push(Socket::Udp(batch_io::bind_reuseport(bound)?));
+                    group.push(batch_io::bind_reuseport(bound)?);
                 }
-                Ok(out)
+                // Member `i` of the group is the `i`-th bound, so the
+                // program's `s % n` names `group[s % n]`.
+                batch_io::attach_steer_program(&group[0], n)?;
+                Ok(group.into_iter().map(Socket::Udp).collect())
             }
             Provider::Fault(net) => Ok(net
                 .bind_lanes(addr, n)?

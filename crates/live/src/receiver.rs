@@ -17,17 +17,18 @@
 //! sequence (see the differential tests).
 //!
 //! There is one concurrency model: **drain thread `t` owns socket `t`,
-//! its poller and registry shard `t`**. One thread (the default) binds
-//! one plain socket. `recv_threads = N > 1` binds an `SO_REUSEPORT`
-//! group (virtual lanes on the fault net) so the kernel steers each
-//! flow to one thread; where that bind fails the server runs one thread
-//! and counts the fallback. A session lives in the shard of the thread
-//! its SYN arrived on, recorded in a router. A probe that lands on
-//! another thread (a sender whose probe and control flows hash apart,
-//! or a mid-run source-port rebind) rides that owner's bounded handoff
-//! ring, and a streak of such strays migrates the session to the thread
-//! its flow now steers to. Fleet-scope reads lock every shard in index
-//! order, the order migration uses, so a merged estimate is exact.
+//! its poller and registry shard `t`**, and session `s` lives in shard
+//! `s % N`. One thread (the default) binds one plain socket.
+//! `recv_threads = N > 1` binds an `SO_REUSEPORT` group (virtual lanes
+//! on the fault net) with a classic-BPF program that sends every
+//! datagram of session `s` to thread `s % N`, reading the session id
+//! every probe and control message carries; where that bind or attach
+//! fails the server runs one thread and counts the fallback. Every probe
+//! and control path locks shard `s % N`: the arriving thread's own, so
+//! uncontended. A datagram that reaches another thread anyway is still
+//! ingested, through a cross-thread lock. Fleet-scope reads lock every
+//! shard in index order, so a merged estimate is exact; no other path
+//! holds two shard locks.
 //!
 //! Each session keeps its probes in a **dense table** (the private
 //! `session_table` module) sized from the SYN: one cell per projected
@@ -120,12 +121,12 @@ pub struct ServerConfig {
     pub provider: Provider,
     /// Drain threads (≥ 1). Thread `t` owns socket `t` and registry
     /// shard `t`, and runs the full loop (probe fast path + control
-    /// slow path). One thread binds one plain socket; more bind an
-    /// `SO_REUSEPORT` group (virtual lanes on the fault net) so the
-    /// kernel steers each flow to one thread. Where that bind fails the
-    /// server runs one thread (counted, see
-    /// [`ServerReport::steer_fallbacks`]). The default of 1 preserves
-    /// strictly sequential datagram handling.
+    /// slow path). One thread binds one plain socket; `N > 1` bind an
+    /// `SO_REUSEPORT` group (virtual lanes on the fault net) that sends
+    /// every datagram of session `s` to thread `s % N`, whatever its
+    /// source port. Where that bind or attach fails the server runs one
+    /// thread (counted, see [`ServerReport::steer_fallbacks`]). The
+    /// default of 1 preserves strictly sequential datagram handling.
     pub recv_threads: usize,
     /// Per-session memory ceiling (approximate, capacity-based — see
     /// [`ServerReport::mem_peak_bytes`]). Bounds what one session's
@@ -371,17 +372,6 @@ pub struct ServerReport {
     pub rx_timestamp_kernel: u64,
     /// Datagrams that fell back to the userspace per-batch clock read.
     pub rx_timestamp_user_fallback: u64,
-    /// Probes that arrived on a non-owner drain thread (flow rebind
-    /// landed on the "wrong" reuseport member) and were handed to the
-    /// owner through the bounded MPSC handoff ring.
-    pub steer_handoffs: u64,
-    /// Sessions re-homed to the drain thread their probe flow actually
-    /// steers to, after a `MIGRATE_STRAYS`-long streak of wrong-thread
-    /// arrivals — e.g. a sender whose control and probe sockets hash to
-    /// different reuseport members, or a mid-run source-port rebind.
-    /// Migration is what keeps the steady-state probe path lock-free:
-    /// after it, the flow's packets are own-shard hits again.
-    pub steer_migrations: u64,
     /// `SO_REUSEPORT` group members (virtual lanes) this run bound.
     /// `0` means one drain thread on one plain socket.
     pub reuseport_sockets: u64,
@@ -390,7 +380,7 @@ pub struct ServerReport {
     /// `SO_REUSEPORT` on this kernel/backend).
     pub steer_fallbacks: u64,
     /// Probe datagrams accepted per drain thread, indexed by thread.
-    /// With several threads this exposes the kernel's flow-hash spread.
+    /// With `N` threads, session `s`'s probes count at index `s % N`.
     pub rx_packets_per_thread: Vec<u64>,
 }
 
@@ -701,10 +691,11 @@ impl SessionState {
 /// Start a multi-session server thread; it serves every session a SYN
 /// opens until stopped.
 pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-    // One socket per drain thread: a plain bind for one thread, an
-    // `SO_REUSEPORT` group (virtual lanes) for more. A kernel or backend
-    // without `SO_REUSEPORT` runs one thread instead — the run
-    // proceeds, the fallback is counted.
+    // One socket per drain thread: a plain bind for one thread, a
+    // session-steered `SO_REUSEPORT` group (virtual lanes) for more. A
+    // kernel or backend without `SO_REUSEPORT`, or that refuses the
+    // steering program, runs one thread instead — the run proceeds,
+    // the fallback is counted.
     let (sockets, steer_fallback) = match cfg.recv_threads {
         0 | 1 => (vec![cfg.provider.bind(cfg.bind)?], false),
         n => match cfg.provider.bind_steered(cfg.bind, n) {
@@ -798,8 +789,6 @@ struct ServeCounters {
     cmsg_errors: Option<Arc<Counter>>,
     ts_kernel: Option<Arc<Counter>>,
     ts_user: Option<Arc<Counter>>,
-    steer_handoffs: Option<Arc<Counter>>,
-    steer_migrations: Option<Arc<Counter>>,
     reuseport_sockets: Option<Arc<Counter>>,
     steer_fallback: Option<Arc<Counter>>,
 }
@@ -827,8 +816,6 @@ impl ServeCounters {
             cmsg_errors: metrics.map(|m| m.counter("cmsg_decode_errors")),
             ts_kernel: metrics.map(|m| m.counter("rx_timestamp_kernel")),
             ts_user: metrics.map(|m| m.counter("rx_timestamp_user_fallback")),
-            steer_handoffs: metrics.map(|m| m.counter("steer_handoffs")),
-            steer_migrations: metrics.map(|m| m.counter("steer_migrations")),
             reuseport_sockets: metrics.map(|m| m.counter("reuseport_sockets")),
             steer_fallback: metrics.map(|m| m.counter("steer_fallback")),
         }
@@ -848,49 +835,14 @@ struct Tombstones {
 /// How many evicted session ids the tombstone ring remembers.
 const TOMBSTONE_CAP: usize = 4096;
 
-/// Bound on each per-thread handoff ring: generous for the transient a
-/// sender rebind causes, small enough that a hostile spray of
-/// unowned-session probes cannot queue unbounded work. Overflow drops
-/// are counted as rejected.
-const HANDOFF_CAP: usize = 4096;
-
-/// Wrong-thread arrivals a session tolerates before it is re-homed to
-/// the thread its probe flow actually steers to. Small enough that a
-/// split-socket sender (control and probe flows hashing to different
-/// reuseport members — the shipped sender's shape) pays the handoff
-/// ring for only a moment before its whole run is own-shard hits;
-/// large enough that the stragglers an owner replays out of its ring
-/// right after a migration (at most `MIGRATE_STRAYS - 1` of them, by
-/// construction) can never bounce ownership straight back.
-const MIGRATE_STRAYS: u32 = 16;
-
-/// A session's routing entry: which drain thread owns its shard
-/// slot, plus how many wrong-thread probes have arrived since
-/// ownership last settled (the migration trigger).
-struct Route {
-    owner: usize,
-    strays: u32,
-}
-
-/// A probe that arrived on a non-owner drain thread (the kernel steers
-/// per 4-tuple, so a sender rebinding its source port mid-run lands on
-/// a different reuseport member): everything the owner needs to replay
-/// [`ingest_probe`]'s fast path with the original arrival stamp.
-#[derive(Clone, Copy)]
-struct Handoff {
-    h: ProbeHeader,
-    rel: Duration,
-    abs: Duration,
-    source: TimestampSource,
-}
-
-/// One drain thread's slice of the session registry.
+/// One drain thread's slice of the session registry: drain thread `t`
+/// of `N` holds every session `s` with `s % N == t`.
 type Shard = HashMap<u32, SessionState>;
 
 /// Everything the drain threads share. Thread `t` owns `sockets[t]`,
-/// `wakers[t]` and `shards[t]`: its probe fast path locks only its own
-/// (uncontended) shard. Global tallies are atomics bumped once per
-/// batch.
+/// `wakers[t]` and `shards[t]`: steering delivers it only its own
+/// sessions, so its probe fast path locks only its own (uncontended)
+/// shard. Global tallies are atomics bumped once per batch.
 struct Shared<'a> {
     cfg: &'a ServerConfig,
     /// One socket per drain thread: a plain socket for one thread, an
@@ -904,15 +856,6 @@ struct Shared<'a> {
     /// relative to it so the time base matches the old `Instant` anchor.
     t0: Duration,
     shards: Vec<Mutex<Shard>>,
-    /// Session id → owner shard (+ stray streak). Touched on session
-    /// open/close, on control messages and on fast-path *misses* —
-    /// never on the per-packet owned-shard hit path.
-    router: Mutex<HashMap<u32, Route>>,
-    /// Per-thread bounded MPSC rings for probes that arrived on a
-    /// non-owner thread (sender rebind).
-    handoff: Vec<Mutex<VecDeque<Handoff>>>,
-    steer_handoffs: AtomicU64,
-    steer_migrations: AtomicU64,
     /// Probes accepted per drain thread.
     rx_thread_packets: Vec<AtomicU64>,
     /// Set on session open/finalize/close so the watchdog re-arms its
@@ -955,52 +898,10 @@ impl Shared<'_> {
         }
     }
 
-    /// Resolve the shard holding `session` for a lookup from drain
-    /// thread `me`: the router's owner entry, defaulting to the asking
-    /// thread's own shard (an unknown session then simply misses there).
-    fn shard_index(&self, session: u32, me: usize) -> usize {
-        self.router
-            .lock()
-            .expect("router lock")
-            .get(&session)
-            .map_or(me, |r| r.owner)
-    }
-
-    fn shard_for(&self, session: u32, me: usize) -> &Mutex<Shard> {
-        &self.shards[self.shard_index(session, me)]
-    }
-
-    /// Claim (or resolve) ownership of `session` for an *open* path:
-    /// first claimant wins, concurrent openers on other threads resolve
-    /// to the same shard so the registry's entry-API race handling
-    /// keeps working.
-    fn claim_owner(&self, session: u32, me: usize) -> usize {
-        self.router
-            .lock()
-            .expect("router lock")
-            .entry(session)
-            .or_insert(Route {
-                owner: me,
-                strays: 0,
-            })
-            .owner
-    }
-
-    /// Hand a wrong-thread probe to its owner's ring. Overflow drops it
-    /// (counted as rejected by the caller).
-    fn enqueue_handoff(&self, owner: usize, msg: Handoff) -> bool {
-        {
-            let mut q = self.handoff[owner].lock().expect("handoff lock");
-            if q.len() >= HANDOFF_CAP {
-                return false;
-            }
-            q.push_back(msg);
-        }
-        self.steer_handoffs.fetch_add(1, Ordering::Relaxed);
-        inc(&self.c.steer_handoffs);
-        // The owner may be parked on its own (now idle) socket.
-        self.wakers[owner].wake();
-        true
+    /// The shard holding `session`: `shards[session % N]`, the one
+    /// steering delivers its datagrams to.
+    fn shard_for(&self, session: u32) -> &Mutex<Shard> {
+        &self.shards[session as usize % self.shards.len()]
     }
 
     /// Flag the watchdog to re-arm its sweep deadline now: a session
@@ -1041,7 +942,6 @@ impl Shared<'_> {
         let outcome = state.into_outcome(id, end, rejected, self.metrics());
         self.outcomes.lock().expect("outcomes lock").push(outcome);
         self.active.fetch_sub(1, Ordering::Relaxed);
-        self.router.lock().expect("router lock").remove(&id);
         self.mark_sweep_dirty();
     }
 
@@ -1167,8 +1067,7 @@ impl Shared<'_> {
 
     /// Merge every live session's online counters and delay sketch into
     /// one fleet summary. Every shard lock is held at once, taken in
-    /// index order — the order migration takes its two — so the read is
-    /// an atomic cut: a migrating session is counted exactly once. One
+    /// index order, so the read is an atomic cut across threads. One
     /// O(sessions) merge per fleet request, like one watchdog sweep.
     fn fleet_estimate(&self) -> (u32, Estimates, DelaySketch) {
         let shards: Vec<MutexGuard<'_, Shard>> = self
@@ -1222,10 +1121,6 @@ fn serve_loop(
         clock,
         t0,
         shards: (0..nthreads).map(|_| Mutex::new(HashMap::new())).collect(),
-        router: Mutex::new(HashMap::new()),
-        handoff: (0..nthreads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        steer_handoffs: AtomicU64::new(0),
-        steer_migrations: AtomicU64::new(0),
         rx_thread_packets: (0..nthreads).map(|_| AtomicU64::new(0)).collect(),
         sweep_dirty: AtomicBool::new(false),
         active: AtomicUsize::new(0),
@@ -1305,8 +1200,6 @@ fn serve_loop(
         rx_timestamp_kernel,
         rx_timestamp_user,
         mem_peak,
-        steer_handoffs,
-        steer_migrations,
         rx_thread_packets,
         ..
     } = shared;
@@ -1335,8 +1228,6 @@ fn serve_loop(
         cmsg_decode_errors: cmsg_decode_errors.into_inner(),
         rx_timestamp_kernel: rx_timestamp_kernel.into_inner(),
         rx_timestamp_user_fallback: rx_timestamp_user.into_inner(),
-        steer_handoffs: steer_handoffs.into_inner(),
-        steer_migrations: steer_migrations.into_inner(),
         reuseport_sockets,
         steer_fallbacks: u64::from(steer_fallback),
         rx_packets_per_thread: rx_thread_packets
@@ -1365,13 +1256,10 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize, run_watchdog: boo
             maybe_sweep(shared, &mut next_sweep);
             maybe_estimate(shared, &mut next_estimate);
         }
-        // Probes that reached another thread's socket after a sender
-        // rebind are replayed here, on their owner, with their original
-        // arrival stamps.
-        accepted_here += drain_handoffs(shared, me);
         // Under epoll, park until a datagram arrives, the waker fires
-        // (stop / a handoff), or the next watchdog / estimate-snapshot
-        // deadline — idle sessions cost zero wakeups. The timeout backend reports ready immediately
+        // (stop, or a watchdog re-arm on thread 0), or the next watchdog
+        // / estimate-snapshot deadline — idle sessions cost zero
+        // wakeups. The timeout backend reports ready immediately
         // and lets the socket's own read timeout pace the loop (the
         // pre-epoll shape).
         if poller.is_epoll() {
@@ -1419,11 +1307,8 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize, run_watchdog: boo
         // byte-identical). The fallback path's batches are single
         // datagrams, so it degenerates to the old per-datagram stamping.
         let batch_abs = shared.clock.now();
-        accepted_here += process_batch(shared, &ring, n, batch_abs, me, &mut scratch);
+        accepted_here += process_batch(shared, &ring, n, batch_abs, &mut scratch);
     }
-    // A final ring drain so probes handed off during our own teardown
-    // window are not stranded in the queue.
-    accepted_here += drain_handoffs(shared, me);
     shared.rx_thread_packets[me].store(accepted_here, Ordering::Relaxed);
     if let Some(m) = shared.metrics() {
         m.counter(&format!("rx_packets_thread_{me}"))
@@ -1439,40 +1324,6 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize, run_watchdog: boo
     shared
         .cmsg_decode_errors
         .fetch_add(ring.cmsg_decode_errors(), Ordering::Relaxed);
-}
-
-/// Replay this thread's handed-off probes (see [`Handoff`]). Returns
-/// how many were accepted. The whole ring is swapped out under one
-/// short lock so replay itself never holds it.
-fn drain_handoffs(shared: &Shared<'_>, me: usize) -> u64 {
-    let queued = {
-        let mut q = shared.handoff[me].lock().expect("handoff lock");
-        if q.is_empty() {
-            return 0;
-        }
-        std::mem::take(&mut *q)
-    };
-    let mut accepted = 0u64;
-    let mut duplicates = 0u64;
-    let mut rejected = 0u64;
-    for m in queued {
-        match ingest_probe(shared, &m.h, m.rel, m.abs, m.source, me, false) {
-            Ingest::Accepted => accepted += 1,
-            Ingest::Duplicate => duplicates += 1,
-            Ingest::Rejected | Ingest::OverBudget => rejected += 1,
-            // Ownership moved again mid-replay (re-SYN on another
-            // thread): the probe is now queued there, counted on
-            // arrival.
-            Ingest::Handoff => {}
-        }
-    }
-    add(&shared.c.packets, accepted);
-    add(&shared.c.dup, duplicates);
-    if rejected > 0 {
-        shared.rejected.fetch_add(rejected, Ordering::Relaxed);
-        add(&shared.c.rejected, rejected);
-    }
-    accepted
 }
 
 /// The deadline-scheduled watchdog. Reaps sessions idle past the
@@ -1594,9 +1445,6 @@ enum Ingest {
     /// Dropped because storing it would push the session past its
     /// memory budget (counted as rejected, plus its own counter).
     OverBudget,
-    /// The probe belongs to another thread's shard and was queued on
-    /// its owner's handoff ring — counted there, not here.
-    Handoff,
 }
 
 /// Returns the number of probes accepted (the per-thread RX tally).
@@ -1605,7 +1453,6 @@ fn process_batch(
     ring: &RecvBatch,
     n: usize,
     batch_abs: Duration,
-    me: usize,
     scratch: &mut [u8; MAX_CONTROL_BYTES],
 ) -> u64 {
     // Hot counters accumulate across the batch and land as one atomic
@@ -1633,7 +1480,7 @@ fn process_batch(
         let rel = abs.saturating_sub(shared.t0);
         let (data, src) = ring.datagram(i);
         if let Ok(h) = ProbeHeader::decode(data) {
-            match ingest_probe(shared, &h, rel, abs, source, me, true) {
+            match ingest_probe(shared, &h, rel, abs, source) {
                 Ingest::Accepted => accepted += 1,
                 Ingest::Duplicate => duplicates += 1,
                 Ingest::Rejected => rejected += 1,
@@ -1641,10 +1488,9 @@ fn process_batch(
                     rejected += 1;
                     over_budget += 1;
                 }
-                Ingest::Handoff => {}
             }
         } else if let Ok(msg) = ControlMessage::decode(data) {
-            handle_control(shared, msg, src, abs, me, scratch);
+            handle_control(shared, msg, src, abs, scratch);
         } else {
             rejected += 1;
         }
@@ -1672,190 +1518,22 @@ fn process_batch(
     accepted
 }
 
-/// The probe fast path: one lock on the arrival thread's **own** shard,
-/// so traffic the kernel hashes to its owner touches zero cross-thread locks — then
-/// the shared [`SessionState::ingest`] accounting, no socket writes, no
-/// allocation. Misses fall through to the router: wrong-thread arrivals
-/// (sender rebind) are queued on the owner's handoff ring.
+/// The probe fast path: one lock on the session's shard (the arriving
+/// thread's own under steering, so uncontended), then the shared
+/// [`SessionState::ingest`] accounting — no socket writes, no
+/// allocation. A probe for a session no SYN opened is rejected: the SYN
+/// is the sole door in.
 fn ingest_probe(
     shared: &Shared<'_>,
     h: &ProbeHeader,
     rel: Duration,
     abs: Duration,
     source: TimestampSource,
-    me: usize,
-    fresh: bool,
 ) -> Ingest {
-    if let Some(state) = shared.shards[me]
-        .lock()
-        .expect("shard lock")
-        .get_mut(&h.session)
-    {
-        return ingest_into(shared, state, h, rel, source, abs);
-    }
-    // Own-shard miss: another thread owns the session, or no SYN
-    // opened it (the SYN is the sole door in).
-    steer_or_migrate(shared, h, rel, abs, source, me, fresh)
-}
-
-/// A probe whose session another thread owns: count the stray
-/// and either queue it on the owner's handoff ring or — once the streak
-/// shows the flow *persistently* steers here (split-socket sender,
-/// mid-run rebind) — re-home the whole session to this thread, so the
-/// steady state is always an own-shard hit with zero cross-thread
-/// locks.
-///
-/// Only `fresh` wire arrivals count toward the streak: a handoff-ring
-/// replay landing after the session already migrated away says where
-/// the flow landed *then*, not now, and must never vote the session
-/// back — it just forwards to the current owner.
-fn steer_or_migrate(
-    shared: &Shared<'_>,
-    h: &ProbeHeader,
-    rel: Duration,
-    abs: Duration,
-    source: TimestampSource,
-    me: usize,
-    fresh: bool,
-) -> Ingest {
-    enum Decision {
-        Reject,
-        Local,
-        Handoff(usize),
-        Migrate(usize),
-    }
-    // Decide under the router lock alone; acting (shard locks, ring
-    // locks) happens after it is released — migration's shard→router
-    // nesting must never meet a router→shard path.
-    let decision = {
-        let mut router = shared.router.lock().expect("router lock");
-        match router.get_mut(&h.session) {
-            // Never opened, or reaped (open entries are removed with
-            // their route).
-            None => Decision::Reject,
-            // Routed here between our own-shard miss and now (a racing
-            // migration landed the session on this thread): retry the
-            // own shard.
-            Some(r) if r.owner == me => Decision::Local,
-            Some(r) if !fresh => Decision::Handoff(r.owner),
-            Some(r) => {
-                r.strays += 1;
-                if r.strays >= MIGRATE_STRAYS {
-                    r.strays = 0;
-                    Decision::Migrate(r.owner)
-                } else {
-                    Decision::Handoff(r.owner)
-                }
-            }
-        }
+    let mut sessions = shared.shard_for(h.session).lock().expect("shard lock");
+    let Some(state) = sessions.get_mut(&h.session) else {
+        return Ingest::Rejected;
     };
-    match decision {
-        Decision::Reject => Ingest::Rejected,
-        Decision::Local => {
-            // If the racing migration lost the state again, this
-            // matches the pre-migration reaped semantics.
-            let mut sessions = shared.shards[me].lock().expect("shard lock");
-            match sessions.get_mut(&h.session) {
-                Some(state) => ingest_into(shared, state, h, rel, source, abs),
-                None => Ingest::Rejected,
-            }
-        }
-        Decision::Handoff(owner) => steer_away(shared, owner, h, rel, abs, source),
-        Decision::Migrate(from) => migrate_and_ingest(shared, from, h, rel, abs, source, me),
-    }
-}
-
-/// Move `h.session` from `from`'s shard into `me`'s and ingest the
-/// triggering probe there, atomically under both shard locks (ordered
-/// by index, like every path that nests shard locks). The
-/// router entry is re-verified and flipped inside the critical section
-/// so control lookups and concurrent migrations always agree on where
-/// the state lives.
-fn migrate_and_ingest(
-    shared: &Shared<'_>,
-    from: usize,
-    h: &ProbeHeader,
-    rel: Duration,
-    abs: Duration,
-    source: TimestampSource,
-    me: usize,
-) -> Ingest {
-    let (a, b) = (from.min(me), from.max(me));
-    let mut lo = shared.shards[a].lock().expect("shard lock");
-    let mut hi = shared.shards[b].lock().expect("shard lock");
-    {
-        let mut router = shared.router.lock().expect("router lock");
-        match router.get_mut(&h.session) {
-            Some(r) if r.owner == from => {
-                r.owner = me;
-                r.strays = 0;
-            }
-            // Ownership moved (or the session was reaped) while we took
-            // the shard locks: replay the decision from scratch. The
-            // packet already spent its stray vote reaching here, so the
-            // retry is non-fresh — forward, don't re-vote.
-            _ => {
-                drop(router);
-                drop(hi);
-                drop(lo);
-                return steer_or_migrate(shared, h, rel, abs, source, me, false);
-            }
-        }
-    }
-    let out;
-    {
-        let (src, dst) = if from == a {
-            (&mut *lo, &mut *hi)
-        } else {
-            (&mut *hi, &mut *lo)
-        };
-        // The route said `from` while we held both locks, so the state
-        // must be there — unless the owner reaped it just before we
-        // locked, in which case the route was removed too and we cannot
-        // get here.
-        let Some(mut state) = src.remove(&h.session) else {
-            return Ingest::Rejected;
-        };
-        out = ingest_into(shared, &mut state, h, rel, source, abs);
-        dst.insert(h.session, state);
-    }
-    shared.steer_migrations.fetch_add(1, Ordering::Relaxed);
-    inc(&shared.c.steer_migrations);
-    out
-}
-
-/// Queue a wrong-thread probe on its owner's handoff ring.
-fn steer_away(
-    shared: &Shared<'_>,
-    owner: usize,
-    h: &ProbeHeader,
-    rel: Duration,
-    abs: Duration,
-    source: TimestampSource,
-) -> Ingest {
-    let msg = Handoff {
-        h: *h,
-        rel,
-        abs,
-        source,
-    };
-    if shared.enqueue_handoff(owner, msg) {
-        Ingest::Handoff
-    } else {
-        Ingest::Rejected
-    }
-}
-
-/// The tail of the probe fast path, shared by every lookup route:
-/// budget check, dedup'd accounting, per-session counters.
-fn ingest_into(
-    shared: &Shared<'_>,
-    state: &mut SessionState,
-    h: &ProbeHeader,
-    rel: Duration,
-    source: TimestampSource,
-    abs: Duration,
-) -> Ingest {
     state.last_activity = abs;
     // Per-session budget on the hot path: a sender that announced a
     // small run and then floods must not grow the maps without bound.
@@ -1891,7 +1569,6 @@ fn handle_control(
     msg: ControlMessage,
     src: SocketAddr,
     abs: Duration,
-    me: usize,
     scratch: &mut [u8; MAX_CONTROL_BYTES],
 ) {
     let cfg = shared.cfg;
@@ -1905,7 +1582,7 @@ fn handle_control(
             // admission. It never rewrites the session: the opening
             // SYN's params sized it and seeded its online estimate.
             {
-                let mut sessions = shared.shard_for(session, me).lock().expect("shard lock");
+                let mut sessions = shared.shard_for(session).lock().expect("shard lock");
                 if let Some(state) = sessions.get_mut(&session) {
                     state.last_activity = abs;
                     drop(sessions);
@@ -1937,12 +1614,9 @@ fn handle_control(
                 shared.refuse_syn(session, RejectReason::Budget, src, scratch);
                 return;
             }
-            // Claim ownership *after* admission (a refused SYN must not
-            // leave a router entry behind); concurrent SYNs for the
-            // same id resolve to one shard, so the entry-API race
-            // handling below keeps working.
-            let owner = shared.claim_owner(session, me);
-            let mut sessions = shared.shards[owner].lock().expect("shard lock");
+            // Concurrent SYNs for the same id lock the same shard, so
+            // the entry-API race handling below settles them.
+            let mut sessions = shared.shard_for(session).lock().expect("shard lock");
             match sessions.entry(session) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     // Lost a race with this same session's SYN on
@@ -1984,7 +1658,7 @@ fn handle_control(
             // A heartbeat for an unknown session is a stale retransmit
             // from a reaped session: ignoring it (no ack) lets the
             // sender's own watchdog conclude death.
-            let mut sessions = shared.shard_for(session, me).lock().expect("shard lock");
+            let mut sessions = shared.shard_for(session).lock().expect("shard lock");
             let Some(state) = sessions.get_mut(&session) else {
                 drop(sessions);
                 shared.reply_if_evicted(session, src, scratch);
@@ -2000,7 +1674,7 @@ fn handle_control(
             );
         }
         ControlMessage::Fin { session, .. } => {
-            let mut sessions = shared.shard_for(session, me).lock().expect("shard lock");
+            let mut sessions = shared.shard_for(session).lock().expect("shard lock");
             let Some(state) = sessions.get_mut(&session) else {
                 drop(sessions);
                 shared.reply_if_evicted(session, src, scratch);
@@ -2026,7 +1700,7 @@ fn handle_control(
             send_reply(shared.socket, &ack, src, scratch);
         }
         ControlMessage::ReportRequest { chunk, .. } => {
-            let mut sessions = shared.shard_for(id, me).lock().expect("shard lock");
+            let mut sessions = shared.shard_for(id).lock().expect("shard lock");
             let Some(state) = sessions.get_mut(&id) else {
                 drop(sessions);
                 shared.reply_if_evicted(id, src, scratch);
@@ -2062,8 +1736,7 @@ fn handle_control(
             let _ = shared.socket.send_to(&scratch[..n], src);
         }
         ControlMessage::ReportAck { chunk, .. } => {
-            let idx = shared.shard_index(id, me);
-            let mut sessions = shared.shards[idx].lock().expect("shard lock");
+            let mut sessions = shared.shard_for(id).lock().expect("shard lock");
             let mut stale = false;
             let complete = match sessions.get_mut(&id) {
                 Some(state) => {
@@ -2095,7 +1768,7 @@ fn handle_control(
         }
         ControlMessage::EstimateRequest { session, scope } => match scope {
             EstimateScope::Session => {
-                let mut sessions = shared.shard_for(id, me).lock().expect("shard lock");
+                let mut sessions = shared.shard_for(id).lock().expect("shard lock");
                 let Some(state) = sessions.get_mut(&id) else {
                     drop(sessions);
                     shared.reply_if_evicted(id, src, scratch);
@@ -2163,10 +1836,6 @@ mod tests {
 
     fn send_header(sock: &UdpSocket, target: SocketAddr, h: &ProbeHeader, bytes: usize) {
         sock.send_to(&h.encode(bytes), target).unwrap();
-    }
-
-    fn settle() {
-        std::thread::sleep(Duration::from_millis(120));
     }
 
     /// Fixed virtual addresses on the seeded fault net.
@@ -2723,10 +2392,12 @@ mod tests {
         assert!(tight.footprint().cells > 0, "scaled, not dropped");
     }
 
-    /// A multi-thread drain must not change what a session records
-    /// (end-to-end smoke over loopback).
+    /// Two drain threads, one sender socket: session-keyed steering
+    /// sends session 2 to thread 0 and session 1 to thread 1 although
+    /// both share one source 4-tuple, and neither session records
+    /// differently for it (end-to-end smoke over loopback).
     #[test]
-    fn multithread_server_accepts_probes() {
+    fn one_sender_socket_spreads_sessions_by_id() {
         let metrics = Arc::new(Registry::new("recv-threads-test"));
         let handle = start_server(ServerConfig {
             metrics: Some(metrics.clone()),
@@ -2736,38 +2407,30 @@ mod tests {
         .unwrap();
         let target = handle.local_addr();
         let sock = UdpSocket::bind(local0()).unwrap();
-        // Open two sessions via SYN, then interleave probes.
+        // Open two sessions via SYN, then interleave probes. Each
+        // session's SYN reaches its thread's queue ahead of its probes.
         for session in [1u32, 2] {
             let syn = ControlMessage::Syn {
                 session,
                 params: SessionParams {
-                    n_slots: 100,
-                    slot_ns: 5_000_000,
                     probe_packets: 1,
-                    packet_bytes: 64,
-                    p: 0.3,
-                    improved: true,
+                    ..params()
                 },
             };
             sock.send_to(&syn.encode(), target).unwrap();
         }
-        settle();
         for i in 0..20u64 {
             for session in [1u32, 2] {
-                let h = ProbeHeader {
-                    session,
-                    experiment: i,
-                    slot: i,
-                    seq: i,
-                    send_ns: 0,
-                    idx: 0,
-                    probe_len: 1,
-                };
-                send_header(&sock, target, &h, 64);
+                send_header(&sock, target, &probe(session, i, i, i), 64);
             }
         }
-        settle();
+        let accepted = metrics.counter("packets_accepted");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while accepted.get() < 40 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         let report = handle.stop();
+        assert_eq!(accepted.get(), 40);
         assert_eq!(report.sessions.len(), 2);
         for outcome in &report.sessions {
             assert_eq!(
@@ -2776,11 +2439,14 @@ mod tests {
                 outcome.session
             );
         }
-        assert_eq!(metrics.counter("packets_accepted").get(), 40);
         assert_eq!(metrics.counter("sessions_opened").get(), 2);
         // The drain loops flush their ring stats on exit.
         assert!(metrics.counter("recv_datagrams").get() >= 42);
         assert!(metrics.counter("recv_syscalls").get() >= 1);
+        if crate::batch_io::kernel_offload_caps().reuseport_ready() {
+            assert_eq!(report.steer_fallbacks, 0);
+            assert_eq!(report.rx_packets_per_thread, vec![20, 20]);
+        }
     }
 
     /// Counts every allocation the calling thread makes, so a test can
