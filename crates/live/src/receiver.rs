@@ -52,7 +52,7 @@
 //! One process serves **many concurrent sender sessions**: a session
 //! registry keyed by session id holds per-session accumulation state
 //! (probe table, raw-delay series for the skew fit, control-plane
-//! finalization snapshot, idle deadline, metrics). A session has one
+//! finalization snapshot, idle deadline). A session has one
 //! lifecycle: only the control-plane SYN opens it, under admission
 //! (`max_sessions` and the memory budgets — a SYN past either is
 //! refused with an explicit NACK), and it ends completed, idle-reaped,
@@ -82,7 +82,7 @@ use crate::event_loop::{epoll_ready, PollWaker, Poller, Wait};
 use crate::provider::{Clock, Provider, RecvBatch, Socket, TimestampSource};
 use crate::session_table::{Footprint, RawDelay, SessionTable};
 use badabing_core::estimator::Estimates;
-use badabing_metrics::{Counter, Registry};
+use badabing_metrics::{Counter, Histogram, Registry};
 use badabing_stats::DelaySketch;
 use badabing_wire::control::{
     chunk_count, chunk_window, encode_report_chunk_into, ControlMessage, DelaySummary,
@@ -92,7 +92,7 @@ use badabing_wire::control::{
 use badabing_wire::ProbeHeader;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -109,9 +109,12 @@ pub struct ServerConfig {
     /// this long is finalized and reaped. `None` keeps idle sessions
     /// forever.
     pub idle_timeout: Option<Duration>,
-    /// Run counters and delay histograms, if observability is wanted.
-    /// Per-session instruments are published under a `session_<id>_`
-    /// prefix alongside the server-wide ones.
+    /// The registry every server tally counts into: run counters, the
+    /// `qdelay_secs` histogram and the `fleet_*` gauges. `None` gives
+    /// the server a private one; [`ServerReport`]'s tallies are read
+    /// from it at stop either way. A registry passed to two servers
+    /// sums their counters, and each report reads the sums. Per-session
+    /// counts live in each session's [`ReceiverLog`], not here.
     pub metrics: Option<Arc<Registry>>,
     /// The I/O backend everything binds through: real UDP on an
     /// [`crate::batch_io::IoMode`] ([`Provider::Udp`], batched syscalls
@@ -143,8 +146,8 @@ pub struct ServerConfig {
     pub on_pressure: PressurePolicy,
     /// Periodically merge every live session's online estimator
     /// counters and delay sketch into fleet-wide metrics gauges
-    /// (`fleet_*`). `None` disables the snapshots; they also require
-    /// [`ServerConfig::metrics`] to be set to have anywhere to land.
+    /// (`fleet_*`) in the server's registry. `None` disables the
+    /// snapshots.
     pub estimate_interval: Option<Duration>,
 }
 
@@ -190,9 +193,9 @@ pub fn projected_session_bytes(params: &SessionParams, session_budget: usize) ->
 
 impl ServerConfig {
     /// A server on `bind` admitting any session that opens with a SYN,
-    /// up to `max_sessions`: no idle watchdog, no metrics, batched I/O
-    /// on a single drain thread, and the default per-session budget
-    /// with no global ceiling.
+    /// up to `max_sessions`: no idle watchdog, a private registry,
+    /// batched I/O on a single drain thread, and the default
+    /// per-session budget with no global ceiling.
     pub fn any(bind: SocketAddr, max_sessions: usize) -> Self {
         Self {
             bind,
@@ -496,8 +499,6 @@ struct SessionState {
     /// memory tally ([`Shared::settle_mem`]); released when the session
     /// leaves the registry.
     accounted_bytes: usize,
-    m_packets: Option<Arc<Counter>>,
-    m_duplicates: Option<Arc<Counter>>,
 }
 
 impl SessionState {
@@ -510,13 +511,7 @@ impl SessionState {
     /// The online estimator's slot width is seeded from the same
     /// expression the report-side fold uses, so the FIN differential is
     /// bit-exact.
-    fn new(
-        session: u32,
-        params: SessionParams,
-        session_budget: usize,
-        metrics: Option<&Registry>,
-        now: Duration,
-    ) -> Self {
+    fn new(params: SessionParams, session_budget: usize, now: Duration) -> Self {
         let mut want = Self::desired(&params);
         // Scale the reservation down to the per-session budget: a SYN
         // may promise any run size, the receiver only pays up to the
@@ -525,7 +520,6 @@ impl SessionState {
         if bytes > session_budget {
             want = want.scaled(session_budget, bytes);
         }
-        let scope = metrics.map(|m| m.scope(format!("session_{session}")));
         Self {
             raw_delays: Vec::with_capacity(want.raw),
             table: SessionTable::dense(want.cells, want.seqs),
@@ -541,8 +535,6 @@ impl SessionState {
             },
             delay_sketch: DelaySketch::new(),
             accounted_bytes: 0,
-            m_packets: scope.as_ref().map(|s| s.counter("packets_accepted")),
-            m_duplicates: scope.as_ref().map(|s| s.counter("duplicates")),
         }
     }
 
@@ -643,7 +635,8 @@ impl SessionState {
     /// raw delays into queueing delays (§7): a running minimum would
     /// bias early records upward, and min-subtraction alone would let
     /// clock skew masquerade as queueing delay on long runs.
-    fn finalize(&mut self, rejected: u64, metrics: Option<&Registry>) -> &Finalized {
+    /// Every queueing delay lands in `qdelay` on the way.
+    fn finalize(&mut self, rejected: u64, qdelay: &Histogram) -> &Finalized {
         if self.finalized.is_none() {
             let points: Vec<(f64, f64)> = self
                 .raw_delays
@@ -654,10 +647,7 @@ impl SessionState {
                 offset: 0.0,
                 slope: 0.0,
             });
-            let qdelay_hist = metrics.map(|m| m.histogram("qdelay_secs"));
-            let records = self
-                .table
-                .finish(&self.raw_delays, &baseline, qdelay_hist.as_deref());
+            let records = self.table.finish(&self.raw_delays, &baseline, qdelay);
             self.finalized = Some(Finalized {
                 records,
                 summary: ReportSummary {
@@ -676,9 +666,9 @@ impl SessionState {
         session: u32,
         end: SessionEnd,
         rejected: u64,
-        metrics: Option<&Registry>,
+        qdelay: &Histogram,
     ) -> SessionOutcome {
-        self.finalize(rejected, metrics);
+        self.finalize(rejected, qdelay);
         let f = self.finalized.expect("just finalized");
         let log = ReceiverLog {
             handshake: Some(self.handshake),
@@ -722,6 +712,10 @@ pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let clock = cfg.provider.clock();
     let serve_clock = clock.clone();
     let t0 = clock.now();
+    let metrics = cfg
+        .metrics
+        .clone()
+        .unwrap_or_else(|| Arc::new(Registry::new("badabing_recv")));
 
     // Pre-register the serve thread so a virtual net cannot advance
     // time (and let the sender's handshake retries expire) before the
@@ -734,6 +728,7 @@ pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
             serve_loop(
                 &sockets,
                 &cfg,
+                &metrics,
                 &serve_clock,
                 t0,
                 &stop_flag,
@@ -752,72 +747,66 @@ pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-fn inc(c: &Option<Arc<Counter>>) {
-    if let Some(c) = c {
-        c.inc();
-    }
-}
-
-/// Batch-friendly counter bump: one atomic add for a whole batch.
-fn add(c: &Option<Arc<Counter>>, n: u64) {
-    if let Some(c) = c {
-        if n > 0 {
-            c.add(n);
-        }
-    }
-}
-
-/// Server-wide instruments, shared by every drain thread.
+/// Server-wide instruments, shared by every drain thread: every server
+/// tally counts here once, and [`ServerReport`] reads them at stop.
 struct ServeCounters {
-    packets: Option<Arc<Counter>>,
-    rejected: Option<Arc<Counter>>,
-    dup: Option<Arc<Counter>>,
-    ctrl: Option<Arc<Counter>>,
-    opened: Option<Arc<Counter>>,
-    completed: Option<Arc<Counter>>,
-    idle_reaped: Option<Arc<Counter>>,
-    syn_rejected: Option<Arc<Counter>>,
-    stale: Option<Arc<Counter>>,
-    truncated: Option<Arc<Counter>>,
-    recv_syscalls: Option<Arc<Counter>>,
-    recv_datagrams: Option<Arc<Counter>>,
-    evicted: Option<Arc<Counter>>,
-    budget_rejected: Option<Arc<Counter>>,
-    chunk_nacks: Option<Arc<Counter>>,
-    over_budget: Option<Arc<Counter>>,
-    gro_split: Option<Arc<Counter>>,
-    cmsg_errors: Option<Arc<Counter>>,
-    ts_kernel: Option<Arc<Counter>>,
-    ts_user: Option<Arc<Counter>>,
-    reuseport_sockets: Option<Arc<Counter>>,
-    steer_fallback: Option<Arc<Counter>>,
+    packets: Arc<Counter>,
+    rejected: Arc<Counter>,
+    dup: Arc<Counter>,
+    ctrl: Arc<Counter>,
+    opened: Arc<Counter>,
+    completed: Arc<Counter>,
+    idle_reaped: Arc<Counter>,
+    syn_rejected: Arc<Counter>,
+    stale: Arc<Counter>,
+    truncated: Arc<Counter>,
+    recv_syscalls: Arc<Counter>,
+    recv_datagrams: Arc<Counter>,
+    evicted: Arc<Counter>,
+    budget_rejected: Arc<Counter>,
+    chunk_nacks: Arc<Counter>,
+    over_budget: Arc<Counter>,
+    gro_split: Arc<Counter>,
+    cmsg_errors: Arc<Counter>,
+    ts_kernel: Arc<Counter>,
+    ts_user: Arc<Counter>,
+    reuseport_sockets: Arc<Counter>,
+    steer_fallback: Arc<Counter>,
+    /// Probes accepted per drain thread (`rx_packets_thread_<t>`).
+    rx_thread: Vec<Arc<Counter>>,
+    /// Every finalized session's queueing delays.
+    qdelay: Arc<Histogram>,
 }
 
 impl ServeCounters {
-    fn new(metrics: Option<&Registry>) -> Self {
+    fn new(m: &Registry, nthreads: usize) -> Self {
         Self {
-            packets: metrics.map(|m| m.counter("packets_accepted")),
-            rejected: metrics.map(|m| m.counter("datagrams_rejected")),
-            dup: metrics.map(|m| m.counter("duplicates")),
-            ctrl: metrics.map(|m| m.counter("control_messages")),
-            opened: metrics.map(|m| m.counter("sessions_opened")),
-            completed: metrics.map(|m| m.counter("sessions_completed")),
-            idle_reaped: metrics.map(|m| m.counter("sessions_idle_reaped")),
-            syn_rejected: metrics.map(|m| m.counter("syns_rejected")),
-            stale: metrics.map(|m| m.counter("control_stale")),
-            truncated: metrics.map(|m| m.counter("packets_truncated")),
-            recv_syscalls: metrics.map(|m| m.counter("recv_syscalls")),
-            recv_datagrams: metrics.map(|m| m.counter("recv_datagrams")),
-            evicted: metrics.map(|m| m.counter("sessions_evicted")),
-            budget_rejected: metrics.map(|m| m.counter("syns_budget_rejected")),
-            chunk_nacks: metrics.map(|m| m.counter("report_chunk_nacks")),
-            over_budget: metrics.map(|m| m.counter("probes_dropped_over_budget")),
-            gro_split: metrics.map(|m| m.counter("gro_segments_split")),
-            cmsg_errors: metrics.map(|m| m.counter("cmsg_decode_errors")),
-            ts_kernel: metrics.map(|m| m.counter("rx_timestamp_kernel")),
-            ts_user: metrics.map(|m| m.counter("rx_timestamp_user_fallback")),
-            reuseport_sockets: metrics.map(|m| m.counter("reuseport_sockets")),
-            steer_fallback: metrics.map(|m| m.counter("steer_fallback")),
+            packets: m.counter("packets_accepted"),
+            rejected: m.counter("datagrams_rejected"),
+            dup: m.counter("duplicates"),
+            ctrl: m.counter("control_messages"),
+            opened: m.counter("sessions_opened"),
+            completed: m.counter("sessions_completed"),
+            idle_reaped: m.counter("sessions_idle_reaped"),
+            syn_rejected: m.counter("syns_rejected"),
+            stale: m.counter("control_stale"),
+            truncated: m.counter("packets_truncated"),
+            recv_syscalls: m.counter("recv_syscalls"),
+            recv_datagrams: m.counter("recv_datagrams"),
+            evicted: m.counter("sessions_evicted"),
+            budget_rejected: m.counter("syns_budget_rejected"),
+            chunk_nacks: m.counter("report_chunk_nacks"),
+            over_budget: m.counter("probes_dropped_over_budget"),
+            gro_split: m.counter("gro_segments_split"),
+            cmsg_errors: m.counter("cmsg_decode_errors"),
+            ts_kernel: m.counter("rx_timestamp_kernel"),
+            ts_user: m.counter("rx_timestamp_user_fallback"),
+            reuseport_sockets: m.counter("reuseport_sockets"),
+            steer_fallback: m.counter("steer_fallback"),
+            rx_thread: (0..nthreads)
+                .map(|t| m.counter(&format!("rx_packets_thread_{t}")))
+                .collect(),
+            qdelay: m.histogram("qdelay_secs"),
         }
     }
 }
@@ -842,9 +831,11 @@ type Shard = HashMap<u32, SessionState>;
 /// Everything the drain threads share. Thread `t` owns `sockets[t]`,
 /// `wakers[t]` and `shards[t]`: steering delivers it only its own
 /// sessions, so its probe fast path locks only its own (uncontended)
-/// shard. Global tallies are atomics bumped once per batch.
+/// shard. Global tallies are counters in `c`, bumped once per batch.
 struct Shared<'a> {
     cfg: &'a ServerConfig,
+    /// The registry `c` counts into; the fleet gauges land here too.
+    metrics: &'a Registry,
     /// One socket per drain thread: a plain socket for one thread, an
     /// `SO_REUSEPORT` group member (virtual lane) each for more.
     sockets: &'a [Socket],
@@ -856,23 +847,12 @@ struct Shared<'a> {
     /// relative to it so the time base matches the old `Instant` anchor.
     t0: Duration,
     shards: Vec<Mutex<Shard>>,
-    /// Probes accepted per drain thread.
-    rx_thread_packets: Vec<AtomicU64>,
     /// Set on session open/finalize/close so the watchdog re-arms its
     /// sweep deadline instead of sleeping out a stale one.
     sweep_dirty: AtomicBool,
     /// Open sessions across all shards (registry admission cap).
     active: AtomicUsize,
     outcomes: Mutex<Vec<SessionOutcome>>,
-    rejected: AtomicU64,
-    syns_rejected: AtomicU64,
-    budget_rejects: AtomicU64,
-    sessions_evicted: AtomicU64,
-    chunk_nacks: AtomicU64,
-    gro_segments_split: AtomicU64,
-    cmsg_decode_errors: AtomicU64,
-    rx_timestamp_kernel: AtomicU64,
-    rx_timestamp_user: AtomicU64,
     /// Capacity-based bytes currently settled across open sessions.
     mem_used: AtomicUsize,
     /// High-water mark of `mem_used`.
@@ -888,10 +868,6 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    fn metrics(&self) -> Option<&Registry> {
-        self.cfg.metrics.as_deref()
-    }
-
     fn wake_all(&self) {
         for w in self.wakers {
             w.wake();
@@ -938,8 +914,7 @@ impl Shared<'_> {
     fn end_session(&self, id: u32, state: SessionState, end: SessionEnd) {
         self.mem_used
             .fetch_sub(state.accounted_bytes, Ordering::Relaxed);
-        let rejected = self.rejected.load(Ordering::Relaxed);
-        let outcome = state.into_outcome(id, end, rejected, self.metrics());
+        let outcome = state.into_outcome(id, end, self.c.rejected.get(), &self.c.qdelay);
         self.outcomes.lock().expect("outcomes lock").push(outcome);
         self.active.fetch_sub(1, Ordering::Relaxed);
         self.mark_sweep_dirty();
@@ -1020,8 +995,7 @@ impl Shared<'_> {
         };
         drop(sessions);
         self.tombstone(id);
-        self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
-        inc(&self.c.evicted);
+        self.c.evicted.inc();
         self.end_session(id, state, SessionEnd::Evicted);
         true
     }
@@ -1095,8 +1069,7 @@ impl Shared<'_> {
         src: SocketAddr,
         scratch: &mut [u8; MAX_CONTROL_BYTES],
     ) {
-        self.syns_rejected.fetch_add(1, Ordering::Relaxed);
-        inc(&self.c.syn_rejected);
+        self.c.syn_rejected.inc();
         let nack = ControlMessage::SynNack { session, reason };
         send_reply(self.socket, &nack, src, scratch);
     }
@@ -1106,6 +1079,7 @@ impl Shared<'_> {
 fn serve_loop(
     sockets: &[Socket],
     cfg: &ServerConfig,
+    metrics: &Registry,
     clock: &Clock,
     t0: Duration,
     stop: &AtomicBool,
@@ -1116,37 +1090,29 @@ fn serve_loop(
     let nthreads = sockets.len();
     let shared = Shared {
         cfg,
+        metrics,
         sockets,
         socket: &sockets[0],
         clock,
         t0,
         shards: (0..nthreads).map(|_| Mutex::new(HashMap::new())).collect(),
-        rx_thread_packets: (0..nthreads).map(|_| AtomicU64::new(0)).collect(),
         sweep_dirty: AtomicBool::new(false),
         active: AtomicUsize::new(0),
         outcomes: Mutex::new(Vec::new()),
-        rejected: AtomicU64::new(0),
-        syns_rejected: AtomicU64::new(0),
-        budget_rejects: AtomicU64::new(0),
-        sessions_evicted: AtomicU64::new(0),
-        chunk_nacks: AtomicU64::new(0),
-        gro_segments_split: AtomicU64::new(0),
-        cmsg_decode_errors: AtomicU64::new(0),
-        rx_timestamp_kernel: AtomicU64::new(0),
-        rx_timestamp_user: AtomicU64::new(0),
         mem_used: AtomicUsize::new(0),
         mem_peak: AtomicUsize::new(0),
         tombstones: Mutex::new(Tombstones::default()),
         done: AtomicBool::new(false),
         stop,
         wakers,
-        c: ServeCounters::new(cfg.metrics.as_deref()),
+        c: ServeCounters::new(metrics, nthreads),
     };
     if steer_fallback {
-        inc(&shared.c.steer_fallback);
+        shared.c.steer_fallback.inc();
     }
-    let reuseport_sockets = if nthreads > 1 { nthreads as u64 } else { 0 };
-    add(&shared.c.reuseport_sockets, reuseport_sockets);
+    if nthreads > 1 {
+        shared.c.reuseport_sockets.add(nthreads as u64);
+    }
 
     // One poller per thread over that thread's own socket, so a
     // datagram wakes exactly its owner. If the epoll backend cannot
@@ -1186,24 +1152,14 @@ fn serve_loop(
         });
     });
 
-    let metrics = cfg.metrics.as_deref();
     let Shared {
         shards,
         outcomes,
-        rejected,
-        syns_rejected,
-        budget_rejects,
-        sessions_evicted,
-        chunk_nacks,
-        gro_segments_split,
-        cmsg_decode_errors,
-        rx_timestamp_kernel,
-        rx_timestamp_user,
         mem_peak,
-        rx_thread_packets,
+        c,
         ..
     } = shared;
-    let rejected = rejected.into_inner();
+    let rejected = c.rejected.get();
     let mut outcomes = outcomes.into_inner().expect("outcomes lock");
     // Anything still open when the loop ends is finalized as stopped,
     // in id order for determinism.
@@ -1213,27 +1169,24 @@ fn serve_loop(
         .collect();
     open.sort_by_key(|&(id, _)| id);
     for (id, state) in open {
-        outcomes.push(state.into_outcome(id, SessionEnd::Stopped, rejected, metrics));
+        outcomes.push(state.into_outcome(id, SessionEnd::Stopped, rejected, &c.qdelay));
     }
 
     ServerReport {
         sessions: outcomes,
         rejected,
-        syns_rejected: syns_rejected.into_inner(),
-        budget_rejects: budget_rejects.into_inner(),
-        sessions_evicted: sessions_evicted.into_inner(),
-        chunk_nacks: chunk_nacks.into_inner(),
+        syns_rejected: c.syn_rejected.get(),
+        budget_rejects: c.budget_rejected.get(),
+        sessions_evicted: c.evicted.get(),
+        chunk_nacks: c.chunk_nacks.get(),
         mem_peak_bytes: mem_peak.into_inner(),
-        gro_segments_split: gro_segments_split.into_inner(),
-        cmsg_decode_errors: cmsg_decode_errors.into_inner(),
-        rx_timestamp_kernel: rx_timestamp_kernel.into_inner(),
-        rx_timestamp_user_fallback: rx_timestamp_user.into_inner(),
-        reuseport_sockets,
-        steer_fallbacks: u64::from(steer_fallback),
-        rx_packets_per_thread: rx_thread_packets
-            .into_iter()
-            .map(AtomicU64::into_inner)
-            .collect(),
+        gro_segments_split: c.gro_split.get(),
+        cmsg_decode_errors: c.cmsg_errors.get(),
+        rx_timestamp_kernel: c.ts_kernel.get(),
+        rx_timestamp_user_fallback: c.ts_user.get(),
+        reuseport_sockets: c.reuseport_sockets.get(),
+        steer_fallbacks: c.steer_fallback.get(),
+        rx_packets_per_thread: c.rx_thread.iter().map(|t| t.get()).collect(),
     }
 }
 
@@ -1250,7 +1203,7 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize, run_watchdog: boo
     let mut next_estimate: Option<Duration> = None;
     let socket = &shared.sockets[me];
     let waker = &shared.wakers[me];
-    let mut accepted_here = 0u64;
+    let rx_here = &shared.c.rx_thread[me];
     while !shared.stop.load(Ordering::Relaxed) && !shared.done.load(Ordering::Relaxed) {
         if run_watchdog {
             maybe_sweep(shared, &mut next_sweep);
@@ -1307,23 +1260,17 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize, run_watchdog: boo
         // byte-identical). The fallback path's batches are single
         // datagrams, so it degenerates to the old per-datagram stamping.
         let batch_abs = shared.clock.now();
-        accepted_here += process_batch(shared, &ring, n, batch_abs, &mut scratch);
+        let accepted = process_batch(shared, &ring, n, batch_abs, &mut scratch);
+        if accepted > 0 {
+            rx_here.add(accepted);
+        }
     }
-    shared.rx_thread_packets[me].store(accepted_here, Ordering::Relaxed);
-    if let Some(m) = shared.metrics() {
-        m.counter(&format!("rx_packets_thread_{me}"))
-            .add(accepted_here);
-    }
-    add(&shared.c.recv_syscalls, ring.syscalls());
-    add(&shared.c.recv_datagrams, ring.datagrams());
-    add(&shared.c.gro_split, ring.gro_segments_split());
-    add(&shared.c.cmsg_errors, ring.cmsg_decode_errors());
-    shared
-        .gro_segments_split
-        .fetch_add(ring.gro_segments_split(), Ordering::Relaxed);
-    shared
-        .cmsg_decode_errors
-        .fetch_add(ring.cmsg_decode_errors(), Ordering::Relaxed);
+    // The ring's own totals land once, at exit.
+    let c = &shared.c;
+    c.recv_syscalls.add(ring.syscalls());
+    c.recv_datagrams.add(ring.datagrams());
+    c.gro_split.add(ring.gro_segments_split());
+    c.cmsg_errors.add(ring.cmsg_decode_errors());
 }
 
 /// The deadline-scheduled watchdog. Reaps sessions idle past the
@@ -1365,7 +1312,7 @@ fn maybe_sweep(shared: &Shared<'_>, next_sweep: &mut Option<Duration>) {
             for id in expired {
                 let state = sessions.remove(&id).expect("expired session present");
                 shared.end_session(id, state, SessionEnd::IdleTimeout);
-                inc(&shared.c.idle_reaped);
+                shared.c.idle_reaped.inc();
             }
         }
         for state in sessions.values_mut() {
@@ -1401,9 +1348,7 @@ fn maybe_estimate(shared: &Shared<'_>, next: &mut Option<Duration>) {
     let Some(interval) = shared.cfg.estimate_interval else {
         return;
     };
-    let Some(metrics) = shared.metrics() else {
-        return;
-    };
+    let metrics = shared.metrics;
     let now = shared.clock.now();
     if let Some(due) = *next {
         if now < due {
@@ -1495,25 +1440,19 @@ fn process_batch(
             rejected += 1;
         }
     }
-    add(&shared.c.packets, accepted);
-    add(&shared.c.dup, duplicates);
-    add(&shared.c.truncated, truncated);
-    add(&shared.c.over_budget, over_budget);
-    add(&shared.c.ts_kernel, ts_kernel);
-    add(&shared.c.ts_user, ts_user);
-    if ts_kernel > 0 {
-        shared
-            .rx_timestamp_kernel
-            .fetch_add(ts_kernel, Ordering::Relaxed);
-    }
-    if ts_user > 0 {
-        shared
-            .rx_timestamp_user
-            .fetch_add(ts_user, Ordering::Relaxed);
-    }
-    if rejected > 0 {
-        shared.rejected.fetch_add(rejected, Ordering::Relaxed);
-        add(&shared.c.rejected, rejected);
+    let c = &shared.c;
+    for (counter, n) in [
+        (&c.packets, accepted),
+        (&c.dup, duplicates),
+        (&c.truncated, truncated),
+        (&c.over_budget, over_budget),
+        (&c.ts_kernel, ts_kernel),
+        (&c.ts_user, ts_user),
+        (&c.rejected, rejected),
+    ] {
+        if n > 0 {
+            counter.add(n);
+        }
     }
     accepted
 }
@@ -1543,10 +1482,8 @@ fn ingest_probe(
         return Ingest::OverBudget;
     }
     if state.ingest(h, rel, source) {
-        inc(&state.m_packets);
         Ingest::Accepted
     } else {
-        inc(&state.m_duplicates);
         Ingest::Duplicate
     }
 }
@@ -1572,7 +1509,7 @@ fn handle_control(
     scratch: &mut [u8; MAX_CONTROL_BYTES],
 ) {
     let cfg = shared.cfg;
-    inc(&shared.c.ctrl);
+    shared.c.ctrl.inc();
     let id = msg.session();
     match msg {
         ControlMessage::Syn { session, params } => {
@@ -1609,8 +1546,7 @@ fn handle_control(
             }
             if !shared.try_charge(projected) {
                 shared.active.fetch_sub(1, Ordering::Relaxed);
-                shared.budget_rejects.fetch_add(1, Ordering::Relaxed);
-                inc(&shared.c.budget_rejected);
+                shared.c.budget_rejected.inc();
                 shared.refuse_syn(session, RejectReason::Budget, src, scratch);
                 return;
             }
@@ -1627,17 +1563,11 @@ fn handle_control(
                     e.get_mut().last_activity = abs;
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    inc(&shared.c.opened);
+                    shared.c.opened.inc();
                     // The SYN announces the run size: the session is
                     // pre-sized from it, so the hot path never
                     // reallocates mid-run.
-                    let state = e.insert(SessionState::new(
-                        session,
-                        params,
-                        cfg.session_budget_bytes,
-                        shared.metrics(),
-                        abs,
-                    ));
+                    let state = e.insert(SessionState::new(params, cfg.session_budget_bytes, abs));
                     // The admission charge holds `projected`; settle to
                     // the actual capacity-based figure.
                     state.accounted_bytes = projected;
@@ -1662,7 +1592,7 @@ fn handle_control(
             let Some(state) = sessions.get_mut(&session) else {
                 drop(sessions);
                 shared.reply_if_evicted(session, src, scratch);
-                inc(&shared.c.stale);
+                shared.c.stale.inc();
                 return;
             };
             state.last_activity = abs;
@@ -1678,14 +1608,13 @@ fn handle_control(
             let Some(state) = sessions.get_mut(&session) else {
                 drop(sessions);
                 shared.reply_if_evicted(session, src, scratch);
-                inc(&shared.c.stale);
+                shared.c.stale.inc();
                 return;
             };
             state.last_activity = abs;
             // Finalize once; FIN retransmits re-serve the same
             // snapshot so retrieval is idempotent.
-            let rejected = shared.rejected.load(Ordering::Relaxed);
-            let finalized = state.finalize(rejected, shared.metrics());
+            let finalized = state.finalize(shared.c.rejected.get(), &shared.c.qdelay);
             let ack = ControlMessage::FinAck {
                 session,
                 total_chunks: finalized.total_chunks(),
@@ -1704,7 +1633,7 @@ fn handle_control(
             let Some(state) = sessions.get_mut(&id) else {
                 drop(sessions);
                 shared.reply_if_evicted(id, src, scratch);
-                inc(&shared.c.stale);
+                shared.c.stale.inc();
                 return;
             };
             state.last_activity = abs;
@@ -1722,13 +1651,11 @@ fn handle_control(
                     (f.total_chunks(), chunk_window(&f.records, chunk))
                 }
                 Some(f) => {
-                    shared.chunk_nacks.fetch_add(1, Ordering::Relaxed);
-                    inc(&shared.c.chunk_nacks);
+                    shared.c.chunk_nacks.inc();
                     (f.total_chunks(), &[][..])
                 }
                 None => {
-                    shared.chunk_nacks.fetch_add(1, Ordering::Relaxed);
-                    inc(&shared.c.chunk_nacks);
+                    shared.c.chunk_nacks.inc();
                     (0, &[][..])
                 }
             };
@@ -1759,11 +1686,11 @@ fn handle_control(
                 let state = sessions.remove(&id).expect("completed session present");
                 drop(sessions);
                 shared.end_session(id, state, SessionEnd::Completed);
-                inc(&shared.c.completed);
+                shared.c.completed.inc();
             } else if stale {
                 drop(sessions);
                 shared.reply_if_evicted(id, src, scratch);
-                inc(&shared.c.stale);
+                shared.c.stale.inc();
             }
         }
         ControlMessage::EstimateRequest { session, scope } => match scope {
@@ -1772,7 +1699,7 @@ fn handle_control(
                 let Some(state) = sessions.get_mut(&id) else {
                     drop(sessions);
                     shared.reply_if_evicted(id, src, scratch);
-                    inc(&shared.c.stale);
+                    shared.c.stale.inc();
                     return;
                 };
                 state.last_activity = abs;
@@ -2023,18 +1950,15 @@ mod tests {
         assert_eq!(report.log_for(3).unwrap().arrivals[&(8, 2)].received, 3);
     }
 
-    #[test]
-    fn duplicates_are_counted_but_never_inflate_arrivals() {
-        let metrics = Arc::new(Registry::new("recv-dup-test"));
-        let rig = rig(6, |c| ServerConfig {
-            metrics: Some(metrics.clone()),
-            ..c
-        });
+    /// A 3-packet probe that loses packet idx 2 but has idx 0
+    /// duplicated three times, on a fresh seed-6 rig counting into
+    /// `metrics`.
+    fn duplicate_run(metrics: Option<Arc<Registry>>) -> ServerReport {
+        let rig = rig(6, |c| ServerConfig { metrics, ..c });
         rig.open(6);
-        // A 3-packet probe that loses packet idx 2 but has idx 0
-        // duplicated three times: without dedup the count would read 4
-        // (debug-overflow territory on a u8 under longer floods) and the
-        // lost packet would be masked.
+        // Without dedup the count would read 4 (debug-overflow
+        // territory on a u8 under longer floods) and the lost packet
+        // would be masked.
         for (seq, idx) in [(0u64, 0u8), (0, 0), (0, 0), (0, 0), (1, 1)] {
             let h = ProbeHeader {
                 idx,
@@ -2043,7 +1967,37 @@ mod tests {
             };
             rig.send(&h, 64);
         }
-        let report = rig.finish();
+        rig.finish()
+    }
+
+    /// Every [`ServerReport`] tally, by the registry counter it is read
+    /// from.
+    fn tallies(r: &ServerReport) -> Vec<(String, u64)> {
+        let named = [
+            ("datagrams_rejected", r.rejected),
+            ("syns_rejected", r.syns_rejected),
+            ("syns_budget_rejected", r.budget_rejects),
+            ("sessions_evicted", r.sessions_evicted),
+            ("report_chunk_nacks", r.chunk_nacks),
+            ("gro_segments_split", r.gro_segments_split),
+            ("cmsg_decode_errors", r.cmsg_decode_errors),
+            ("rx_timestamp_kernel", r.rx_timestamp_kernel),
+            ("rx_timestamp_user_fallback", r.rx_timestamp_user_fallback),
+            ("reuseport_sockets", r.reuseport_sockets),
+            ("steer_fallback", r.steer_fallbacks),
+        ];
+        let threads = r.rx_packets_per_thread.iter().enumerate();
+        named
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), v))
+            .chain(threads.map(|(t, &v)| (format!("rx_packets_thread_{t}"), v)))
+            .collect()
+    }
+
+    #[test]
+    fn duplicates_are_counted_but_never_inflate_arrivals() {
+        let metrics = Arc::new(Registry::new("recv-dup-test"));
+        let report = duplicate_run(Some(metrics.clone()));
         let log = report.log_for(6).unwrap();
         let rec = log.arrivals[&(4, 9)];
         assert_eq!(rec.received, 2, "one packet genuinely lost");
@@ -2051,9 +2005,50 @@ mod tests {
         assert_eq!(log.packets, 2);
         assert_eq!(log.duplicates, 3);
         assert_eq!(metrics.counter("duplicates").get(), 3);
-        // Per-session instruments ride alongside the server-wide ones.
-        assert_eq!(metrics.counter("session_6_duplicates").get(), 3);
-        assert_eq!(metrics.counter("session_6_packets_accepted").get(), 2);
+        // One store: a private registry yields the same tallies, and
+        // each tally is its named counter.
+        let private = duplicate_run(None);
+        assert_eq!(tallies(&private), tallies(&report));
+        assert_eq!(report.rx_packets_per_thread, [2]);
+        for (name, value) in tallies(&report) {
+            assert_eq!(metrics.counter(&name).get(), value, "{name}");
+        }
+    }
+
+    /// Finished sessions leave nothing behind in the registry: its
+    /// names after one completed session are its names after 21.
+    #[test]
+    fn completed_sessions_add_no_registry_entries() {
+        let metrics = Arc::new(Registry::new("recv-leak-test"));
+        let rig = rig(9, |c| ServerConfig {
+            metrics: Some(metrics.clone()),
+            ..c
+        });
+        let names = || -> BTreeSet<String> {
+            let snapshot = metrics.snapshot();
+            ["counters", "gauges", "histograms"]
+                .into_iter()
+                .filter_map(|kind| match snapshot.get(kind) {
+                    Some(badabing_metrics::json::Value::Obj(fields)) => Some(fields.clone()),
+                    _ => None,
+                })
+                .flatten()
+                .map(|(name, _)| name)
+                .collect()
+        };
+        let complete = |session: u32| {
+            rig.open(session);
+            rig.send(&probe(session, 0, 0, 0), 64);
+            rig.client.fetch_report(session, 1, 1).unwrap();
+        };
+        complete(1);
+        let after_one = names();
+        for session in 2..=21 {
+            complete(session);
+        }
+        assert_eq!(names(), after_one);
+        let report = rig.finish();
+        assert_eq!(report.sessions.len(), 21);
     }
 
     #[test]
@@ -2228,13 +2223,7 @@ mod tests {
             ..params()
         };
         let ingest_in_chunks = |chunk: usize| -> SessionState {
-            let mut state = SessionState::new(
-                11,
-                params,
-                DEFAULT_SESSION_BUDGET_BYTES,
-                None,
-                Duration::ZERO,
-            );
+            let mut state = SessionState::new(params, DEFAULT_SESSION_BUDGET_BYTES, Duration::ZERO);
             for batch in arrivals.chunks(chunk) {
                 for (h, now, source) in batch {
                     state.ingest(h, *now, *source);
@@ -2251,7 +2240,7 @@ mod tests {
         // to 64 segments surface from one slot, plus the short tail).
         let mut gro = ingest_in_chunks(65);
 
-        let fs = single.finalize(3, None);
+        let fs = single.finalize(3, &Histogram::latency());
         let single_records = fs.records.clone();
         let single_total = fs.total_chunks();
         let single_summary = fs.summary;
@@ -2267,7 +2256,7 @@ mod tests {
         let mut buf_a = [0u8; MAX_CONTROL_BYTES];
         let mut buf_b = [0u8; MAX_CONTROL_BYTES];
         for (label, other) in [("batched", &mut batched), ("gro", &mut gro)] {
-            let fb = other.finalize(3, None);
+            let fb = other.finalize(3, &Histogram::latency());
             assert_eq!(fb.records, single_records, "{label} records differ");
             assert_eq!(fb.total_chunks(), single_total);
             assert_eq!(fb.summary, single_summary);
@@ -2308,13 +2297,7 @@ mod tests {
             p: 0.3,
             improved: true,
         };
-        let state = SessionState::new(
-            1,
-            params,
-            DEFAULT_SESSION_BUDGET_BYTES,
-            None,
-            Duration::ZERO,
-        );
+        let state = SessionState::new(params, DEFAULT_SESSION_BUDGET_BYTES, Duration::ZERO);
         // ceil(10_000 * 0.3) experiments (plus headroom) × 3 slots
         // each × 3 packets = at least 27_000 packet-level entries.
         let fp = state.footprint();
@@ -2332,13 +2315,7 @@ mod tests {
             p: 1.0,
             ..params
         };
-        let state = SessionState::new(
-            2,
-            hostile,
-            DEFAULT_SESSION_BUDGET_BYTES,
-            None,
-            Duration::ZERO,
-        );
+        let state = SessionState::new(hostile, DEFAULT_SESSION_BUDGET_BYTES, Duration::ZERO);
         assert!(state.footprint().cells < (1 << 21), "reserve cap ignored");
     }
 
@@ -2358,13 +2335,7 @@ mod tests {
             p: 1.0,
             improved: true,
         };
-        let state = SessionState::new(
-            3,
-            hostile,
-            DEFAULT_SESSION_BUDGET_BYTES,
-            None,
-            Duration::ZERO,
-        );
+        let state = SessionState::new(hostile, DEFAULT_SESSION_BUDGET_BYTES, Duration::ZERO);
         let fp = state.footprint();
         assert!(fp.seqs <= 1 << 22, "dedup reservation unbounded: {fp:?}");
         assert!(fp.raw <= 1 << 22, "raw-delay reservation unbounded: {fp:?}");
@@ -2378,7 +2349,7 @@ mod tests {
         // A tight budget scales the reservation down proportionally
         // and composes with admission's projected charge.
         let budget = 1 << 20; // 1 MiB
-        let tight = SessionState::new(4, hostile, budget, None, Duration::ZERO);
+        let tight = SessionState::new(hostile, budget, Duration::ZERO);
         let projected = SessionState::projected_bytes(&hostile, budget);
         assert!(
             projected <= budget,
@@ -2550,13 +2521,7 @@ mod tests {
         for i in (0..stream.len().saturating_sub(8)).step_by(5) {
             stream.swap(i, i + 7);
         }
-        let mut state = SessionState::new(
-            1,
-            params,
-            DEFAULT_SESSION_BUDGET_BYTES,
-            None,
-            Duration::ZERO,
-        );
+        let mut state = SessionState::new(params, DEFAULT_SESSION_BUDGET_BYTES, Duration::ZERO);
 
         let before = alloc_count::allocations();
         for (i, h) in stream.iter().enumerate() {
@@ -2797,13 +2762,13 @@ mod tests {
         stream: &[(ProbeHeader, Duration, TimestampSource)],
         fin_at: usize,
     ) -> Result<SessionState, String> {
-        let mut state = SessionState::new(1, params, budget, None, Duration::ZERO);
+        let mut state = SessionState::new(params, budget, Duration::ZERO);
         let mut model = Model::default();
         model.online.slot_secs = params.slot_ns as f64 / 1e9;
         let mut fin = None;
         for i in 0..=stream.len() {
             if i == fin_at.min(stream.len()) && fin.is_none() {
-                let f = state.finalize(2, None);
+                let f = state.finalize(2, &Histogram::latency());
                 let want_summary = ReportSummary {
                     packets: model.packets,
                     rejected: 2,

@@ -433,18 +433,17 @@ impl SessionTable {
     /// FIN: convert each raw delay into queueing delay under `baseline`
     /// (§7), keep every probe's latest and largest, and return one
     /// record per probe that accepted a packet, in (experiment, slot)
-    /// order. Call once per session.
+    /// order, recording each queueing delay in `qdelay_hist`. Call once
+    /// per session.
     pub fn finish(
         &mut self,
         raw_delays: &[RawDelay],
         baseline: &Baseline,
-        qdelay_hist: Option<&Histogram>,
+        qdelay_hist: &Histogram,
     ) -> Vec<ReportRecord> {
         for &(exp, slot, t, raw) in raw_delays {
             let q = baseline.correct(t, raw as f64 / 1e9);
-            if let Some(h) = qdelay_hist {
-                h.record_secs(q);
-            }
+            qdelay_hist.record_secs(q);
             let (p, _) = self.probe_mut(exp, slot);
             p.qdelay_last = q;
             p.qdelay_max = p.qdelay_max.max(q);
@@ -526,7 +525,7 @@ mod tests {
         assert!(t.accept(2, 0, 0, 1, true), "experiment past the range");
         assert_eq!(t.spill.probes.len(), 2);
         assert_eq!(t.cells.len(), 2, "cells materialize up to the id seen");
-        let records = t.finish(&[], &FLAT, None);
+        let records = t.finish(&[], &FLAT, &Histogram::latency());
         let keys: Vec<_> = records.iter().map(|r| (r.experiment, r.slot)).collect();
         assert_eq!(keys, [(1, 10), (1, 11), (1, 12), (1, 13), (2, 0)]);
         assert_eq!(records[3].received, 2);
@@ -561,7 +560,7 @@ mod tests {
         let mut t = SessionTable::dense(1, 2);
         t.accept(0, 0, 0, 2, true);
         t.accept(0, 0, 1, 2, true);
-        let rec = t.finish(&raw_delays, &baseline, None)[0];
+        let rec = t.finish(&raw_delays, &baseline, &Histogram::latency())[0];
         assert_eq!(rec.received, 2);
         assert!(
             (rec.qdelay_last_secs - (-1e-4)).abs() < 1e-12,
@@ -594,7 +593,7 @@ mod tests {
             (0, 5, 0.1, 1_000_000),
             (0, 6, 0.2, 3_000_000),
         ];
-        let records = t.finish(&raw, &FLAT, None);
+        let records = t.finish(&raw, &FLAT, &Histogram::latency());
         let slots: Vec<_> = records.iter().map(|r| r.slot).collect();
         assert_eq!(slots, [5, 6, 7]);
         assert_eq!(records[1].qdelay_last_secs, 0.003);

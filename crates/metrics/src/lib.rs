@@ -338,17 +338,6 @@ impl Registry {
             .clone()
     }
 
-    /// A name-prefixing view: instruments created through the returned
-    /// [`Scope`] land in this registry under `<prefix>_<name>`, so
-    /// per-entity instruments (e.g. one receiver session among many)
-    /// share a snapshot with the global ones without a second registry.
-    pub fn scope(&self, prefix: impl Into<String>) -> Scope<'_> {
-        Scope {
-            registry: self,
-            prefix: prefix.into(),
-        }
-    }
-
     /// Snapshot the registry as a JSON value.
     pub fn snapshot(&self) -> Value {
         let counters = self
@@ -410,44 +399,6 @@ impl Registry {
     }
 }
 
-/// A borrowed, name-prefixing view over a [`Registry`].
-///
-/// Created by [`Registry::scope`]. The scope itself is cheap and
-/// short-lived — the `Arc` instrument handles it hands out live in the
-/// parent registry and outlive it.
-pub struct Scope<'a> {
-    registry: &'a Registry,
-    prefix: String,
-}
-
-impl Scope<'_> {
-    fn full(&self, name: &str) -> String {
-        format!("{}_{}", self.prefix, name)
-    }
-
-    /// Get or create `<prefix>_<name>` in the parent registry.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.registry.counter(&self.full(name))
-    }
-
-    /// Get or create gauge `<prefix>_<name>`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.registry.gauge(&self.full(name))
-    }
-
-    /// Get or create histogram `<prefix>_<name>` with the default
-    /// latency bounds.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.registry.histogram(&self.full(name))
-    }
-
-    /// Get or create histogram `<prefix>_<name>` with explicit bounds
-    /// (ignored if it already exists).
-    pub fn histogram_with(&self, name: &str, bounds_secs: &[f64]) -> Arc<Histogram> {
-        self.registry.histogram_with(&self.full(name), bounds_secs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,27 +412,6 @@ mod tests {
         b.add(4);
         assert_eq!(reg.counter("packets").get(), 5);
         assert_eq!(reg.counter("other").get(), 0);
-    }
-
-    #[test]
-    fn scoped_instruments_share_the_parent_registry() {
-        let reg = Registry::new("scoped");
-        let scope = reg.scope("session_7");
-        scope.counter("packets").add(3);
-        scope.histogram("delay").record_secs(0.01);
-        // Same storage, prefixed names: visible through the parent and
-        // in its snapshot alongside unscoped instruments.
-        reg.counter("global").inc();
-        assert_eq!(reg.counter("session_7_packets").get(), 3);
-        let v = reg.snapshot();
-        let counters = v.get("counters").unwrap();
-        assert_eq!(counters.get("session_7_packets").unwrap().as_u64(), Some(3));
-        assert_eq!(counters.get("global").unwrap().as_u64(), Some(1));
-        assert!(v
-            .get("histograms")
-            .unwrap()
-            .get("session_7_delay")
-            .is_some());
     }
 
     #[test]
@@ -591,7 +521,7 @@ mod tests {
         assert_eq!(g.get(), 0.0);
         g.set(0.25);
         g.set(0.125); // non-monotonic by design
-        reg.scope("fleet").gauge("sessions").set(2048.0);
+        reg.gauge("fleet_sessions").set(2048.0);
         reg.gauge("bad").set(f64::NAN);
         let v = reg.snapshot();
         let gauges = v.get("gauges").unwrap();
