@@ -45,15 +45,18 @@
 //! combined packets/sec (received over TX busy + RX busy) beat it
 //! outright.
 //!
-//! The steering tier adds two multi-thread rows when the kernel
-//! supports `SO_REUSEPORT` (recorded as `"skipped": true` elsewhere):
-//! a group of per-thread reuseport sockets is fed from many distinct
-//! source ports — the kernel steers each flow to one member — and
-//! drained by one thread per socket through the same `BatchReceiver`
-//! loop. Rows for 1 and 4 threads record combined drained packets per
-//! second of drain wall time. The structural gates (zero drain
-//! allocations, every packet of every flow delivered through exactly
-//! the group) always hold; the ≥ [`MIN_STEER_SCALING`]× 1→4-thread
+//! The steering tier adds two multi-thread rows where the kernel
+//! supports `SO_REUSEPORT` and the session-steering program (recorded
+//! as `"skipped": true` elsewhere): the group is bound the way the
+//! receiver binds it, through [`Provider::bind_steered`], so its
+//! classic-BPF program sends every datagram of session `s` to member
+//! `s % N`. One sender socket spreads its trains over
+//! [`STEER_SESSIONS`] session ids, and one thread per member drains it
+//! through the same `BatchReceiver` loop. Rows for 1 and 4 threads
+//! record combined drained packets per second of drain wall time. The
+//! structural gates always hold: zero drain allocations, every packet
+//! delivered, and member `t` drained exactly the packets of the
+//! sessions with `s % N == t`. The ≥ [`MIN_STEER_SCALING`]× 1→4-thread
 //! scaling gate additionally requires ≥ 4 usable cores — on a smaller
 //! host the threads time-slice one core and the ratio measures the
 //! scheduler, not the datapath, so it is reported, not gated.
@@ -66,11 +69,9 @@
 //! live_perf_smoke [--quick] [--packets N] [--out PATH]
 //! ```
 
-use badabing_live::batch_io::{
-    bind_reuseport, set_buffer_sizes, BatchReceiver, BatchSender, IoMode,
-};
+use badabing_live::batch_io::{set_buffer_sizes, BatchReceiver, BatchSender, IoMode};
 use badabing_live::cmsg::MAX_GSO_SEGMENTS;
-use badabing_live::kernel_offload_caps;
+use badabing_live::{kernel_offload_caps, Provider, Socket};
 use badabing_metrics::Histogram;
 use badabing_wire::{ProbeHeader, HEADER_BYTES};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -136,9 +137,10 @@ const MIN_GSO_SYSCALL_REDUCTION: f64 = 4.0;
 /// threads — gated only on hosts with ≥ 4 usable cores (see module
 /// docs).
 const MIN_STEER_SCALING: f64 = 1.5;
-/// Distinct source ports feeding the reuseport group: enough flows that
-/// the kernel's 4-tuple hash spreads them over every member.
-const STEER_FLOWS: usize = 32;
+/// Session ids the steering rows spread their trains over, round-robin:
+/// a multiple of every thread count measured, so each member drains an
+/// equal share.
+const STEER_SESSIONS: u32 = 32;
 
 const _: () = assert!(PACKET_BYTES >= HEADER_BYTES, "probe must fit its header");
 
@@ -371,45 +373,48 @@ struct SteerResult {
     wall_secs: f64,
     pps: f64,
     drain_allocs: u64,
+    /// Packets each member drained whose session it owns (`s % N == t`).
     per_socket: Vec<u64>,
+    /// Packets of the sessions each member owns, as sent.
+    expected_per_socket: Vec<u64>,
 }
 
-/// Steering rows: burst-then-drain over a group of `threads` reuseport
-/// sockets fed from [`STEER_FLOWS`] distinct source ports, drained by
-/// one thread per socket. The drain windows are timed wall-clock (the
-/// queueing is not), so the row measures how fast the group as a whole
-/// can move packets when every thread owns its own socket.
+/// Steering rows: burst-then-drain over a session-steered group of
+/// `threads` reuseport sockets, fed from one sender socket whose trains
+/// cycle through [`STEER_SESSIONS`] session ids, drained by one thread
+/// per socket. The drain windows are timed wall-clock (the queueing is
+/// not), so the row measures how fast the group as a whole can move
+/// packets when every thread owns its own socket.
 fn steer_phase(threads: usize, count: u64) -> SteerResult {
     use std::sync::atomic::AtomicI64;
     use std::sync::Barrier;
 
-    // One reuseport group member per drain thread.
-    let first = bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
-    let group_addr = first.local_addr().unwrap();
-    let mut socks = vec![first];
-    for _ in 1..threads {
-        socks.push(bind_reuseport(group_addr).unwrap());
-    }
+    // One group member per drain thread; member `t` receives the
+    // sessions `s % threads == t`.
+    let socks: Vec<UdpSocket> = Provider::Udp(IoMode::Batched)
+        .bind_steered("127.0.0.1:0".parse().unwrap(), threads)
+        .unwrap()
+        .into_iter()
+        .map(|s| match s {
+            Socket::Udp(s) => s,
+            Socket::Fault(_) => unreachable!("a real-UDP provider binds real sockets"),
+        })
+        .collect();
+    let group_addr = socks[0].local_addr().unwrap();
     for s in &socks {
         set_buffer_sizes(s, 1 << 22, 1 << 20);
         s.set_nonblocking(true).unwrap();
     }
-    // Many flows: each tx socket is a distinct 4-tuple the kernel
-    // steers to one group member for its whole lifetime.
-    let flows: Vec<UdpSocket> = (0..STEER_FLOWS)
-        .map(|_| {
-            let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
-            tx.connect(group_addr).unwrap();
-            set_buffer_sizes(&tx, 1 << 20, 1 << 22);
-            tx
-        })
-        .collect();
+    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+    tx.connect(group_addr).unwrap();
+    set_buffer_sizes(&tx, 1 << 20, 1 << 22);
 
     let start = Barrier::new(threads + 1);
     let finish = Barrier::new(threads + 1);
     let remaining = AtomicI64::new(0);
     let done = std::sync::atomic::AtomicBool::new(false);
     let per_socket: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    let mut expected_per_socket = vec![0u64; threads];
 
     let anchor = Instant::now();
     let mut train = vec![0u8; TRAIN * PACKET_BYTES];
@@ -437,14 +442,16 @@ fn steer_phase(threads: usize, count: u64) -> SteerResult {
                     loop {
                         match ring.recv(sock) {
                             Ok(n) => {
-                                let mut good = 0u64;
+                                let mut mine = 0u64;
                                 for i in 0..n {
                                     let (data, _) = ring.datagram(i);
-                                    if ProbeHeader::decode(data).is_ok() {
-                                        good += 1;
+                                    if ProbeHeader::decode(data)
+                                        .is_ok_and(|h| h.session as usize % threads == t)
+                                    {
+                                        mine += 1;
                                     }
                                 }
-                                my_count.fetch_add(good, Ordering::Relaxed);
+                                my_count.fetch_add(mine, Ordering::Relaxed);
                                 remaining.fetch_sub(n as i64, Ordering::Relaxed);
                             }
                             Err(e)
@@ -480,18 +487,22 @@ fn steer_phase(threads: usize, count: u64) -> SteerResult {
             let mut queued = 0u64;
             while queued < round_target {
                 let n = (TRAIN as u64).min(round_target - queued) as usize;
+                let session = (seq / TRAIN as u64) as u32 % STEER_SESSIONS;
                 for idx in 0..n {
-                    let h = header(seq, anchor.elapsed().as_nanos() as u64, idx as u8);
+                    let h = ProbeHeader {
+                        session,
+                        ..header(seq, anchor.elapsed().as_nanos() as u64, idx as u8)
+                    };
                     seq += 1;
                     h.encode_into(&mut train[idx * PACKET_BYTES..][..PACKET_BYTES]);
                 }
-                let flow = &flows[(seq / TRAIN as u64) as usize % STEER_FLOWS];
                 let mut off = 0;
                 while off < n {
                     off += sender
-                        .send_segments(flow, &train[off * PACKET_BYTES..], PACKET_BYTES, n - off)
+                        .send_segments(&tx, &train[off * PACKET_BYTES..], PACKET_BYTES, n - off)
                         .unwrap();
                 }
+                expected_per_socket[session as usize % threads] += n as u64;
                 queued += n as u64;
             }
             remaining.store(queued as i64, Ordering::Relaxed);
@@ -508,6 +519,7 @@ fn steer_phase(threads: usize, count: u64) -> SteerResult {
                 for c in &per_socket {
                     c.store(0, Ordering::Relaxed);
                 }
+                expected_per_socket.fill(0);
             }
             rounds += 1;
         }
@@ -530,6 +542,7 @@ fn steer_phase(threads: usize, count: u64) -> SteerResult {
         },
         drain_allocs,
         per_socket,
+        expected_per_socket,
     }
 }
 
@@ -702,7 +715,12 @@ fn main() {
                 );
                 assert_eq!(
                     r.received, r.sent,
-                    "perf gate: the reuseport group must deliver every flow's packets"
+                    "perf gate: the reuseport group must deliver every packet"
+                );
+                assert_eq!(
+                    r.per_socket, r.expected_per_socket,
+                    "perf gate: member t must drain exactly the sessions s % {} == t",
+                    r.threads
                 );
                 assert_eq!(
                     r.drain_allocs, 0,
@@ -722,7 +740,9 @@ fn main() {
                 println!("(only {cores} usable cores: steer scaling reported, not gated)");
             }
         }
-        None => println!("steer: skipped (kernel lacks SO_REUSEPORT)"),
+        None => {
+            println!("steer: skipped (kernel lacks SO_REUSEPORT or refuses the steering program)")
+        }
     }
 
     let rx_json = |r: &RxResult| {
@@ -778,13 +798,13 @@ fn main() {
             .join(", ");
         format!(
             concat!(
-                "    {{\"threads\": {}, \"sockets\": {}, \"flows\": {}, \"skipped\": false, ",
+                "    {{\"threads\": {}, \"sockets\": {}, \"sessions\": {}, \"skipped\": false, ",
                 "\"packets_sent\": {}, \"packets_received\": {}, \"wall_secs\": {:.6}, ",
                 "\"packets_per_sec\": {:.0}, \"drain_allocs\": {}, \"per_socket\": [{}]}}"
             ),
             r.threads,
             r.threads,
-            STEER_FLOWS,
+            STEER_SESSIONS,
             r.sent,
             r.received,
             r.wall_secs,
@@ -796,8 +816,8 @@ fn main() {
     let steer_rows = match &steer {
         Some((s1, s4)) => format!("{},\n{}", steer_json(s1), steer_json(s4)),
         None => {
-            "    {\"threads\": 1, \"skipped\": true, \"reason\": \"kernel lacks SO_REUSEPORT\"},\n    \
-             {\"threads\": 4, \"skipped\": true, \"reason\": \"kernel lacks SO_REUSEPORT\"}"
+            "    {\"threads\": 1, \"skipped\": true, \"reason\": \"no session-steered reuseport group\"},\n    \
+             {\"threads\": 4, \"skipped\": true, \"reason\": \"no session-steered reuseport group\"}"
                 .to_string()
         }
     };

@@ -15,8 +15,7 @@
 //!     [--metrics metrics.json] [--idle-timeout 30] \
 //!     [--io batched|fallback|gso] [--recv-threads N] \
 //!     [--session-budget-mb N] \
-//!     [--global-budget-mb N] [--on-pressure reject|evict] \
-//!     [--estimate-interval-ms N]
+//!     [--global-budget-mb N] [--on-pressure reject|evict]
 //! ```
 //!
 //! Each drain thread owns its own socket and registry shard. With
@@ -27,9 +26,10 @@
 //! runs one thread and counts the fallback (`steer_fallbacks`). The
 //! drain threads park on epoll where the platform has it.
 //!
-//! With `--estimate-interval-ms N` (N > 0) the server periodically
-//! merges every live session's online estimator and publishes the
-//! fleet-wide view as `fleet_*` gauges in the metrics snapshot.
+//! At stop the server merges every still-open session's online
+//! estimator and publishes the fleet-wide view as `fleet_*` gauges, so
+//! the `--metrics` snapshot carries them. Mid-run, a fleet-scope
+//! `EstimateRequest` over the control plane reads the same merge.
 
 use badabing_live::batch_io::IoMode;
 use badabing_live::cli::Flags;
@@ -48,8 +48,7 @@ const USAGE: &str = "badabing_recv --bind ADDR --secs S [--max-sessions N] [--lo
                      [--metrics PATH] [--idle-timeout S] \
                      [--io batched|fallback|gso] [--recv-threads N] \
                      [--session-budget-mb N] \
-                     [--global-budget-mb N] [--on-pressure reject|evict] \
-                     [--estimate-interval-ms N]";
+                     [--global-budget-mb N] [--on-pressure reject|evict]";
 
 /// `receiver.json` → `receiver.<id>.json` for per-session logs.
 fn session_log_path(base: &Path, session: u32) -> PathBuf {
@@ -77,7 +76,6 @@ fn main() -> std::io::Result<()> {
     let session_budget_mb: usize =
         flags.opt("session-budget-mb", DEFAULT_SESSION_BUDGET_BYTES >> 20);
     let global_budget_mb: usize = flags.opt("global-budget-mb", 0usize);
-    let estimate_interval_ms: u64 = flags.opt("estimate-interval-ms", 0);
     let server = start_server(ServerConfig {
         idle_timeout,
         metrics: Some(metrics.clone()),
@@ -86,8 +84,6 @@ fn main() -> std::io::Result<()> {
         session_budget_bytes: session_budget_mb << 20,
         global_budget_bytes: (global_budget_mb > 0).then_some(global_budget_mb << 20),
         on_pressure: flags.opt("on-pressure", PressurePolicy::Reject),
-        estimate_interval: (estimate_interval_ms > 0)
-            .then(|| Duration::from_millis(estimate_interval_ms)),
         ..ServerConfig::any(bind, max_sessions)
     })?;
     eprintln!(

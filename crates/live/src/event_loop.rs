@@ -1,16 +1,16 @@
 //! Event-driven readiness for the receiver's drain loops.
 //!
-//! The pre-fleet receiver woke every [`crate::receiver`] poll interval
-//! (25 ms) per drain thread just to re-check its stop flag and idle
-//! watchdog — cheap with 8 sessions, pure waste with 10k mostly-idle
-//! ones. This module gives the drain loop a readiness primitive instead:
-//! on Linux an **epoll** instance per drain thread watches that thread's
-//! own receive socket plus an **eventfd** wake channel, so an idle
-//! receiver parks in `epoll_wait` until a datagram actually arrives, the
+//! Waking every [`crate::receiver`] poll interval (25 ms) per drain
+//! thread just to re-check the stop flag and the idle watchdog is cheap
+//! with 8 sessions and pure waste with 10k mostly-idle ones. This module
+//! gives the drain loop a readiness primitive instead: on Linux an
+//! **epoll** instance per drain thread watches that thread's own
+//! receive socket plus an **eventfd** wake channel, so an idle receiver
+//! parks in `epoll_wait` until a datagram actually arrives, the
 //! idle-watchdog deadline comes due, or [`PollWaker::wake`] is called
-//! (server stop, a peer drain thread flipping `done`, a handed-off
-//! probe). Sessions that are idle cost zero wakeups and zero threads —
-//! the same drain threads serve all of them.
+//! (server stop — by the handle, or by a drain thread on a hard socket
+//! error — or a watchdog re-arm). Sessions that are idle cost zero
+//! wakeups and zero threads — the same drain threads serve all of them.
 //!
 //! The workspace is fully offline (no `libc` crate), so the syscalls are
 //! hand-declared against the C library in a `sys` module, in the same
@@ -18,7 +18,8 @@
 //! [`crate::faultnet::FaultNet`] backend, whose sockets have no fd — gets
 //! the timeout loop: [`Poller::wait`] reports ready immediately and the
 //! caller's blocking `recv` (bounded by the socket read timeout)
-//! provides the pacing, which is exactly the pre-epoll behaviour.
+//! provides the pacing, so readiness is an optimization the loop stays
+//! correct without.
 //!
 //! Only the **control path's scheduling** changes: once `epoll_wait`
 //! reports the socket readable, datagrams are still drained through the
@@ -50,7 +51,7 @@ pub enum Wait {
     /// The timeout elapsed with nothing readable.
     TimedOut,
     /// [`PollWaker::wake`] was called (or the wait was interrupted):
-    /// re-check stop/done flags before waiting again.
+    /// re-check the stop flag before waiting again.
     Woken,
 }
 

@@ -16,13 +16,16 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn receiver_rejects_the_removed_session_flag() {
-    let (code, stderr) = run(
-        env!("CARGO_BIN_EXE_badabing_recv"),
-        &["--bind", "127.0.0.1:0", "--secs", "1", "--session", "1"],
-    );
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("unknown flag --session"), "{stderr}");
-    assert!(stderr.contains("usage: badabing_recv"), "{stderr}");
+    for flag in ["--session", "--estimate-interval-ms"] {
+        let (code, stderr) = run(
+            env!("CARGO_BIN_EXE_badabing_recv"),
+            &["--bind", "127.0.0.1:0", "--secs", "1", flag, "1"],
+        );
+        assert_eq!(code, Some(2), "{stderr}");
+        let unknown = format!("unknown flag {flag}");
+        assert!(stderr.contains(&unknown), "{stderr}");
+        assert!(stderr.contains("usage: badabing_recv"), "{stderr}");
+    }
 }
 
 #[test]

@@ -279,7 +279,7 @@ fn handshake_survives_heavy_control_loss() {
 #[test]
 fn receiver_death_mid_run_degrades_to_partial_manifest() {
     let session = 0xE5;
-    let (receiver, _) = server(None);
+    let (receiver, metrics) = server(None);
     let target = receiver.local_addr();
     let tool = fast_tool();
     let mut control = ControlConfig::new(target);
@@ -292,8 +292,14 @@ fn receiver_death_mid_run_degrades_to_partial_manifest() {
     };
     let sender = std::thread::spawn(move || run_sender(cfg, seeded(6, "death")));
 
-    // Let the run establish itself, then kill the receiver.
-    std::thread::sleep(Duration::from_millis(700));
+    // Let the run establish itself (the receiver has accepted a probe,
+    // so the handshake is done), then kill the receiver.
+    let accepted = metrics.counter("packets_accepted");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while accepted.get() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(accepted.get() >= 1, "no probe reached the receiver in 5 s");
     let _ = receiver.stop();
     let killed_at = Instant::now();
 
