@@ -9,7 +9,7 @@
 //! parks in `epoll_wait` until a datagram actually arrives, the
 //! idle-watchdog deadline comes due, or [`PollWaker::wake`] is called
 //! (server stop — by the handle, or by a drain thread on a hard socket
-//! error — or a watchdog re-arm). Sessions that are idle cost zero
+//! error). Sessions that are idle cost zero
 //! wakeups and zero threads — the same drain threads serve all of them.
 //!
 //! The workspace is fully offline (no `libc` crate), so the syscalls are

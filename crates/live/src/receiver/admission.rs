@@ -206,7 +206,6 @@ impl Shared<'_> {
         };
         drop(sessions);
         self.admission.tombstone(id);
-        self.c.evicted.inc();
         self.end_session(id, state, SessionEnd::Evicted);
         true
     }

@@ -54,8 +54,10 @@ pub(super) fn handle_control(
                 shared.admission.settle(state);
                 ack
             });
-            // The snapshot freeze re-arms the sweep scheduler.
-            ack.inspect(|_| shared.mark_sweep_dirty())
+            // The snapshot may have taken the tally past the global
+            // budget: shed now, with the shard lock dropped.
+            shared.admission.shed(|| shared.evict_oldest_idle());
+            ack
         }
         ControlMessage::ReportRequest { chunk, .. } => {
             with_open(shared, id, src, abs, scratch, |e, scratch| {
@@ -97,7 +99,6 @@ pub(super) fn handle_control(
             });
             if let Some(Some(state)) = completed {
                 shared.end_session(id, state, SessionEnd::Completed);
-                shared.c.completed.inc();
             }
             None
         }
@@ -201,8 +202,10 @@ fn open_session(
         }
     }
     drop(sessions);
-    shared.mark_sweep_dirty();
     shared.admission.untombstone(session);
+    // Settling the actual footprint may have crossed the global budget:
+    // shed now, with the shard lock dropped.
+    shared.admission.shed(|| shared.evict_oldest_idle());
     true
 }
 

@@ -62,6 +62,10 @@
 //!   reaping, memory re-settlement, eviction back under the budget;
 //! * this module — the public types, server start and stop, and the
 //!   drain loops with the probe fast path.
+//!
+//! Every session, however it ends, ends through one function,
+//! `Shared::end_session`, after it has left its shard and the shard
+//! lock is dropped.
 
 mod admission;
 mod control_path;
@@ -594,9 +598,6 @@ struct Shared<'a> {
     /// relative to it.
     t0: Duration,
     shards: Vec<Mutex<Shard>>,
-    /// Set on session open/finalize/close so the watchdog re-arms its
-    /// sweep deadline instead of sleeping out a stale one.
-    sweep_dirty: AtomicBool,
     admission: Admission,
     outcomes: Mutex<Vec<SessionOutcome>>,
     /// Set by [`ServerHandle::stop`], or by a drain thread on a hard
@@ -615,22 +616,19 @@ impl Shared<'_> {
         &self.shards[session as usize % self.shards.len()]
     }
 
-    /// Flag the watchdog to re-arm its sweep deadline now: a session
-    /// opened, finalized, or closed, so the earliest-deadline estimate
-    /// it parked on is stale.
-    fn mark_sweep_dirty(&self) {
-        self.sweep_dirty.store(true, Ordering::Relaxed);
-        // The watchdog is drain thread 0.
-        self.wakers[0].wake();
-    }
-
-    /// Finalize a session already removed from its shard and record its
-    /// outcome, releasing its admission slot and settled memory.
+    /// End a session already removed from its shard, with no shard lock
+    /// held: release its admission slot and settled memory, finalize it,
+    /// record its outcome, and count how it ended.
     fn end_session(&self, id: u32, state: SessionState, end: SessionEnd) {
         self.admission.release(state.accounted_bytes);
         let outcome = state.into_outcome(id, end, self.c.rejected.get(), &self.c.qdelay);
         self.outcomes.lock().expect("outcomes lock").push(outcome);
-        self.mark_sweep_dirty();
+        match end {
+            SessionEnd::Completed => self.c.completed.inc(),
+            SessionEnd::IdleTimeout => self.c.idle_reaped.inc(),
+            SessionEnd::Evicted => self.c.evicted.inc(),
+            SessionEnd::Stopped => {}
+        }
     }
 
     /// Merge every live session's online counters and delay sketch into
@@ -668,14 +666,13 @@ fn serve_loop(
 ) -> ServerReport {
     // One drain thread per socket, each owning the shard of its index.
     let nthreads = sockets.len();
-    let shared = Shared {
+    let mut shared = Shared {
         cfg,
         sockets,
         socket: &sockets[0],
         clock,
         t0,
         shards: (0..nthreads).map(|_| Mutex::new(HashMap::new())).collect(),
-        sweep_dirty: AtomicBool::new(false),
         admission: Admission::new(cfg),
         outcomes: Mutex::new(Vec::new()),
         stop,
@@ -728,29 +725,27 @@ fn serve_loop(
     });
 
     publish_fleet_gauges(&shared, metrics);
+    // Anything still open when the loop ends is finalized as stopped,
+    // in id order for determinism.
+    let mut open: Vec<(u32, SessionState)> = shared
+        .shards
+        .iter_mut()
+        .flat_map(|m| std::mem::take(m.get_mut().expect("shard lock")))
+        .collect();
+    open.sort_by_key(|&(id, _)| id);
+    for (id, state) in open {
+        shared.end_session(id, state, SessionEnd::Stopped);
+    }
     let Shared {
-        shards,
         outcomes,
         admission,
         c,
         ..
     } = shared;
-    let rejected = c.rejected.get();
-    let mut outcomes = outcomes.into_inner().expect("outcomes lock");
-    // Anything still open when the loop ends is finalized as stopped,
-    // in id order for determinism.
-    let mut open: Vec<(u32, SessionState)> = shards
-        .into_iter()
-        .flat_map(|m| m.into_inner().expect("shard lock"))
-        .collect();
-    open.sort_by_key(|&(id, _)| id);
-    for (id, state) in open {
-        outcomes.push(state.into_outcome(id, SessionEnd::Stopped, rejected, &c.qdelay));
-    }
 
     ServerReport {
-        sessions: outcomes,
-        rejected,
+        sessions: outcomes.into_inner().expect("outcomes lock"),
+        rejected: c.rejected.get(),
         syns_rejected: c.syn_rejected.get(),
         budget_rejects: c.budget_rejected.get(),
         sessions_evicted: c.evicted.get(),
@@ -818,10 +813,10 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize) {
             maybe_sweep(shared, &mut next_sweep);
         }
         // Under epoll, park until a datagram arrives, the waker fires
-        // (stop, or a watchdog re-arm on thread 0), or the next sweep is
-        // due — idle sessions cost zero wakeups. The timeout backend
-        // reports ready at once; its blocking recv, bounded by the
-        // socket read timeout, paces the loop instead.
+        // (stop, or another thread's hard socket error), or the next
+        // sweep is due — idle sessions cost zero wakeups. The timeout
+        // backend reports ready at once; its blocking recv, bounded by
+        // the socket read timeout, paces the loop instead.
         if poller.is_epoll() {
             let now = shared.clock.now();
             let horizon = now + EPOLL_MAX_PARK;

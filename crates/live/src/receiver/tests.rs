@@ -8,7 +8,7 @@ use super::session::reference::{
     alloc_count, check_against_model, hostile_stream, planned_stream, synthetic_arrivals,
 };
 use super::*;
-use badabing_wire::control::{chunk_window, encode_report_chunk_into, EstimateScope};
+use badabing_wire::control::{chunk_window, encode_report_chunk_into, EstimateScope, RejectReason};
 use std::collections::BTreeSet;
 use std::net::UdpSocket;
 
@@ -342,25 +342,81 @@ fn stop_publishes_the_fleet_estimate_as_gauges() {
     assert_eq!(metrics.gauge("fleet_frequency").get(), frequency);
 }
 
+/// Reaping happens at fixed virtual instants: each session is reaped
+/// after its idle deadline (as last moved by a SYN, a heartbeat or a
+/// FIN) and at most 30 ms after it, whatever control traffic arrives
+/// in between, and the server keeps serving.
 #[test]
 fn idle_session_is_reaped_and_the_server_keeps_serving() {
+    enum Step {
+        Syn(u32),
+        Probe(u32),
+        Heartbeat(u32),
+        /// A FIN whose report is never fetched: it freezes the snapshot
+        /// and refreshes the deadline, but only the watchdog ends it.
+        Fin(u32),
+        /// `sessions_idle_reaped` reads this.
+        Reaped(u64),
+    }
+    use Step::*;
     let metrics = Arc::new(Registry::new("recv-idle-test"));
-    let idle = Duration::from_millis(150);
     let rig = rig(7, |c| ServerConfig {
-        idle_timeout: Some(idle),
+        idle_timeout: Some(Duration::from_millis(200)),
         metrics: Some(metrics.clone()),
         ..c
     });
-    let reaped = || metrics.counter("sessions_idle_reaped").get();
-    rig.open(2);
-    rig.send(&probe(2, 0, 0, 0), 64);
-    // Virtual time: the session is idle from the probe's arrival.
-    rig.clock.sleep(idle - Duration::from_millis(20));
-    assert_eq!(reaped(), 0, "reaped before its idle timeout");
-    rig.clock.sleep(idle);
-    assert_eq!(reaped(), 1, "idle session outlived its timeout");
+    // Virtual milliseconds after the first SYN. Idle deadlines: session
+    // 2 at 320 (its heartbeat moved it from 200), 3 at 380 (its FIN
+    // moved it from 260), 5 at 560 and 4 at 620 (its heartbeat moved it
+    // from 440). Each is read 10 ms before and 40 ms after: on the
+    // timeout loop a reap lands at most one 25 ms poll interval plus
+    // the 5 ms minimum sweep gap after its deadline.
+    let script = [
+        (0, Syn(2)),
+        (0, Probe(2)),
+        (60, Syn(3)),
+        (120, Heartbeat(2)),
+        (180, Fin(3)),
+        (240, Syn(4)),
+        (310, Reaped(0)),
+        (360, Reaped(1)),
+        (360, Syn(5)),
+        (370, Reaped(1)),
+        (420, Reaped(2)),
+        (420, Heartbeat(4)),
+        (550, Reaped(2)),
+        (600, Reaped(3)),
+        (610, Reaped(3)),
+        (660, Reaped(4)),
+    ];
+    let t0 = rig.clock.now();
+    for (ms, step) in script {
+        let at = t0 + Duration::from_millis(ms);
+        rig.clock.sleep(at.saturating_sub(rig.clock.now()));
+        match step {
+            Syn(id) => rig.open(id),
+            Probe(id) => rig.send(&probe(id, 0, 0, 0), 64),
+            Heartbeat(id) => assert!(rig
+                .client
+                .heartbeat(id, ms, Duration::from_millis(5))
+                .unwrap()),
+            Fin(id) => {
+                let fin = ControlMessage::Fin {
+                    session: id,
+                    probes_sent: 0,
+                    packets_sent: 0,
+                };
+                rig.probes.send_to(&fin.encode(), rig.target).unwrap();
+            }
+            Reaped(n) => assert_eq!(
+                metrics.counter("sessions_idle_reaped").get(),
+                n,
+                "sessions reaped at {ms} ms"
+            ),
+        }
+    }
     // The server keeps serving: a new SYN opens a new session.
-    rig.open(3);
+    rig.open(6);
     let report = rig.finish();
     let ends: Vec<(u32, SessionEnd, u64)> = report
         .sessions
@@ -369,7 +425,79 @@ fn idle_session_is_reaped_and_the_server_keeps_serving() {
         .collect();
     assert_eq!(
         ends,
-        [(2, SessionEnd::IdleTimeout, 1), (3, SessionEnd::Stopped, 0)]
+        [
+            (2, SessionEnd::IdleTimeout, 1),
+            (3, SessionEnd::IdleTimeout, 0),
+            (5, SessionEnd::IdleTimeout, 0),
+            (4, SessionEnd::IdleTimeout, 0),
+            (6, SessionEnd::Stopped, 0),
+        ]
+    );
+}
+
+/// A FIN snapshot that takes the settled tally past the global budget
+/// sheds the longest-idle session at once, under the evict policy, and
+/// every slot and byte comes back when the sessions close.
+#[test]
+fn a_fin_snapshot_over_the_global_budget_evicts_the_longest_idle_session() {
+    let budget = DEFAULT_SESSION_BUDGET_BYTES;
+    let projected = SessionState::projected_bytes(&params(), budget);
+    assert_eq!(
+        SessionState::new(params(), budget, Duration::ZERO).mem_bytes(),
+        projected,
+        "an opened session settles to exactly its admission charge"
+    );
+    let metrics = Arc::new(Registry::new("recv-shed-test"));
+    // Two open sessions fill the budget exactly, and two slots are all
+    // there are: the closing re-admission below needs both tallies at
+    // exactly zero.
+    let rig = rig(9, |c| ServerConfig {
+        max_sessions: 2,
+        global_budget_bytes: Some(2 * projected),
+        on_pressure: PressurePolicy::EvictIdle,
+        metrics: Some(metrics.clone()),
+        ..c
+    });
+    let evicted = || metrics.counter("sessions_evicted").get();
+    rig.open(1);
+    rig.clock.sleep(Duration::from_millis(10));
+    rig.open(2);
+    for slot in 0..4 {
+        rig.send(&probe(2, slot, slot, slot), 64);
+    }
+    rig.clock.sleep(Duration::from_millis(10));
+    assert_eq!(evicted(), 0, "two sessions fit until a FIN");
+
+    // Session 2's FIN materializes its records: the tally crosses the
+    // budget and session 1, idle the longest, is evicted.
+    let (summary, records) = rig.client.fetch_report(2, 4, 4).unwrap();
+    assert_eq!((summary.packets, records.len()), (4, 4));
+    assert_eq!(evicted(), 1);
+    // Session 1's sender is told on its next exchange.
+    assert!(matches!(
+        rig.client.fetch_report(1, 0, 0),
+        Err(crate::control::ControlError::Rejected {
+            reason: RejectReason::Evicted
+        })
+    ));
+
+    // Both sessions have closed. Two fresh ones are admitted without a
+    // refusal or another eviction, which needs zero slots and zero
+    // bytes still held.
+    rig.clock.sleep(Duration::from_millis(10));
+    rig.open(3);
+    rig.open(4);
+    let report = rig.finish();
+    assert_eq!((report.sessions_evicted, report.syns_rejected), (1, 0));
+    let ends: Vec<(u32, SessionEnd)> = report.sessions.iter().map(|o| (o.session, o.end)).collect();
+    assert_eq!(
+        ends,
+        [
+            (1, SessionEnd::Evicted),
+            (2, SessionEnd::Completed),
+            (3, SessionEnd::Stopped),
+            (4, SessionEnd::Stopped),
+        ]
     );
 }
 

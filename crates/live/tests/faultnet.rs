@@ -58,13 +58,36 @@ struct Run {
 /// One complete control-plane session over a fresh `FaultNet` seeded
 /// with `seed`. `configure` installs link faults before any traffic.
 fn run_session(seed: u64, n_slots: u64, configure: fn(&Arc<FaultNet>)) -> Run {
+    run_session_with(
+        seed,
+        n_slots,
+        configure,
+        Duration::from_secs(10),
+        |control| {
+            control.drain = Duration::from_millis(100);
+            // Lossy-link scenarios miss isolated heartbeats routinely; only
+            // a long silent streak should abort.
+            control.heartbeat_misses = 10;
+        },
+    )
+}
+
+/// [`run_session`] with the server's idle timeout set to `idle` and the
+/// sender's control settings set by `control_cfg`.
+fn run_session_with(
+    seed: u64,
+    n_slots: u64,
+    configure: fn(&Arc<FaultNet>),
+    idle: Duration,
+    control_cfg: impl FnOnce(&mut ControlConfig),
+) -> Run {
     let net = FaultNet::new(seed);
     configure(&net);
     let provider = Provider::Fault(net.clone());
     let metrics = Arc::new(Registry::new("faultnet-run"));
     let server = start_server(ServerConfig {
         provider: provider.clone(),
-        idle_timeout: Some(Duration::from_secs(10)),
+        idle_timeout: Some(idle),
         metrics: Some(metrics.clone()),
         ..ServerConfig::any(addr(RECV), 4)
     })
@@ -72,10 +95,7 @@ fn run_session(seed: u64, n_slots: u64, configure: fn(&Arc<FaultNet>)) -> Run {
     let tool = fast_tool();
     let mut control = ControlConfig::new(addr(RECV));
     control.bind = Some(addr(CTL_SRC));
-    control.drain = Duration::from_millis(100);
-    // Lossy-link scenarios miss isolated heartbeats routinely; only a
-    // long silent streak should abort.
-    control.heartbeat_misses = 10;
+    control_cfg(&mut control);
     let cfg = SenderConfig {
         tool,
         bind: addr(PROBE_SRC),
@@ -152,6 +172,57 @@ fn full_session_completes_on_a_clean_virtual_net() {
         run.wall < Duration::from_secs(1),
         "virtual run took {:?} of wall time",
         run.wall
+    );
+}
+
+/// Regression: the sender used to stop its heartbeat thread *before*
+/// the drain wait, so with a receiver idle timeout shorter than the
+/// drain the receiver's watchdog reclaimed the session before FIN
+/// arrived and an otherwise-complete report was lost. Liveness must
+/// keep flowing until report retrieval starts: a 300 ms idle timeout,
+/// a 900 ms drain and 100 ms heartbeats. A same-seed rerun reproduces
+/// the run byte for byte.
+#[test]
+fn report_survives_idle_timeout_shorter_than_drain() {
+    let run = || {
+        run_session_with(
+            8,
+            200, /* 1 s */
+            no_faults,
+            Duration::from_millis(300),
+            |control| {
+                control.drain = Duration::from_millis(900); // 3× the idle timeout
+                control.heartbeat_interval = Duration::from_millis(100);
+            },
+        )
+    };
+    let a = run();
+    let outcome = &a.outcome;
+    assert!(outcome.completed);
+    assert_eq!(outcome.diagnostics, Vec::<String>::new());
+    let fetched = outcome
+        .receiver_log
+        .as_ref()
+        .expect("heartbeats must keep the session alive through the drain wait");
+    assert_eq!(fetched.packets, outcome.manifest.packets_sent);
+
+    // The session ends via the closing ReportAck, not the watchdog.
+    let server = a.server.as_ref().expect("server recorded the session");
+    assert_eq!(server.end, SessionEnd::Completed);
+    assert_eq!(server.log.packets, fetched.packets);
+    assert_eq!(a.metrics.counter("sessions_idle_reaped").get(), 0);
+
+    let b = run();
+    assert_eq!(
+        format!("{:?}", b.outcome.manifest),
+        format!("{:?}", outcome.manifest),
+        "same seed must give an identical manifest"
+    );
+    let again = b.outcome.receiver_log.as_ref().expect("rerun fetched");
+    assert_eq!(
+        report_chunk_bytes(again),
+        report_chunk_bytes(fetched),
+        "same seed must give identical report chunks"
     );
 }
 

@@ -340,39 +340,6 @@ fn receiver_death_mid_run_degrades_to_partial_manifest() {
 }
 
 #[test]
-fn report_survives_idle_timeout_shorter_than_drain() {
-    // Regression: the sender used to stop its heartbeat thread *before*
-    // the drain sleep, so with a receiver idle timeout shorter than the
-    // drain the receiver's watchdog reclaimed the session before FIN
-    // arrived and an otherwise-complete report was lost. Liveness must
-    // keep flowing until report retrieval starts.
-    let session = 0xA7;
-    let (receiver, metrics) = server(Some(Duration::from_millis(300)));
-    let tool = fast_tool();
-    let mut control = ControlConfig::new(receiver.local_addr());
-    control.drain = Duration::from_millis(900); // 3× the idle timeout
-    control.heartbeat_interval = Duration::from_millis(100);
-    let cfg = SenderConfig {
-        tool,
-        control: Some(control),
-        ..SenderConfig::new(tool, 200 /* 1 s */, receiver.local_addr(), session)
-    };
-    let outcome = run_sender(cfg, seeded(8, "drain")).unwrap();
-    assert!(outcome.completed);
-    assert_eq!(outcome.diagnostics, Vec::<String>::new());
-    let fetched = outcome
-        .receiver_log
-        .expect("heartbeats must keep the session alive through the drain wait");
-    assert_eq!(fetched.packets, outcome.manifest.packets_sent);
-
-    // The session ends via the closing ReportAck, not the watchdog.
-    assert!(completes_within(&metrics, Duration::from_secs(5)));
-    let report = receiver.stop();
-    assert_eq!(report.sessions[0].end, SessionEnd::Completed);
-    assert_eq!(report.sessions[0].log.packets, fetched.packets);
-}
-
-#[test]
 fn zero_record_session_completes_cleanly() {
     // Every probe vanishes (sent into a socket nobody reads); only the
     // control plane reaches the receiver. FIN → FinAck(total_chunks = 0)
