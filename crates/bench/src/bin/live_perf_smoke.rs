@@ -1,5 +1,6 @@
-//! The live-datapath perf gate: fallback vs batched vs GSO/GRO offload
-//! I/O on loopback, with a JSON trajectory point (`BENCH_live.json`).
+//! The live-datapath perf gate: the fallback path vs the batched
+//! datapath, fed separate datagrams and GSO super-datagrams, on
+//! loopback, with a JSON trajectory point (`BENCH_live.json`).
 //!
 //! Three measurements, mirroring the tentpole claims of the batched
 //! datapath:
@@ -12,11 +13,21 @@
 //! 2. **RX throughput.** Burst-then-drain rounds queue probes into the
 //!    receive socket, then drain them through the same
 //!    `BatchReceiver` + decode + batch-timestamp loop the live receiver
-//!    uses, once per [`IoMode`]. The gate (Linux only — elsewhere both
-//!    modes are the same portable path and everything is reported, not
-//!    gated) demands the batched path issue ≥ 8× fewer syscalls per
-//!    datagram, beat the fallback's packets/sec outright, and allocate
-//!    nothing in the drain.
+//!    uses. Three rows:
+//!    - `fallback`: [`IoMode::Fallback`] on both ends, one syscall per
+//!      datagram;
+//!    - `sendmmsg`: separate datagrams sent with [`BatchSender::send`]
+//!      into the batched ring — the traffic its per-socket degradation
+//!      path sees (a sender without `UDP_SEGMENT`, or a kernel without
+//!      `UDP_GRO`);
+//!    - `offload`: [`BatchSender::send_segments`] super-datagrams into
+//!      the same ring, which `UDP_GRO` reads back coalesced.
+//!
+//!    The gate (Linux only — elsewhere every row is the same portable
+//!    path and everything is reported, not gated) demands the
+//!    `sendmmsg` row issue ≥ 8× fewer RX syscalls per datagram than
+//!    `fallback`, beat its packets/sec by ≥ 1.1×, and that no row
+//!    allocates in the drain or fails to decode a cmsg.
 //!
 //!    Why the throughput gate is "strictly faster" rather than a fixed
 //!    multiple: the achievable speedup is `(w + s) / (w + s/B)` where
@@ -34,16 +45,13 @@
 //!    send-to-timestamp latency; the JSON records its p99 per mode,
 //!    which bounds the staleness batch-granular timestamping can add.
 //!
-//! The offload tier adds a `gso` row when the running kernel supports
-//! `UDP_SEGMENT` (probed with [`kernel_offload_caps`], recorded as
-//! `"skipped": true` rather than failing elsewhere): it submits each
-//! burst as flat super-datagrams that the kernel segments, and
-//! coalesces on receive (`UDP_GRO`, where the kernel has it). For that
-//! row the send loop is timed too, because kernel segmentation is a
-//! *TX*-side claim: the gate demands the combined (TX + RX) syscalls
-//! per packet drop a further ≥ 4× below the batched row's, and the
-//! combined packets/sec (received over TX busy + RX busy) beat it
-//! outright.
+//! The `offload` row runs where the kernel supports `UDP_SEGMENT`
+//! (probed with [`kernel_offload_caps`], recorded as `"skipped": true`
+//! rather than failing elsewhere). Every row's send loop is timed too,
+//! because kernel segmentation is a *TX*-side claim: the gate demands
+//! the `offload` row's combined (TX + RX) syscalls per packet drop
+//! ≥ 4× below the `sendmmsg` row's, and its combined packets/sec
+//! (received over TX busy + RX busy) beat it outright.
 //!
 //! The steering tier adds two multi-thread rows where the kernel
 //! supports `SO_REUSEPORT` and the session-steering program (recorded
@@ -126,13 +134,13 @@ const RECV_BATCH: usize = 32;
 /// "strictly faster" while the syscall reduction carries the multiple).
 const MIN_SYSCALL_REDUCTION: f64 = 8.0;
 const MIN_SPEEDUP: f64 = 1.1;
-/// The offload row must cut combined (TX + RX) syscalls per packet at
-/// least this much further below the batched row. Structural: a
-/// 192-packet burst costs batched 64 sendmmsg + 6 recvmmsg, GSO 3
-/// sendmsg + at most 6 recvmmsg (fewer once GRO coalesces) — ≥ 7.8× —
+/// The `offload` row must cut combined (TX + RX) syscalls per packet at
+/// least this much further below the `sendmmsg` row. Structural: a
+/// 192-packet burst costs `sendmmsg` 64 sendmmsg + 6 recvmmsg, `offload`
+/// 3 sendmsg + at most 6 recvmmsg (fewer once GRO coalesces) — ≥ 7.8× —
 /// so 4× leaves headroom for ring-size drift without ever passing on a
 /// path that fell back to sendmmsg.
-const MIN_GSO_SYSCALL_REDUCTION: f64 = 4.0;
+const MIN_OFFLOAD_SYSCALL_REDUCTION: f64 = 4.0;
 /// Combined drained pps must grow at least this much from 1 to 4 drain
 /// threads — gated only on hosts with ≥ 4 usable cores (see module
 /// docs).
@@ -240,21 +248,36 @@ impl RxResult {
 /// batching matters.
 const BURST: u64 = 192;
 
+/// How a row's sender hands its packets to the kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tx {
+    /// [`IoMode::Fallback`]: one `send` per datagram, into the fallback
+    /// receive path.
+    Fallback,
+    /// Separate datagrams, one `sendmmsg` per train
+    /// ([`BatchSender::send`]), into the batched ring.
+    Separate,
+    /// `UDP_SEGMENT` super-datagrams of a whole burst
+    /// ([`BatchSender::send_segments`]), into the batched ring.
+    Segments,
+}
+
 /// Phase 2+3: burst-then-drain rounds. Each round queues [`BURST`]
 /// probes into the receive socket, then drains them through the same
 /// `BatchReceiver` + decode + batch-timestamp loop the live receiver
-/// uses. Only the drain contributes to `busy_secs`, so every mode
+/// uses. Only the drain contributes to `busy_secs`, so every row
 /// compares pure receive-path cost on identical queue depths; the send
-/// loop is separately timed into `tx_busy_secs` because the GSO rows'
-/// claim is a TX-side one. Sender and receiver share one monotonic
+/// loop is separately timed into `tx_busy_secs` because the offload
+/// row's claim is a TX-side one. Sender and receiver share one monotonic
 /// anchor (same process), making `batch_timestamp - send_stamp` a true
 /// send-to-timestamp latency.
 ///
-/// Non-offload modes queue per train of [`TRAIN`] — the live sender's
-/// unit of work. The GSO mode encodes the whole burst into one flat
-/// buffer and submits it in `MAX_GSO_SEGMENTS`-sized super-datagrams,
-/// which is exactly how a fleet sender amortizes a dense schedule.
-fn rx_phase(mode: IoMode, label: &'static str, count: u64) -> RxResult {
+/// [`Tx::Fallback`] and [`Tx::Separate`] queue per train of [`TRAIN`] —
+/// the live sender's unit of work. [`Tx::Segments`] encodes the whole
+/// burst into one flat buffer and submits it in `MAX_GSO_SEGMENTS`-sized
+/// super-datagrams, which is exactly how a fleet sender amortizes a
+/// dense schedule.
+fn rx_phase(label: &'static str, tx_kind: Tx, count: u64) -> RxResult {
     let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
     set_buffer_sizes(&rx, 1 << 22, 1 << 20);
     rx.set_read_timeout(Some(Duration::from_millis(50)))
@@ -263,13 +286,18 @@ fn rx_phase(mode: IoMode, label: &'static str, count: u64) -> RxResult {
     tx.connect(rx.local_addr().unwrap()).unwrap();
     set_buffer_sizes(&tx, 1 << 20, 1 << 22);
 
-    let gso = mode.wants_gso();
-    let chunk = if gso { BURST as usize } else { TRAIN };
+    let mode = if tx_kind == Tx::Fallback {
+        IoMode::Fallback
+    } else {
+        IoMode::Batched
+    };
+    let segments = tx_kind == Tx::Segments;
+    let chunk = if segments { BURST as usize } else { TRAIN };
     let anchor = Instant::now();
     let latency = Histogram::latency();
     let mut ring = BatchReceiver::new(RECV_BATCH, mode);
     let mut train = vec![0u8; chunk * PACKET_BYTES];
-    let mut sender = BatchSender::new(if gso { MAX_GSO_SEGMENTS } else { TRAIN }, mode);
+    let mut sender = BatchSender::new(if segments { MAX_GSO_SEGMENTS } else { TRAIN }, mode);
 
     let mut sent = 0u64;
     let mut received = 0u64;
@@ -295,10 +323,18 @@ fn rx_phase(mode: IoMode, label: &'static str, count: u64) -> RxResult {
             }
             let t0 = Instant::now();
             let mut off = 0;
-            while off < n {
-                off += sender
-                    .send_segments(&tx, &train[off * PACKET_BYTES..], PACKET_BYTES, n - off)
-                    .unwrap();
+            if tx_kind == Tx::Separate {
+                let pkts: [&[u8]; TRAIN] =
+                    std::array::from_fn(|k| &train[k * PACKET_BYTES..][..PACKET_BYTES]);
+                while off < n {
+                    off += sender.send(&tx, &pkts[off..n]).unwrap();
+                }
+            } else {
+                while off < n {
+                    off += sender
+                        .send_segments(&tx, &train[off * PACKET_BYTES..], PACKET_BYTES, n - off)
+                        .unwrap();
+                }
             }
             tx_busy += t0.elapsed();
             queued += n as u64;
@@ -581,14 +617,15 @@ fn main() {
     );
 
     // Phases 2+3: receive throughput and latency, fallback first, then
-    // the offload row where the running kernel supports it.
+    // the batched ring fed separate datagrams, then (where the running
+    // kernel supports it) fed super-datagrams.
     let caps = kernel_offload_caps();
-    let fallback = rx_phase(IoMode::Fallback, "fallback", count);
-    let batched = rx_phase(IoMode::Batched, "batched", count);
-    let gso = caps
+    let fallback = rx_phase("fallback", Tx::Fallback, count);
+    let sendmmsg = rx_phase("sendmmsg", Tx::Separate, count);
+    let offload = caps
         .gso_ready()
-        .then(|| rx_phase(IoMode::Gso, "gso", count));
-    let rows: Vec<&RxResult> = [Some(&fallback), Some(&batched), gso.as_ref()]
+        .then(|| rx_phase("offload", Tx::Segments, count));
+    let rows: Vec<&RxResult> = [Some(&fallback), Some(&sendmmsg), offload.as_ref()]
         .into_iter()
         .flatten()
         .collect();
@@ -613,78 +650,42 @@ fn main() {
             r.rx_kernel_stamped,
         );
     }
-    if gso.is_none() {
-        println!("rx      gso: skipped (kernel lacks UDP_SEGMENT)");
+    if offload.is_none() {
+        println!("rx  offload: skipped (kernel lacks UDP_SEGMENT)");
     }
 
     let speedup = if fallback.pps > 0.0 {
-        batched.pps / fallback.pps
+        sendmmsg.pps / fallback.pps
     } else {
         0.0
     };
     // Syscalls per datagram: 1.0 on the fallback path by construction,
     // ~1/RECV_BATCH batched. The reduction ratio is the structural claim
     // of the batched datapath and is hardware-independent.
-    let syscall_reduction = if batched.syscalls > 0 && batched.datagrams > 0 {
+    let syscall_reduction = if sendmmsg.syscalls > 0 && sendmmsg.datagrams > 0 {
         (fallback.syscalls as f64 / fallback.datagrams.max(1) as f64)
-            / (batched.syscalls as f64 / batched.datagrams as f64)
+            / (sendmmsg.syscalls as f64 / sendmmsg.datagrams as f64)
     } else {
         0.0
     };
-    println!("batched/fallback speedup: {speedup:.2}x, syscall reduction: {syscall_reduction:.1}x");
-    if batched.batched {
+    println!(
+        "sendmmsg/fallback speedup: {speedup:.2}x, rx syscall reduction: {syscall_reduction:.1}x"
+    );
+    if sendmmsg.batched {
         assert!(
             syscall_reduction >= MIN_SYSCALL_REDUCTION,
-            "perf gate: batched path must issue >= {MIN_SYSCALL_REDUCTION}x fewer syscalls \
+            "perf gate: the batched ring must issue >= {MIN_SYSCALL_REDUCTION}x fewer syscalls \
              per datagram, got {syscall_reduction:.1}x"
         );
         assert!(
             speedup >= MIN_SPEEDUP,
-            "perf gate: batched path must beat fallback packets/sec by >= {MIN_SPEEDUP}x, \
+            "perf gate: the batched ring must beat fallback packets/sec by >= {MIN_SPEEDUP}x, \
              got {speedup:.2}x"
-        );
-        assert_eq!(
-            (fallback.drain_allocs, batched.drain_allocs),
-            (0, 0),
-            "perf gate: the drain loop must not allocate"
         );
     } else {
         println!("(no batched syscalls on this platform: results reported, not gated)");
     }
-
-    // The offload gate compares combined TX + RX cost: kernel
-    // segmentation is worthless if it just moves syscalls to the other
-    // side of the wire.
-    let mut gso_reduction = 0.0;
-    if let Some(r) = &gso {
-        let reduction = batched.combined_syscalls_per_pkt() / r.combined_syscalls_per_pkt();
-        println!(
-            "{} vs batched: combined syscalls/pkt {:.4} vs {:.4} ({reduction:.1}x), \
-             combined pps {:.0} vs {:.0}",
-            r.mode,
-            r.combined_syscalls_per_pkt(),
-            batched.combined_syscalls_per_pkt(),
-            r.combined_pps(),
-            batched.combined_pps(),
-        );
-        assert!(
-            reduction >= MIN_GSO_SYSCALL_REDUCTION,
-            "perf gate: {} must cut combined syscalls/pkt >= {MIN_GSO_SYSCALL_REDUCTION}x \
-             further than batched, got {reduction:.1}x",
-            r.mode
-        );
-        assert!(
-            r.combined_pps() > batched.combined_pps(),
-            "perf gate: {} combined pps ({:.0}) must beat batched ({:.0})",
-            r.mode,
-            r.combined_pps(),
-            batched.combined_pps(),
-        );
-        assert!(
-            r.gso_sends > 0,
-            "perf gate: {} row must actually exercise UDP_SEGMENT",
-            r.mode
-        );
+    for r in &rows {
         assert_eq!(
             r.drain_allocs, 0,
             "perf gate: the {} drain loop must not allocate",
@@ -695,7 +696,42 @@ fn main() {
             "perf gate: {} must decode every cmsg it asked for",
             r.mode
         );
-        gso_reduction = reduction;
+    }
+
+    // The offload gate compares combined TX + RX cost: kernel
+    // segmentation is worthless if it just moves syscalls to the other
+    // side of the wire.
+    let mut offload_reduction = 0.0;
+    if let Some(r) = &offload {
+        let reduction = sendmmsg.combined_syscalls_per_pkt() / r.combined_syscalls_per_pkt();
+        println!(
+            "{} vs sendmmsg: combined syscalls/pkt {:.4} vs {:.4} ({reduction:.1}x), \
+             combined pps {:.0} vs {:.0}",
+            r.mode,
+            r.combined_syscalls_per_pkt(),
+            sendmmsg.combined_syscalls_per_pkt(),
+            r.combined_pps(),
+            sendmmsg.combined_pps(),
+        );
+        assert!(
+            reduction >= MIN_OFFLOAD_SYSCALL_REDUCTION,
+            "perf gate: {} must cut combined syscalls/pkt >= {MIN_OFFLOAD_SYSCALL_REDUCTION}x \
+             further than sendmmsg, got {reduction:.1}x",
+            r.mode
+        );
+        assert!(
+            r.combined_pps() > sendmmsg.combined_pps(),
+            "perf gate: {} combined pps ({:.0}) must beat sendmmsg ({:.0})",
+            r.mode,
+            r.combined_pps(),
+            sendmmsg.combined_pps(),
+        );
+        assert!(
+            r.gso_sends > 0,
+            "perf gate: {} row must actually exercise UDP_SEGMENT",
+            r.mode
+        );
+        offload_reduction = reduction;
     }
 
     // Steering rows: 1 vs 4 drain threads over a reuseport group.
@@ -784,10 +820,10 @@ fn main() {
     let skipped_json = |mode: &str, reason: &str| {
         format!("    {{\"mode\": \"{mode}\", \"skipped\": true, \"reason\": \"{reason}\"}}")
     };
-    let mut rx_rows = vec![rx_json(&fallback), rx_json(&batched)];
-    rx_rows.push(match &gso {
+    let mut rx_rows = vec![rx_json(&fallback), rx_json(&sendmmsg)];
+    rx_rows.push(match &offload {
         Some(r) => rx_json(r),
-        None => skipped_json("gso", "kernel lacks UDP_SEGMENT"),
+        None => skipped_json("offload", "kernel lacks UDP_SEGMENT"),
     });
     let steer_json = |r: &SteerResult| {
         let per_socket = r
@@ -837,9 +873,9 @@ fn main() {
             "  \"steer\": [\n{}\n  ],\n",
             "  \"gate\": {{\"speedup\": {:.3}, \"min_speedup\": {}, ",
             "\"syscall_reduction\": {:.1}, \"min_syscall_reduction\": {}, ",
-            "\"gso_syscall_reduction\": {:.1}, \"min_gso_syscall_reduction\": {}, ",
+            "\"offload_syscall_reduction\": {:.1}, \"min_offload_syscall_reduction\": {}, ",
             "\"steer_scaling\": {:.3}, \"min_steer_scaling\": {}, \"cores\": {}, ",
-            "\"gated\": {}, \"gso_gated\": {}, \"steer_gated\": {}}}\n",
+            "\"gated\": {}, \"offload_gated\": {}, \"steer_gated\": {}}}\n",
             "}}\n"
         ),
         quick,
@@ -860,13 +896,13 @@ fn main() {
         MIN_SPEEDUP,
         syscall_reduction,
         MIN_SYSCALL_REDUCTION,
-        gso_reduction,
-        MIN_GSO_SYSCALL_REDUCTION,
+        offload_reduction,
+        MIN_OFFLOAD_SYSCALL_REDUCTION,
         steer_scaling,
         MIN_STEER_SCALING,
         cores,
-        batched.batched,
-        gso.is_some(),
+        sendmmsg.batched,
+        offload.is_some(),
         steer_gated,
     );
     let path = out.unwrap_or_else(|| PathBuf::from("BENCH_live.json"));

@@ -2,13 +2,11 @@
 //!
 //! The live tool's throughput ceiling is syscall overhead: one
 //! `recv_from` per probe on the receiver, one `send` per packet on the
-//! sender. On Linux this module batches both directions — `recvmmsg`
-//! drains up to [`BatchReceiver`]'s capacity in one syscall into a
-//! preallocated buffer ring, `sendmmsg` pushes a whole probe train in
-//! one — with **zero per-datagram heap allocation**: every buffer,
-//! iovec, and sockaddr lives in the struct and is reused across calls.
+//! sender. On Linux this module batches both directions with **zero
+//! per-datagram heap allocation**: every buffer, iovec, and sockaddr
+//! lives in the struct and is reused across calls.
 //!
-//! The workspace is fully offline (no `libc` crate), so the two syscalls
+//! The workspace is fully offline (no `libc` crate), so the syscalls
 //! are declared directly against the C library in a small `sys` module,
 //! gated on `#[cfg(target_os = "linux")]`. Every other platform — and
 //! any caller that asks for [`IoMode::Fallback`] — gets a portable
@@ -16,81 +14,86 @@
 //! *same* API, so the receiver and sender code is identical on both
 //! paths and differential tests can force either one.
 //!
-//! A third tier sits above batching: **offload**. In [`IoMode::Gso`]
-//! the sender hands the kernel one flat super-datagram per `sendmsg`
-//! with a `UDP_SEGMENT` cmsg and lets the kernel split it into wire
-//! packets (up to [`crate::cmsg::MAX_GSO_SEGMENTS`] per call). The
-//! receiver enables `UDP_GRO` and `SO_TIMESTAMPING`: the ring's slots
-//! grow to super-datagram size, coalesced reads are split back into
-//! logical datagrams by the cmsg-reported segment size (tail segment
-//! included) before the caller ever sees them — `datagram(i)` indexes
-//! logical datagrams on every path — and every read carries the
-//! kernel's software RX stamp instead of a userspace timestamp taken
-//! after scheduler noise. Segments GRO coalesced into one read share
-//! that read's stamp. Offload support is probed at runtime
-//! ([`kernel_offload_caps`]) and degrades per socket: a kernel that
-//! refuses `UDP_GRO` leaves the ring receiving one datagram per slot,
-//! still kernel-stamped; a send the kernel refuses (`EINVAL`/`EIO` —
-//! typical for missing offload support) flips the sender back to the
-//! `sendmmsg` path permanently for that socket. The offload tier
-//! degrades to the batched tier instead of failing.
+//! [`IoMode::Batched`] is one datapath with kernel offload in both
+//! directions:
+//!
+//! - **Send.** The sender hands the kernel one flat super-datagram per
+//!   `sendmsg` with a `UDP_SEGMENT` cmsg and lets the kernel split it
+//!   into wire packets (up to [`crate::cmsg::MAX_GSO_SEGMENTS`] per
+//!   call); separate packets go out in one `sendmmsg`.
+//! - **Receive.** `recvmmsg` drains up to [`DEFAULT_RECV_BATCH`] reads
+//!   per syscall into a ring of [`GRO_SLOT_BYTES`] slots with `UDP_GRO`
+//!   and `SO_TIMESTAMPING` on. Coalesced reads are split back into
+//!   logical datagrams by the cmsg-reported segment size (tail segment
+//!   included) before the caller ever sees them — `datagram(i)` indexes
+//!   logical datagrams on every path — and every read carries the
+//!   kernel's software RX stamp instead of a userspace timestamp taken
+//!   after scheduler noise. Segments GRO coalesced into one read share
+//!   that read's stamp. The ring is allocated **uninitialized**: a
+//!   2 MiB ring that only ever holds 64-byte probes costs the pages the
+//!   kernel writes, not 2 MiB of zeroes, and only the bytes `recvmmsg`
+//!   reported for a slot are ever read.
+//!
+//! Each option degrades on its own, per socket ([`kernel_offload_caps`]
+//! probes them): a kernel that refuses `UDP_GRO` leaves the ring
+//! receiving one datagram per slot, still kernel-stamped; one that
+//! refuses `SO_TIMESTAMPING` leaves arrivals on the userspace clock; a
+//! send the kernel refuses (`EINVAL`/`EIO` — typical for missing
+//! offload support) flips the sender to `sendmmsg` permanently for that
+//! socket.
 //!
 //! Behaviour contract: all paths deliver the same datagrams with the
 //! same payloads; only the number of syscalls (and the granularity and
 //! source of the timestamps the *caller* takes) differs.
-//! `crates/live/tests/batch_differential.rs` holds the receiver to
-//! byte-identical reports across the two paths.
+//! `crates/live/tests/batch_differential.rs` holds the receiver to the
+//! same probe accounting across the paths, and across coalesced and
+//! uncoalesced senders.
 
 use crate::cmsg;
 use std::io;
+use std::mem::MaybeUninit;
 use std::net::{SocketAddr, UdpSocket};
 
 /// Datagrams drained per `recvmmsg` call (and the buffer-ring size).
 pub const DEFAULT_RECV_BATCH: usize = 32;
 
-/// Bytes reserved per ring slot. Probe packets are a few hundred bytes
-/// and the largest control message ([`badabing_wire::control::MAX_CONTROL_BYTES`])
-/// is ~1.1 KiB, so one page-and-change per slot is comfortable.
+/// Bytes in the fallback path's one receive slot. Probe packets are a
+/// few hundred bytes and the largest control message
+/// ([`badabing_wire::control::MAX_CONTROL_BYTES`]) is ~1.1 KiB, so one
+/// page is comfortable.
 pub const DATAGRAM_BYTES: usize = 4096;
 
 /// Which I/O implementation a [`BatchReceiver`] / [`BatchSender`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoMode {
-    /// Batched syscalls. On platforms without them this quietly behaves
-    /// like [`IoMode::Fallback`] so cross-platform tests still run.
+    /// Batched syscalls with kernel offload: `UDP_SEGMENT`
+    /// super-datagram sends (`sendmmsg` for separate packets), and
+    /// `recvmmsg` into a ring with `UDP_GRO` coalescing and kernel
+    /// software RX timestamps (`SO_TIMESTAMPING`). Each option the
+    /// kernel refuses degrades on its own, per socket. On platforms
+    /// without these syscalls it quietly behaves like
+    /// [`IoMode::Fallback`] so cross-platform tests still run.
     #[default]
     Batched,
     /// The portable one-datagram-per-syscall path, everywhere.
     Fallback,
-    /// The offload tier: `UDP_SEGMENT` super-datagram sends, and
-    /// `UDP_GRO` coalescing plus kernel software RX timestamps
-    /// (`SO_TIMESTAMPING`) on the receive ring. Each option the kernel
-    /// refuses degrades on its own, per socket: to `sendmmsg` on
-    /// transmit, to uncoalesced kernel-stamped reads on receive. Off
-    /// Linux it is the portable path.
-    Gso,
 }
 
 impl IoMode {
+    /// The offload tier's former name, now the same mode as
+    /// [`IoMode::Batched`]. The end-to-end benchmark's generator
+    /// (`e2ebench/src/live.rs`) names `IoMode::Gso`, and that benchmark
+    /// is held fixed while it compares a change against its parent, so
+    /// the alias stays until the benchmark's next revision.
+    #[allow(non_upper_case_globals)]
+    pub const Gso: IoMode = IoMode::Batched;
+
     /// Whether this mode resolves to the batched implementation here.
     pub fn use_batched(self) -> bool {
         match self {
-            IoMode::Batched | IoMode::Gso => cfg!(target_os = "linux"),
+            IoMode::Batched => cfg!(target_os = "linux"),
             IoMode::Fallback => false,
         }
-    }
-
-    /// Whether senders should attempt `UDP_SEGMENT` offload sends.
-    pub fn wants_gso(self) -> bool {
-        self == IoMode::Gso
-    }
-
-    /// Whether receive rings should enable `UDP_GRO` coalescing and
-    /// kernel software RX timestamps (`SO_TIMESTAMPING`). The kernel
-    /// stamp is taken before scheduler noise, which is the whole point
-    /// of the tier for delay measurement.
-    pub fn wants_kernel_stamps(self) -> bool {
-        self == IoMode::Gso
     }
 }
 
@@ -101,9 +104,8 @@ impl std::str::FromStr for IoMode {
         match s {
             "batched" => Ok(IoMode::Batched),
             "fallback" => Ok(IoMode::Fallback),
-            "gso" => Ok(IoMode::Gso),
             other => Err(format!(
-                "unknown io mode {other:?} (expected batched|fallback|gso)"
+                "unknown io mode {other:?} (expected batched|fallback)"
             )),
         }
     }
@@ -267,8 +269,8 @@ fn unspecified() -> SocketAddr {
     SocketAddr::from(([0, 0, 0, 0], 0))
 }
 
-/// Bytes per ring slot when `UDP_GRO` is on: a coalesced read can be a
-/// whole super-datagram (up to the UDP payload maximum).
+/// Bytes per batched ring slot: under `UDP_GRO` a coalesced read can be
+/// a whole super-datagram (up to the UDP payload maximum).
 pub const GRO_SLOT_BYTES: usize = 65_536;
 
 /// One logical datagram of the last recv: a window into a ring slot.
@@ -281,6 +283,15 @@ struct View {
     len: u32,
 }
 
+/// Where a [`BatchReceiver`]'s datagrams land.
+enum Slots {
+    /// The batched ring: `cap` slots, allocated uninitialized and never
+    /// zeroed. Only bytes `recvmmsg` reported for a slot are ever read.
+    Ring(Box<[MaybeUninit<u8>]>),
+    /// The fallback path's one zeroed slot, which `recv_from` fills.
+    One(Box<[u8]>),
+}
+
 /// A preallocated receive ring: one `recv` call fills up to `cap`
 /// datagram slots (one syscall on the batched path, exactly one datagram
 /// on the fallback path) with no allocation. Indices handed to
@@ -289,8 +300,7 @@ struct View {
 pub struct BatchReceiver {
     cap: usize,
     slot: usize,
-    bufs: Vec<u8>,
-    lens: Vec<usize>,
+    slots: Slots,
     srcs: Vec<SocketAddr>,
     truncs: Vec<bool>,
     /// Per-slot kernel RX stamp, expressed as its age in nanoseconds
@@ -300,9 +310,6 @@ pub struct BatchReceiver {
     /// Logical datagrams of the last recv, in arrival order.
     views: Vec<View>,
     count: usize,
-    batched: bool,
-    /// Whether the mode asks for `UDP_GRO` and kernel RX stamps.
-    offload: bool,
     gro_on: bool,
     stamps_on: bool,
     configured: bool,
@@ -325,38 +332,41 @@ struct RawRing {
 }
 
 impl BatchReceiver {
-    /// A ring of `cap` slots of [`DATAGRAM_BYTES`] each
-    /// ([`GRO_SLOT_BYTES`] when the mode coalesces).
+    /// A ring of `cap` slots of [`GRO_SLOT_BYTES`] each on the batched
+    /// path; one slot of [`DATAGRAM_BYTES`] on the fallback path.
     pub fn new(cap: usize, mode: IoMode) -> Self {
+        Self::with_slot_bytes(cap, mode, GRO_SLOT_BYTES)
+    }
+
+    /// [`BatchReceiver::new`] with `slot` bytes per batched ring slot
+    /// (the fallback slot is always [`DATAGRAM_BYTES`]), so a test can
+    /// make a read overflow its slot.
+    fn with_slot_bytes(cap: usize, mode: IoMode, slot: usize) -> Self {
         assert!(cap >= 1, "batch capacity must be at least 1");
         let batched = mode.use_batched();
-        let offload = mode.wants_kernel_stamps() && batched;
-        let slot = if offload {
-            GRO_SLOT_BYTES
+        let (slot, slots, ring_len) = if batched {
+            (slot, Slots::Ring(Box::new_uninit_slice(cap * slot)), cap)
         } else {
-            DATAGRAM_BYTES
-        };
-        // A GRO slot splits into at most MAX_GSO_SEGMENTS logical
-        // datagrams (the kernel's own coalescing cap); one extra slot
-        // of headroom absorbs a misbehaving kernel via tail-merge
-        // without ever reallocating mid-drain.
-        let max_views = if offload {
-            cap * (cmsg::MAX_GSO_SEGMENTS + 1)
-        } else {
-            cap
+            let one = vec![0u8; DATAGRAM_BYTES].into_boxed_slice();
+            (DATAGRAM_BYTES, Slots::One(one), 0)
         };
         let mut out = Self {
             cap,
             slot,
-            bufs: vec![0u8; cap * slot],
-            lens: vec![0; cap],
+            slots,
             srcs: vec![unspecified(); cap],
             truncs: vec![false; cap],
             ages: vec![u64::MAX; cap],
-            views: Vec::with_capacity(max_views),
+            // A GRO read splits into at most MAX_GSO_SEGMENTS logical
+            // datagrams (the kernel's own coalescing cap), plus headroom.
+            // `recv` never grows this: past its share it merges the rest
+            // of a read into one view, so the drain never reallocates.
+            views: Vec::with_capacity(if batched {
+                cap * (cmsg::MAX_GSO_SEGMENTS + 1)
+            } else {
+                1
+            }),
             count: 0,
-            batched,
-            offload,
             gro_on: false,
             stamps_on: false,
             configured: false,
@@ -366,66 +376,59 @@ impl BatchReceiver {
             gro_segments_split: 0,
             cmsg_decode_errors: 0,
             #[cfg(target_os = "linux")]
-            ctrl: if offload {
-                vec![0u8; cap * cmsg::RECV_CONTROL_BYTES]
-            } else {
-                Vec::new()
-            },
+            ctrl: vec![0u8; ring_len * cmsg::RECV_CONTROL_BYTES],
             #[cfg(target_os = "linux")]
             raw: RawRing {
                 // SAFETY: all-zero bytes are a valid value for these
                 // plain-data C structs; every field is rewritten before
                 // the kernel sees it.
-                hdrs: vec![unsafe { std::mem::zeroed() }; cap],
-                iovs: vec![unsafe { std::mem::zeroed() }; cap],
-                addrs: vec![unsafe { std::mem::zeroed() }; cap],
+                hdrs: vec![unsafe { std::mem::zeroed() }; ring_len],
+                iovs: vec![unsafe { std::mem::zeroed() }; ring_len],
+                addrs: vec![unsafe { std::mem::zeroed() }; ring_len],
             },
         };
         #[cfg(target_os = "linux")]
         out.init_ring();
+        #[cfg(not(target_os = "linux"))]
+        let _ = ring_len;
         out
     }
 
-    /// Point every mmsghdr at its iovec/addr slot once, at construction.
-    /// `recv` then only has to refresh the fields the kernel overwrites
-    /// (`msg_namelen`, `msg_flags`, `msg_len`) instead of rebuilding the
-    /// whole ring per syscall — this is measurable at millions of
-    /// packets per second.
+    /// Point every mmsghdr at its iovec/addr/cmsg slot once, at
+    /// construction. `recv` then only has to refresh the fields the
+    /// kernel overwrites (`msg_namelen`, `msg_controllen`, `msg_flags`,
+    /// `msg_len`) instead of rebuilding the whole ring per syscall —
+    /// this is measurable at millions of packets per second. The
+    /// fallback path has no raw ring, so this wires nothing.
     #[cfg(target_os = "linux")]
     fn init_ring(&mut self) {
+        let Slots::Ring(ring) = &mut self.slots else {
+            return;
+        };
         let slot = self.slot;
-        for i in 0..self.cap {
-            self.raw.iovs[i] = sys::iovec {
-                iov_base: self.bufs[i * slot..].as_mut_ptr(),
+        for (i, iov) in self.raw.iovs.iter_mut().enumerate() {
+            *iov = sys::iovec {
+                iov_base: ring[i * slot..].as_mut_ptr().cast::<u8>(),
                 iov_len: slot,
             };
         }
         let iovs = self.raw.iovs.as_mut_ptr();
         let addrs = self.raw.addrs.as_mut_ptr();
-        let want_ctrl = !self.ctrl.is_empty();
         for (i, hdr) in self.raw.hdrs.iter_mut().enumerate() {
             // SAFETY: all three pointers index into the raw ring's own
-            // vectors. The vectors are never resized after construction,
-            // so their heap allocations — which is what these pointers
-            // address — stay put even if the `BatchReceiver` itself
-            // moves. Pointing at them once here is sound for the
-            // struct's whole lifetime.
+            // vectors, and the iovecs into the slot allocation. None of
+            // them is resized after construction, so their heap
+            // allocations — which is what these pointers address — stay
+            // put even if the `BatchReceiver` itself moves. Pointing at
+            // them once here is sound for the struct's whole lifetime.
             *hdr = sys::mmsghdr {
                 msg_hdr: sys::msghdr {
                     msg_name: unsafe { (*addrs.add(i)).bytes.as_mut_ptr() },
                     msg_namelen: sys::SOCKADDR_STORAGE_BYTES as u32,
                     msg_iov: unsafe { iovs.add(i) },
                     msg_iovlen: 1,
-                    msg_control: if want_ctrl {
-                        self.ctrl[i * cmsg::RECV_CONTROL_BYTES..].as_mut_ptr() as *mut _
-                    } else {
-                        std::ptr::null_mut()
-                    },
-                    msg_controllen: if want_ctrl {
-                        cmsg::RECV_CONTROL_BYTES
-                    } else {
-                        0
-                    },
+                    msg_control: self.ctrl[i * cmsg::RECV_CONTROL_BYTES..].as_mut_ptr() as *mut _,
+                    msg_controllen: cmsg::RECV_CONTROL_BYTES,
                     msg_flags: 0,
                 },
                 msg_len: 0,
@@ -435,12 +438,12 @@ impl BatchReceiver {
 
     /// Whether this ring resolved to the batched implementation.
     pub fn is_batched(&self) -> bool {
-        self.batched
+        matches!(self.slots, Slots::Ring(_))
     }
 
-    /// Enable the requested socket options the first time the ring sees
-    /// its socket. Failures degrade stickily (the flag stays off and is
-    /// never retried): a kernel without `UDP_GRO` still receives, one
+    /// Enable `SO_TIMESTAMPING` and `UDP_GRO` the first time the ring
+    /// sees its socket. Failures degrade stickily (the flag stays off and
+    /// is never retried): a kernel without `UDP_GRO` still receives, one
     /// kernel-stamped datagram per slot, and one without
     /// `SO_TIMESTAMPING` leaves timestamp consumers on the userspace
     /// clock.
@@ -452,32 +455,30 @@ impl BatchReceiver {
         }
         self.configured = true;
         let fd = socket.as_raw_fd();
-        if self.offload {
-            let flags: u32 = cmsg::SOF_TIMESTAMPING_RX_SOFTWARE | cmsg::SOF_TIMESTAMPING_SOFTWARE;
-            // SAFETY: passes a 4-byte value the kernel only reads.
-            let rc = unsafe {
-                sys::setsockopt(
-                    fd,
-                    sys::SOL_SOCKET,
-                    cmsg::SO_TIMESTAMPING,
-                    &flags as *const u32 as *const _,
-                    4,
-                )
-            };
-            self.stamps_on = rc == 0;
-            let on: i32 = 1;
-            // SAFETY: passes a 4-byte value the kernel only reads.
-            let rc = unsafe {
-                sys::setsockopt(
-                    fd,
-                    cmsg::SOL_UDP,
-                    cmsg::UDP_GRO,
-                    &on as *const i32 as *const _,
-                    4,
-                )
-            };
-            self.gro_on = rc == 0;
-        }
+        let flags: u32 = cmsg::SOF_TIMESTAMPING_RX_SOFTWARE | cmsg::SOF_TIMESTAMPING_SOFTWARE;
+        // SAFETY: passes a 4-byte value the kernel only reads.
+        let rc = unsafe {
+            sys::setsockopt(
+                fd,
+                sys::SOL_SOCKET,
+                cmsg::SO_TIMESTAMPING,
+                &flags as *const u32 as *const _,
+                4,
+            )
+        };
+        self.stamps_on = rc == 0;
+        let on: i32 = 1;
+        // SAFETY: passes a 4-byte value the kernel only reads.
+        let rc = unsafe {
+            sys::setsockopt(
+                fd,
+                cmsg::SOL_UDP,
+                cmsg::UDP_GRO,
+                &on as *const i32 as *const _,
+                4,
+            )
+        };
+        self.gro_on = rc == 0;
     }
 
     /// Receive into the ring: blocks per the socket's read timeout for
@@ -490,9 +491,8 @@ impl BatchReceiver {
     pub fn recv(&mut self, socket: &UdpSocket) -> io::Result<usize> {
         self.count = 0;
         self.views.clear();
-        if !self.batched {
-            let (len, src) = socket.recv_from(&mut self.bufs[..self.slot])?;
-            self.lens[0] = len;
+        if let Slots::One(buf) = &mut self.slots {
+            let (len, src) = socket.recv_from(buf)?;
             self.srcs[0] = src;
             // `recv_from` silently clips oversized datagrams to the
             // buffer and reports the clipped length, so a slot-filling
@@ -518,7 +518,6 @@ impl BatchReceiver {
         {
             use std::os::fd::AsRawFd;
             self.ensure_socket_setup(socket);
-            let want_ctrl = !self.ctrl.is_empty();
             // The ring was wired up once in `init_ring`; per call only
             // the fields the kernel overwrites need resetting. The
             // kernel rewrites each sockaddr before reporting it, so the
@@ -527,15 +526,14 @@ impl BatchReceiver {
                 hdr.msg_hdr.msg_namelen = sys::SOCKADDR_STORAGE_BYTES as u32;
                 hdr.msg_hdr.msg_flags = 0;
                 hdr.msg_len = 0;
-                if want_ctrl {
-                    // The kernel shrinks controllen to what it wrote;
-                    // restore the full window (the pointer is untouched).
-                    hdr.msg_hdr.msg_controllen = cmsg::RECV_CONTROL_BYTES;
-                }
+                // The kernel shrinks controllen to what it wrote;
+                // restore the full window (the pointer is untouched).
+                hdr.msg_hdr.msg_controllen = cmsg::RECV_CONTROL_BYTES;
             }
-            // SAFETY: hdrs/iovs/addrs (and ctrl when wired) are `cap`
-            // valid, live entries; the fd is owned by `socket` which
-            // outlives the call.
+            // SAFETY: hdrs/iovs/addrs/ctrl are `cap` valid, live entries
+            // whose pointers `init_ring` set; each iovec covers exactly
+            // its own slot, so the kernel writes nowhere else. The fd is
+            // owned by `socket`, which outlives the call.
             let n = unsafe {
                 sys::recvmmsg(
                     socket.as_raw_fd(),
@@ -561,64 +559,63 @@ impl BatchReceiver {
                 None
             };
             for i in 0..n {
-                self.lens[i] = self.raw.hdrs[i].msg_len as usize;
+                let hdr = &self.raw.hdrs[i];
+                // The bytes the kernel wrote into slot `i`: `msg_len` is
+                // what it copied, never more than the slot. Every view
+                // below stays inside them.
+                let len = (hdr.msg_len as usize).min(self.slot);
                 self.srcs[i] = sys::parse_sockaddr(&self.raw.addrs[i]).unwrap_or_else(unspecified);
                 // The kernel flags clipped datagrams explicitly here.
-                self.truncs[i] = self.raw.hdrs[i].msg_hdr.msg_flags & sys::MSG_TRUNC != 0;
+                self.truncs[i] = hdr.msg_hdr.msg_flags & sys::MSG_TRUNC != 0;
                 if self.truncs[i] {
                     self.truncated += 1;
                 }
                 self.ages[i] = u64::MAX;
-                let len = self.lens[i].min(self.slot);
                 let mut seg = 0usize;
-                if want_ctrl {
-                    let clen = self.raw.hdrs[i]
-                        .msg_hdr
-                        .msg_controllen
-                        .min(cmsg::RECV_CONTROL_BYTES);
-                    let ctrl = &self.ctrl[i * cmsg::RECV_CONTROL_BYTES..][..clen];
-                    let mut it = cmsg::CmsgIter::new(ctrl);
-                    for c in it.by_ref() {
-                        match (c.level, c.ty) {
-                            (sys::SOL_SOCKET, cmsg::SCM_TIMESTAMPING) => {
-                                // An all-zero stamp means "not stamped"
-                                // (only one of the three timespecs is
-                                // ever filled) — that is a fallback, not
-                                // a decode error.
-                                if let (Some(stamp), Some(w)) =
-                                    (cmsg::parse_scm_timestamping(c.data), wall)
-                                {
-                                    let age = w.saturating_sub(stamp).as_nanos();
-                                    self.ages[i] = age.min(u64::MAX as u128) as u64;
-                                }
+                let clen = hdr.msg_hdr.msg_controllen.min(cmsg::RECV_CONTROL_BYTES);
+                let ctrl = &self.ctrl[i * cmsg::RECV_CONTROL_BYTES..][..clen];
+                let mut it = cmsg::CmsgIter::new(ctrl);
+                for c in it.by_ref() {
+                    match (c.level, c.ty) {
+                        (sys::SOL_SOCKET, cmsg::SCM_TIMESTAMPING) => {
+                            // An all-zero stamp means "not stamped" (only
+                            // one of the three timespecs is ever filled)
+                            // — that is a fallback, not a decode error.
+                            if let (Some(stamp), Some(w)) =
+                                (cmsg::parse_scm_timestamping(c.data), wall)
+                            {
+                                let age = w.saturating_sub(stamp).as_nanos();
+                                self.ages[i] = age.min(u64::MAX as u128) as u64;
                             }
-                            (cmsg::SOL_UDP, cmsg::UDP_GRO) => {
-                                match cmsg::parse_gro_segment_size(c.data) {
-                                    Some(s) => seg = s,
-                                    None => self.cmsg_decode_errors += 1,
-                                }
-                            }
-                            _ => {}
                         }
+                        (cmsg::SOL_UDP, cmsg::UDP_GRO) => {
+                            match cmsg::parse_gro_segment_size(c.data) {
+                                Some(s) => seg = s,
+                                None => self.cmsg_decode_errors += 1,
+                            }
+                        }
+                        _ => {}
                     }
-                    if it.malformed {
-                        self.cmsg_decode_errors += 1;
-                    }
+                }
+                if it.malformed {
+                    self.cmsg_decode_errors += 1;
                 }
                 if seg > 0 && seg < len && !self.truncs[i] {
                     // A coalesced super-datagram: split it into logical
                     // datagrams at the kernel-reported segment size. The
                     // last segment may be short (a genuinely smaller
-                    // trailing packet).
-                    let mut produced: u64 = 0;
+                    // trailing packet). Every later read of this batch
+                    // keeps one view in reserve, so a kernel coalescing
+                    // beyond its documented cap cannot crowd one out.
+                    let budget = self.views.capacity() - self.views.len() - (n - 1 - i);
+                    let mut produced = 0usize;
                     for (off, seg_len) in cmsg::segments(len, seg) {
-                        if self.views.len() == self.views.capacity() {
-                            // A kernel coalescing beyond its own
-                            // documented cap: merge the remainder into
-                            // the final view rather than reallocating
-                            // (zero-alloc drain contract) and flag it.
+                        if produced == budget {
+                            // Merge the remainder into this read's last
+                            // view rather than reallocating (zero-alloc
+                            // drain contract), and flag it.
                             self.cmsg_decode_errors += 1;
-                            let last = self.views.last_mut().expect("view capacity is nonzero");
+                            let last = self.views.last_mut().expect("budget is at least one view");
                             last.len = (len - last.off as usize) as u32;
                             break;
                         }
@@ -630,7 +627,7 @@ impl BatchReceiver {
                         produced += 1;
                     }
                     if produced > 1 {
-                        self.gro_segments_split += produced;
+                        self.gro_segments_split += produced as u64;
                     }
                 } else {
                     self.views.push(View {
@@ -655,10 +652,20 @@ impl BatchReceiver {
         assert!(i < self.count, "datagram index {i} >= batch {}", self.count);
         let v = self.views[i];
         let start = v.slot as usize * self.slot + v.off as usize;
-        (
-            &self.bufs[start..start + v.len as usize],
-            self.srcs[v.slot as usize],
-        )
+        let end = start + v.len as usize;
+        let bytes = match &self.slots {
+            Slots::One(buf) => &buf[start..end],
+            Slots::Ring(ring) => {
+                let written = &ring[start..end];
+                // SAFETY: `recv` cleared the old views and made each new
+                // one inside the first `min(msg_len, slot)` bytes of its
+                // slot, which the kernel wrote during that same call, so
+                // every byte here is initialized; `MaybeUninit<u8>` has
+                // the layout of `u8`.
+                unsafe { std::slice::from_raw_parts(written.as_ptr().cast::<u8>(), written.len()) }
+            }
+        };
+        (bytes, self.srcs[v.slot as usize])
     }
 
     /// Whether datagram `i` of the last recv was clipped to the ring
@@ -723,8 +730,6 @@ impl BatchReceiver {
 pub struct BatchSender {
     cap: usize,
     batched: bool,
-    /// Whether the mode asks for `UDP_SEGMENT` offload at all.
-    gso: bool,
     /// Sticky health of the offload: the first send the kernel rejects
     /// with "no offload here" (`EIO`/`EINVAL`/`EOPNOTSUPP`) clears this
     /// and every later train goes straight to `sendmmsg`.
@@ -748,7 +753,6 @@ impl BatchSender {
         Self {
             cap,
             batched,
-            gso: mode.wants_gso() && batched,
             gso_ok: true,
             syscalls: 0,
             datagrams: 0,
@@ -833,10 +837,10 @@ impl BatchSender {
     /// steady-state TX path needs no per-train slice-of-slices. Same
     /// prefix/short-count/error semantics as `send`.
     ///
-    /// On a GSO mode this is the offload entry point: the whole prefix
-    /// goes down as **one** `sendmsg` carrying a `UDP_SEGMENT` cmsg and
-    /// the kernel segments it, clamped to the kernel's own limits (64
-    /// segments, 64 KiB total). If the path reports it can't offload
+    /// On the batched path this is the offload entry point: the whole
+    /// prefix goes down as **one** `sendmsg` carrying a `UDP_SEGMENT`
+    /// cmsg and the kernel segments it, clamped to the kernel's own
+    /// limits (64 segments, 64 KiB total). If the path reports it can't offload
     /// (`EIO`/`EINVAL`/`EOPNOTSUPP`) the sender degrades stickily to
     /// `sendmmsg` and stays correct.
     ///
@@ -865,12 +869,7 @@ impl BatchSender {
         #[cfg(target_os = "linux")]
         {
             use std::os::fd::AsRawFd;
-            if self.gso
-                && self.gso_ok
-                && count > 1
-                && seg_bytes > 0
-                && seg_bytes <= u16::MAX as usize
-            {
+            if self.gso_ok && count > 1 && seg_bytes > 0 && seg_bytes <= u16::MAX as usize {
                 if let Some(result) = self.send_gso(socket, buf, seg_bytes, count) {
                     return result;
                 }
@@ -1048,12 +1047,12 @@ pub struct OffloadCaps {
 }
 
 impl OffloadCaps {
-    /// Whether `--io gso` can engage its transmit offload here.
+    /// Whether batched senders can engage their transmit offload here.
     pub fn gso_ready(&self) -> bool {
         self.udp_segment
     }
 
-    /// Whether `--io gso` can also coalesce on receive here.
+    /// Whether batched receive rings can also coalesce here.
     pub fn gro_ready(&self) -> bool {
         self.udp_segment && self.udp_gro
     }
@@ -1349,15 +1348,14 @@ mod tests {
         assert_eq!(IoMode::default(), IoMode::Batched);
         assert!(IoMode::Batched.use_batched());
         assert!(!IoMode::Fallback.use_batched());
-        assert!(IoMode::Gso.use_batched());
-        assert!(IoMode::Gso.wants_gso() && IoMode::Gso.wants_kernel_stamps());
-        assert!(!IoMode::Batched.wants_gso() && !IoMode::Batched.wants_kernel_stamps());
+        assert_eq!(IoMode::Gso, IoMode::Batched, "the old name is an alias");
     }
 
     #[test]
     fn io_mode_parses_offload_spellings() {
-        assert_eq!("gso".parse::<IoMode>().unwrap(), IoMode::Gso);
-        for gone in ["auto", "gso+gro", "gro"] {
+        assert_eq!("batched".parse::<IoMode>().unwrap(), IoMode::Batched);
+        // The offload tier is the batched mode; its old spellings are gone.
+        for gone in ["auto", "gso", "gso+gro", "gro"] {
             assert!(gone.parse::<IoMode>().is_err(), "{gone}");
         }
     }
@@ -1425,7 +1423,9 @@ mod tests {
             // One datagram larger than a ring slot, one normal-sized.
             tx.send(&vec![0xAB; DATAGRAM_BYTES + 512]).unwrap();
             tx.send(&[0xCD; 64]).unwrap();
-            let mut ring = BatchReceiver::new(4, mode);
+            // The batched ring's slots hold any UDP payload, so give it
+            // the fallback's slot size to make the datagram overflow.
+            let mut ring = BatchReceiver::with_slot_bytes(4, mode, DATAGRAM_BYTES);
             let mut seen = Vec::new();
             while seen.len() < 2 {
                 let n = ring.recv(&rx).unwrap();
@@ -1473,7 +1473,7 @@ mod tests {
         for (i, chunk) in train.chunks_mut(seg).enumerate() {
             chunk.fill(i as u8 + 1);
         }
-        let mut sender = BatchSender::new(8, IoMode::Gso);
+        let mut sender = BatchSender::new(8, IoMode::Batched);
         assert_eq!(
             sender.send_segments(&tx, &train, seg, 5).unwrap(),
             5,
@@ -1506,7 +1506,7 @@ mod tests {
         let seg = 32;
         let count = 100; // past UDP_MAX_SEGMENTS: must clamp to 64
         let train = vec![0x5Au8; count * seg];
-        let mut sender = BatchSender::new(128, IoMode::Gso);
+        let mut sender = BatchSender::new(128, IoMode::Batched);
         let accepted = sender.send_segments(&tx, &train, seg, count).unwrap();
         assert_eq!(accepted, cmsg::MAX_GSO_SEGMENTS, "prefix is the kernel cap");
         let mut buf = [0u8; 256];
@@ -1525,13 +1525,13 @@ mod tests {
             return;
         }
         let (rx, tx) = pair();
-        let mut ring = BatchReceiver::new(4, IoMode::Gso);
+        let mut ring = BatchReceiver::new(4, IoMode::Batched);
         let seg = 512;
         let mut train = vec![0u8; 6 * seg];
         for (i, chunk) in train.chunks_mut(seg).enumerate() {
             chunk.fill(i as u8 + 1);
         }
-        let mut sender = BatchSender::new(8, IoMode::Gso);
+        let mut sender = BatchSender::new(8, IoMode::Batched);
         assert_eq!(sender.send_segments(&tx, &train, seg, 6).unwrap(), 6);
         // Whether or not loopback actually coalesced, the ring must
         // surface exactly six logical datagrams with the right payloads.
@@ -1561,9 +1561,169 @@ mod tests {
         assert_eq!(ring.cmsg_decode_errors(), 0);
     }
 
+    /// A batched ring whose socket options are already on: the options
+    /// go on at the first `recv`, and a datagram queued before `UDP_GRO`
+    /// is on is segmented by the kernel instead of coalesced.
+    #[cfg(target_os = "linux")]
+    fn primed_ring(rx: &UdpSocket, cap: usize, slot: usize) -> BatchReceiver {
+        let mut ring = BatchReceiver::with_slot_bytes(cap, IoMode::Batched, slot);
+        rx.set_nonblocking(true).unwrap();
+        let err = ring.recv(rx).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        rx.set_nonblocking(false).unwrap();
+        ring
+    }
+
+    /// One `sendmsg` of `buf` carrying a `UDP_SEGMENT` cmsg of `seg`
+    /// bytes. Unlike [`BatchSender::send_segments`], the last segment may
+    /// be short.
+    #[cfg(target_os = "linux")]
+    fn send_segmented(tx: &UdpSocket, buf: &[u8], seg: u16) {
+        use std::os::fd::AsRawFd;
+        let mut ctrl = [0u8; cmsg::space(2)];
+        let clen = cmsg::write(
+            &mut ctrl,
+            cmsg::SOL_UDP,
+            cmsg::UDP_SEGMENT,
+            &seg.to_ne_bytes(),
+        );
+        let mut iov = sys::iovec {
+            iov_base: buf.as_ptr() as *mut u8,
+            iov_len: buf.len(),
+        };
+        let hdr = sys::msghdr {
+            msg_name: std::ptr::null_mut(),
+            msg_namelen: 0,
+            msg_iov: &mut iov,
+            msg_iovlen: 1,
+            msg_control: ctrl.as_mut_ptr() as *mut _,
+            msg_controllen: clen,
+            msg_flags: 0,
+        };
+        // SAFETY: the iovec covers `buf`'s live bytes and the control
+        // buffer `clen` live bytes of `ctrl`, all of which outlive the
+        // call; the kernel only reads them. The fd is owned by `tx`.
+        let sent = unsafe { sys::sendmsg(tx.as_raw_fd(), &hdr, 0) };
+        assert_eq!(sent, buf.len() as isize, "{}", io::Error::last_os_error());
+    }
+
+    /// Reads logical datagrams until `want` have arrived.
+    #[cfg(target_os = "linux")]
+    fn drain(ring: &mut BatchReceiver, rx: &UdpSocket, want: usize) -> Vec<(Vec<u8>, bool)> {
+        let mut got = Vec::new();
+        while got.len() < want {
+            let n = ring.recv(rx).unwrap();
+            for i in 0..n {
+                got.push((ring.datagram(i).0.to_vec(), ring.is_truncated(i)));
+            }
+        }
+        got
+    }
+
+    /// The ring is never zeroed, so a slot still holds the tail of the
+    /// last, longer datagram it received. A shorter one read into the
+    /// same slot must come back as exactly its own bytes.
     #[cfg(target_os = "linux")]
     #[test]
-    fn kernel_stamps_engage_on_plain_gso_mode_too() {
+    fn a_short_datagram_after_a_long_one_reads_only_its_own_bytes() {
+        let (rx, tx) = pair();
+        let mut ring = BatchReceiver::new(4, IoMode::Batched);
+        tx.send(&[0xAA; 1500]).unwrap();
+        assert_eq!(drain(&mut ring, &rx, 1), vec![(vec![0xAA; 1500], false)]);
+        tx.send(&[0x11; 10]).unwrap();
+        assert_eq!(drain(&mut ring, &rx, 1), vec![(vec![0x11; 10], false)]);
+        tx.send(&[]).unwrap();
+        assert_eq!(drain(&mut ring, &rx, 1), vec![(Vec::new(), false)]);
+    }
+
+    /// A super-datagram of five 100-byte segments and a 37-byte tail
+    /// reads back as its six datagrams, tail included. With `UDP_GRO` on
+    /// it arrives as one coalesced read that the ring splits.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn gso_super_datagram_with_a_short_tail_splits_into_its_segments() {
+        if !kernel_offload_caps().gso_ready() {
+            eprintln!("skipping: kernel has no UDP_SEGMENT");
+            return;
+        }
+        let (rx, tx) = pair();
+        let mut ring = primed_ring(&rx, 4, GRO_SLOT_BYTES);
+        let mut want: Vec<(Vec<u8>, bool)> = (1u8..=5).map(|b| (vec![b; 100], false)).collect();
+        want.push((vec![6; 37], false));
+        let buf: Vec<u8> = want.iter().flat_map(|(d, _)| d.clone()).collect();
+        send_segmented(&tx, &buf, 100);
+        assert_eq!(drain(&mut ring, &rx, 6), want);
+        if ring.gro_enabled() {
+            assert_eq!(ring.syscalls(), 1, "one coalesced read");
+            assert_eq!(ring.gro_segments_split(), 6);
+        }
+        assert_eq!(ring.cmsg_decode_errors(), 0);
+    }
+
+    /// A read larger than its slot is clipped by the kernel and flagged.
+    /// A clipped coalesced read is never split at its segment size,
+    /// because its later segments are gone: it stays one truncated view,
+    /// which the receiver drops without decoding.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn oversized_coalesced_read_is_flagged_truncated_and_never_split() {
+        let (rx, tx) = pair();
+        let mut ring = primed_ring(&rx, 4, 1024);
+        tx.send(&[0xAB; 1500]).unwrap();
+        assert_eq!(drain(&mut ring, &rx, 1), vec![(vec![0xAB; 1024], true)]);
+        assert_eq!(ring.truncated(), 1);
+        if !(kernel_offload_caps().gso_ready() && ring.gro_enabled()) {
+            eprintln!("skipping the coalesced read: kernel has no UDP_SEGMENT or UDP_GRO");
+            return;
+        }
+        send_segmented(&tx, &[0xCD; 6 * 512], 512);
+        assert_eq!(drain(&mut ring, &rx, 1), vec![(vec![0xCD; 1024], true)]);
+        assert_eq!(ring.truncated(), 2);
+        assert_eq!(ring.gro_segments_split(), 0);
+    }
+
+    /// Draining the batched ring — coalesced and separate datagrams, the
+    /// payloads, flags and stamps — allocates nothing.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn batched_drain_allocates_nothing() {
+        let (rx, tx) = pair();
+        let mut ring = primed_ring(&rx, 8, GRO_SLOT_BYTES);
+        let mut sender = BatchSender::new(8, IoMode::Batched);
+        let train = [0x42u8; 8 * 64];
+        let mut allocs = 0;
+        let mut drained = 0;
+        for _ in 0..16 {
+            let mut sent = 0;
+            while sent < 8 {
+                sent += sender
+                    .send_segments(&tx, &train[sent * 64..], 64, 8 - sent)
+                    .unwrap();
+            }
+            let singles: [&[u8]; 4] = [&[1; 64], &[2; 64], &[3; 64], &[4; 64]];
+            assert_eq!(sender.send(&tx, &singles).unwrap(), 4);
+            let mut round = 0;
+            let before = crate::alloc_count::allocations();
+            while round < 12 {
+                let n = ring.recv(&rx).unwrap();
+                for i in 0..n {
+                    let (data, _) = ring.datagram(i);
+                    assert_eq!(data.len(), 64);
+                    assert!(!ring.is_truncated(i));
+                    let _ = ring.stamp_age_ns(i);
+                }
+                round += n;
+            }
+            allocs += crate::alloc_count::allocations() - before;
+            drained += round;
+        }
+        assert_eq!(drained, 16 * 12);
+        assert_eq!(allocs, 0, "the drain allocated");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn kernel_stamps_engage_on_a_lone_datagram() {
         let caps = kernel_offload_caps();
         if !caps.so_timestamping {
             eprintln!("skipping: kernel has no SO_TIMESTAMPING");
@@ -1572,7 +1732,7 @@ mod tests {
         // A lone datagram gives GRO nothing to coalesce; it must still
         // carry the kernel stamp.
         let (rx, tx) = pair();
-        let mut ring = BatchReceiver::new(4, IoMode::Gso);
+        let mut ring = BatchReceiver::new(4, IoMode::Batched);
         tx.send(&[0x11; 64]).unwrap();
         let n = ring.recv(&rx).unwrap();
         assert_eq!(n, 1);

@@ -13,7 +13,7 @@
 //! badabing_recv --bind 127.0.0.1:9000 --secs 70 \
 //!     [--max-sessions N] [--log receiver.json] \
 //!     [--metrics metrics.json] [--idle-timeout 30] \
-//!     [--io batched|fallback|gso] [--recv-threads N] \
+//!     [--io batched|fallback] [--recv-threads N] \
 //!     [--session-budget-mb N] \
 //!     [--global-budget-mb N] [--on-pressure reject|evict]
 //! ```
@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "badabing_recv --bind ADDR --secs S [--max-sessions N] [--log PATH] \
                      [--metrics PATH] [--idle-timeout S] \
-                     [--io batched|fallback|gso] [--recv-threads N] \
+                     [--io batched|fallback] [--recv-threads N] \
                      [--session-budget-mb N] \
                      [--global-budget-mb N] [--on-pressure reject|evict]";
 

@@ -52,7 +52,7 @@ const USAGE: &str = "badabing_send --target ADDR --secs S [--p P] [--improved] \
                      [--session N] [--seed N] [--bind ADDR] [--manifest PATH] \
                      [--control ADDR] [--log PATH] [--metrics PATH] \
                      [--retry-base-ms MS] [--retry-cap-ms MS] [--attempts N] \
-                     [--hb-ms MS] [--hb-misses N] [--io batched|fallback|gso] \
+                     [--hb-ms MS] [--hb-misses N] [--io batched|fallback] \
                      [--estimate-every-ms MS] [--estimate-out PATH]";
 
 fn main() -> std::io::Result<()> {

@@ -74,3 +74,54 @@ pub use receiver::{
     SessionEnd, SessionOutcome, DEFAULT_SESSION_BUDGET_BYTES,
 };
 pub use sender::{run_sender, SenderConfig, SenderManifest, SenderOutcome, SentProbeInfo};
+
+/// Counts every allocation the calling thread makes, so a test can
+/// assert a hot path allocates nothing while other tests run on
+/// their own threads.
+#[cfg(test)]
+pub(crate) mod alloc_count {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    struct Counting;
+
+    fn bump() {
+        // `try_with`: the slot is gone while the thread tears down.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    // SAFETY: defers every operation to `System`; the counter is a
+    // const-initialized thread-local that never allocates itself.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            bump();
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            bump();
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            bump();
+            System.alloc_zeroed(layout)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    /// Allocations made by this thread so far.
+    pub(crate) fn allocations() -> u64 {
+        ALLOCS.with(Cell::get)
+    }
+}

@@ -4,9 +4,10 @@
 //! [`Provider`] / [`Socket`] / [`Clock`] / [`RecvBatch`] / [`SendBatch`]
 //! instead of concrete `UdpSocket`s, so the identical stack runs over:
 //!
-//! - **real UDP** with batched `recvmmsg`/`sendmmsg` syscalls
-//!   ([`Provider::Udp`] with [`IoMode::Batched`], or [`IoMode::Gso`]
-//!   for kernel offload),
+//! - **real UDP** with batched syscalls and kernel offload
+//!   ([`Provider::Udp`] with [`IoMode::Batched`]): `UDP_SEGMENT` sends,
+//!   and `recvmmsg` with `UDP_GRO` coalescing and kernel RX stamps, each
+//!   degrading per socket where the kernel refuses it,
 //! - **real UDP** one-datagram-at-a-time ([`IoMode::Fallback`]), or
 //! - the **[`FaultNet`]** — a seeded in-process virtual network with
 //!   virtual time, per-link loss bursts, reordering, duplication,
@@ -15,7 +16,7 @@
 //!
 //! Enum dispatch (not a trait object) keeps the hot path monomorphic
 //! and the configuration structs plain data: a `Provider` is `Clone`
-//! and defaults to real UDP with batched syscalls, so existing
+//! and defaults to real UDP on the batched path, so existing
 //! `..Config::new(..)` call sites keep working unchanged.
 
 use crate::batch_io::{self, BatchReceiver, BatchSender, IoMode};

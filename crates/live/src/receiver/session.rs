@@ -271,9 +271,8 @@ impl SessionState {
     }
 }
 
-/// Session-level test fixtures: arrival streams, a per-thread counting
-/// allocator and the ordered-map reference model the session table must
-/// reproduce. The tests that drive them live in the receiver's test
+/// Session-level test fixtures: arrival streams and the ordered-map
+/// reference model the session table must reproduce. The tests that drive them live in the receiver's test
 /// module, beside the server tests.
 #[cfg(test)]
 pub(super) mod reference {
@@ -322,56 +321,6 @@ pub(super) mod reference {
             }
         }
         out
-    }
-
-    /// Counts every allocation the calling thread makes, so a test can
-    /// assert a hot path allocates nothing while other tests run on
-    /// their own threads.
-    pub(crate) mod alloc_count {
-        use std::alloc::{GlobalAlloc, Layout, System};
-        use std::cell::Cell;
-
-        thread_local! {
-            static ALLOCS: Cell<u64> = const { Cell::new(0) };
-        }
-
-        struct Counting;
-
-        fn bump() {
-            // `try_with`: the slot is gone while the thread tears down.
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        }
-
-        // SAFETY: defers every operation to `System`; the counter is a
-        // const-initialized thread-local that never allocates itself.
-        unsafe impl GlobalAlloc for Counting {
-            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-                bump();
-                System.alloc(layout)
-            }
-
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-                System.dealloc(ptr, layout)
-            }
-
-            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-                bump();
-                System.realloc(ptr, layout, new_size)
-            }
-
-            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-                bump();
-                System.alloc_zeroed(layout)
-            }
-        }
-
-        #[global_allocator]
-        static COUNTING: Counting = Counting;
-
-        /// Allocations made by this thread so far.
-        pub(crate) fn allocations() -> u64 {
-            ALLOCS.with(Cell::get)
-        }
     }
 
     /// The datagrams `run_sender` sends for a seeded run, in send

@@ -5,9 +5,10 @@
 //! `session::reference`.
 
 use super::session::reference::{
-    alloc_count, check_against_model, hostile_stream, planned_stream, synthetic_arrivals,
+    check_against_model, hostile_stream, planned_stream, synthetic_arrivals,
 };
 use super::*;
+use crate::alloc_count;
 use badabing_wire::control::{chunk_window, encode_report_chunk_into, EstimateScope, RejectReason};
 use std::collections::BTreeSet;
 use std::net::UdpSocket;

@@ -1,24 +1,32 @@
-//! Differential test for the batched datapath: the same seeded run over
-//! loopback must produce the same *accounting* whether both ends use the
-//! batched (`recvmmsg`/`sendmmsg`) path or the portable
-//! one-datagram-per-syscall fallback.
+//! Differential tests for the batched datapath over loopback. The same
+//! seeded run must produce the same *accounting* whether both ends use
+//! the batched path (`UDP_SEGMENT` sends, `recvmmsg` with `UDP_GRO` and
+//! kernel stamps) or the portable one-datagram-per-syscall fallback,
+//! whether the sender coalesces its packets into super-datagrams or
+//! sends them separately, and whether one drain thread or several
+//! ingest them — including a super-datagram that carries sessions owned
+//! by two different threads.
 //!
 //! Wall-clock timing (and hence the delay fields) legitimately differs
-//! between two live runs, so this test pins down everything that must
+//! between two live runs, so these tests pin down everything that must
 //! not: the probe plan, the per-probe arrival keys, the received and
 //! duplicate counts, and the loss accounting. The *byte-identical*
 //! contract for one arrival sequence fed through both ingest groupings
 //! lives in the receiver's unit tests, where timestamps are synthetic.
 
 use badabing_core::config::BadabingConfig;
-use badabing_live::batch_io::IoMode;
-use badabing_live::control::ControlConfig;
+use badabing_live::batch_io::{BatchSender, IoMode};
+use badabing_live::control::{ControlClient, ControlConfig};
 use badabing_live::kernel_offload_caps;
 use badabing_live::provider::Provider;
 use badabing_live::receiver::{start_server, ReceiverLog, ServerConfig};
 use badabing_live::sender::{run_sender, SenderConfig, SenderManifest};
+use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
-use std::net::SocketAddr;
+use badabing_wire::control::{ReportRecord, ReportSummary, SessionParams};
+use badabing_wire::ProbeHeader;
+use std::net::{SocketAddr, UdpSocket};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn local0() -> SocketAddr {
@@ -118,27 +126,246 @@ fn batched_and_fallback_paths_agree_end_to_end() {
     assert_modes_agree("fallback", &fall, "batched", &batch);
 }
 
-/// The offload tier must be invisible to the accounting: a GSO session
-/// (kernel segmentation on send, GRO coalescing and kernel stamps on
-/// receive) produces the same probe keys and counts as a batched one.
-/// Timestamps legitimately differ — the offload tier stamps in the
-/// kernel — so only keys and counts are compared. Skips (passes
-/// trivially) on kernels without `UDP_SEGMENT`; on kernels without
-/// `UDP_GRO` the leg runs the receive ring's uncoalesced fallback, so
-/// GRO itself goes uncompared.
+const TRAIN: u8 = 3;
+const PACKET_BYTES: usize = 64;
+
+/// SYN parameters for a hand-driven session of `n_slots` slots.
+fn params(n_slots: u64) -> SessionParams {
+    SessionParams {
+        n_slots,
+        slot_ns: 5_000_000,
+        probe_packets: TRAIN,
+        packet_bytes: PACKET_BYTES as u32,
+        p: 0.5,
+        improved: true,
+    }
+}
+
+/// `probes` probes of `session`, one per slot, two slots per
+/// experiment, as one flat buffer of [`PACKET_BYTES`] datagrams. Every
+/// fifth probe is one packet short, so the counts differ per probe.
+/// Returns the buffer and its datagram count.
+fn probe_stream(session: u32, probes: u64) -> (Vec<u8>, usize) {
+    let mut buf = Vec::new();
+    let mut seq = 0;
+    for slot in 0..probes {
+        let packets = if slot % 5 == 4 { TRAIN - 1 } else { TRAIN };
+        for idx in 0..packets {
+            let h = ProbeHeader {
+                session,
+                experiment: slot / 2,
+                slot,
+                seq,
+                send_ns: 0,
+                idx,
+                probe_len: TRAIN,
+            };
+            seq += 1;
+            buf.extend_from_slice(&h.encode(PACKET_BYTES));
+        }
+    }
+    let count = buf.len() / PACKET_BYTES;
+    (buf, count)
+}
+
+/// Send every datagram of `buf` from `sock`: as `UDP_SEGMENT`
+/// super-datagrams when `coalesced`, else as separate datagrams in
+/// `sendmmsg` batches. Returns the sender's offload send count.
+fn send_stream(sock: &UdpSocket, buf: &[u8], coalesced: bool) -> u64 {
+    let mut tx = BatchSender::new(64, IoMode::Batched);
+    let count = buf.len() / PACKET_BYTES;
+    let pkts: Vec<&[u8]> = buf.chunks(PACKET_BYTES).collect();
+    let mut off = 0;
+    while off < count {
+        off += if coalesced {
+            tx.send_segments(sock, &buf[off * PACKET_BYTES..], PACKET_BYTES, count - off)
+        } else {
+            tx.send(sock, &pkts[off..])
+        }
+        .unwrap();
+    }
+    tx.gso_sends()
+}
+
+/// A heartbeat acked for `session` means the thread that owns it has
+/// ingested everything queued on its socket ahead of the heartbeat.
+fn drained(client: &ControlClient, session: u32) {
+    let acked = (1..=8).any(|hb| {
+        client
+            .heartbeat(session, hb, Duration::from_millis(500))
+            .expect("heartbeat io")
+    });
+    assert!(acked, "session {session}: heartbeat never acked");
+}
+
+/// One session that `start_server`'s defaults received from a stream of
+/// `probes` probes, sent coalesced or separately.
+struct Leg {
+    summary: ReportSummary,
+    records: Vec<ReportRecord>,
+    /// The sender's `UDP_SEGMENT` sends.
+    gso_sends: u64,
+    /// Datagrams the receive ring split out of coalesced reads.
+    gro_split: u64,
+}
+
+fn default_receiver_leg(session: u32, probes: u64, coalesced: bool) -> Leg {
+    let server = start_server(ServerConfig::any(local0(), 4)).unwrap();
+    let target = server.local_addr();
+    let client = ControlClient::connect(ControlConfig::new(target), None).unwrap();
+    client.handshake(session, params(probes)).unwrap();
+    let sock = UdpSocket::bind(local0()).unwrap();
+    sock.connect(target).unwrap();
+    let (buf, count) = probe_stream(session, probes);
+    let gso_sends = send_stream(&sock, &buf, coalesced);
+    drained(&client, session);
+    let (summary, records) = client
+        .fetch_report(session, probes, count as u64)
+        .expect("report fetch");
+    let gro_split = server.stop().gro_segments_split;
+    Leg {
+        summary,
+        records,
+        gso_sends,
+        gro_split,
+    }
+}
+
+/// Probe keys and counts of a report: everything but the delays, which
+/// legitimately differ between two live runs.
+fn keys_and_counts(records: &[ReportRecord]) -> Vec<(u64, u64, u8, u8)> {
+    let mut out: Vec<_> = records
+        .iter()
+        .map(|r| (r.experiment, r.slot, r.received, r.duplicates))
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// What a lossless run of [`probe_stream`] must report per probe:
+/// `(experiment, slot, received, duplicates)`.
+fn stream_keys(probes: u64) -> Vec<(u64, u64, u8, u8)> {
+    (0..probes)
+        .map(|slot| {
+            let received = if slot % 5 == 4 { TRAIN - 1 } else { TRAIN };
+            (slot / 2, slot, received, 0)
+        })
+        .collect()
+}
+
+/// Coalescing must be invisible to the accounting: the same probes
+/// sent to the default receiver as `UDP_SEGMENT` super-datagrams (read
+/// back coalesced under `UDP_GRO` and split by the ring) and as separate
+/// `sendmmsg` datagrams give the same probe keys and counts. On a
+/// kernel without `UDP_SEGMENT` both legs send separately.
 #[test]
-fn offload_paths_agree_with_batched_end_to_end() {
+fn coalesced_and_separate_senders_agree_end_to_end() {
+    let probes = 400;
+    let coalesced = default_receiver_leg(0xC1, probes, true);
+    let separate = default_receiver_leg(0xC2, probes, false);
     let caps = kernel_offload_caps();
-    if !caps.gso_ready() {
-        eprintln!("skipping: kernel has no UDP_SEGMENT");
+    if caps.gso_ready() {
+        assert!(
+            coalesced.gso_sends > 0,
+            "the coalesced leg uses UDP_SEGMENT"
+        );
+    } else {
+        eprintln!("kernel has no UDP_SEGMENT: both legs sent separately");
+    }
+    if caps.gro_ready() {
+        assert!(coalesced.gro_split > 0, "the ring split coalesced reads");
+    }
+    assert_eq!((separate.gso_sends, separate.gro_split), (0, 0));
+    let (_, count) = probe_stream(0, probes);
+    for (name, leg) in [("coalesced", &coalesced), ("separate", &separate)] {
+        assert_eq!(
+            leg.summary.packets, count as u64,
+            "{name}: loopback loses nothing"
+        );
+        assert_eq!(leg.summary.duplicates, 0, "{name}");
+        assert_eq!(leg.summary.rejected, 0, "{name}");
+    }
+    assert_eq!(keys_and_counts(&coalesced.records), stream_keys(probes));
+    assert_eq!(
+        keys_and_counts(&coalesced.records),
+        keys_and_counts(&separate.records)
+    );
+}
+
+/// GRO coalesces by 4-tuple, not by session: one `UDP_SEGMENT` send
+/// whose segments carry probes of session 0 and then session 1 reaches
+/// one reuseport member whole, so on a two-drain-thread receiver one
+/// thread ingests the other thread's session through that session's
+/// shard lock. Both reports must still be exact. The per-thread
+/// `rx_packets_thread_<t>` counters say how many probes the non-owner
+/// thread ingested. Skips on kernels without `SO_REUSEPORT` or
+/// `UDP_SEGMENT`.
+#[test]
+fn one_gso_send_across_two_owner_threads_reports_both_sessions_exactly() {
+    let caps = kernel_offload_caps();
+    if !caps.reuseport_ready() || !caps.gso_ready() {
+        eprintln!("skipping: kernel has no SO_REUSEPORT or UDP_SEGMENT");
         return;
     }
-    if !caps.gro_ready() {
-        eprintln!("kernel has no UDP_GRO: GRO comparison skipped");
+    let metrics = Arc::new(Registry::new("cross-thread-gro"));
+    let server = start_server(ServerConfig {
+        recv_threads: 2,
+        metrics: Some(metrics.clone()),
+        ..ServerConfig::any(local0(), 4)
+    })
+    .unwrap();
+    let target = server.local_addr();
+    let probes = 10;
+    let clients: Vec<ControlClient> = (0..2u32)
+        .map(|session| {
+            let client = ControlClient::connect(ControlConfig::new(target), None).unwrap();
+            client.handshake(session, params(probes)).unwrap();
+            client
+        })
+        .collect();
+    // Each SYN was its thread's first read, which turned `UDP_GRO` on, so
+    // the super-datagram below arrives coalesced.
+    let (mut buf, per_session) = probe_stream(0, probes);
+    buf.extend_from_slice(&probe_stream(1, probes).0);
+    let total = 2 * per_session;
+    assert!(total <= 64, "one super-datagram carries both sessions");
+    let sock = UdpSocket::bind(local0()).unwrap();
+    sock.connect(target).unwrap();
+    let mut tx = BatchSender::new(64, IoMode::Batched);
+    assert_eq!(
+        tx.send_segments(&sock, &buf, PACKET_BYTES, total).unwrap(),
+        total
+    );
+    assert_eq!(tx.gso_sends(), 1, "one sendmsg for both sessions");
+    for (session, client) in clients.iter().enumerate() {
+        drained(client, session as u32);
     }
-    let batch = run_mode(IoMode::Batched, 0xE1);
-    let gso = run_mode(IoMode::Gso, 0xE2);
-    assert_modes_agree("batched", &batch, "gso", &gso);
+    let per_session = per_session as u64;
+    for (session, client) in clients.iter().enumerate() {
+        let (summary, records) = client
+            .fetch_report(session as u32, probes, per_session)
+            .expect("report fetch");
+        assert_eq!(summary.packets, per_session, "session {session}");
+        assert_eq!(summary.duplicates, 0, "session {session}");
+        assert_eq!(records.len() as u64, probes, "session {session}");
+        assert_eq!(
+            keys_and_counts(&records),
+            stream_keys(probes),
+            "session {session}"
+        );
+    }
+    // A drain thread adds its batch to its counter after answering the
+    // heartbeat in that batch, so read the counters once the threads
+    // have joined.
+    server.stop();
+    let rx: Vec<u64> = (0..2)
+        .map(|t| metrics.counter(&format!("rx_packets_thread_{t}")).get())
+        .collect();
+    assert_eq!(rx.iter().sum::<u64>(), 2 * per_session, "rx {rx:?}");
+    // Thread t owns session t, so any excess over a thread's own
+    // session is the other session's probes.
+    let non_owner: u64 = rx.iter().map(|&n| n.saturating_sub(per_session)).sum();
+    println!("rx_packets_thread_[0, 1] = {rx:?}; non-owner ingest: {non_owner} probes");
 }
 
 /// The drain-thread count must be invisible to the accounting: a

@@ -11,6 +11,7 @@
 //! chunks, even with 30% control-plane loss and reordering.
 
 use badabing_core::config::BadabingConfig;
+use badabing_live::analyze::analyze_run;
 use badabing_live::control::{ControlClient, ControlConfig, ControlError};
 use badabing_live::faultnet::{FaultNet, LinkFaults};
 use badabing_live::persist::ManifestFile;
@@ -338,6 +339,61 @@ fn probe_link_faults_surface_as_loss_and_deduplicated_duplicates() {
             probe.packets
         );
     }
+}
+
+/// Duplication and reordering on the probe path, with no loss.
+fn dup_reorder_probe_link(net: &Arc<FaultNet>) {
+    net.set_faults(
+        addr(PROBE_SRC),
+        addr(RECV),
+        LinkFaults::default()
+            .with_duplication(0.20)
+            .with_reordering(0.15, Duration::from_millis(2)),
+    );
+}
+
+/// The probe link duplicates a fifth of the datagrams and reorders
+/// some of the rest, but drops nothing. Dedup by `(seq, idx)` must keep
+/// the loss accounting identical to a clean path: zero loss, zero
+/// estimated frequency. A same-seed rerun reproduces the run byte for
+/// byte.
+#[test]
+fn duplicated_and_reordered_datagrams_leave_loss_accounting_unchanged() {
+    let tool = fast_tool();
+    let run = || run_session(6, 600 /* 3 s */, dup_reorder_probe_link);
+    let a = run();
+    let outcome = &a.outcome;
+    assert!(outcome.completed, "{:?}", outcome.diagnostics);
+    let log = &a.server.as_ref().expect("server recorded the session").log;
+
+    assert!(log.duplicates > 0, "the link injected duplicates");
+    assert_eq!(
+        log.packets, outcome.manifest.packets_sent,
+        "every distinct packet arrived"
+    );
+    // No arrival record exceeds its probe length despite the duplicates.
+    for rec in log.arrivals.values() {
+        assert!(rec.received <= tool.probe_packets);
+    }
+    let analysis = analyze_run(&tool, &outcome.manifest, log);
+    assert_eq!(
+        analysis.packets_lost, 0,
+        "duplicates/reordering must not be mistaken for (or mask) loss"
+    );
+    assert_eq!(analysis.frequency(), Some(0.0));
+
+    let b = run();
+    assert_eq!(
+        format!("{:?}", b.outcome.manifest),
+        format!("{:?}", outcome.manifest),
+        "same seed must give an identical manifest"
+    );
+    let again = &b.server.as_ref().expect("rerun recorded the session").log;
+    assert_eq!(
+        report_chunk_bytes(again),
+        report_chunk_bytes(log),
+        "same seed must give identical report chunks"
+    );
 }
 
 /// An MTU bottleneck on the probe path: every 600-byte probe is clipped.
