@@ -19,15 +19,20 @@
 //!    - `sendmmsg`: separate datagrams sent with [`BatchSender::send`]
 //!      into the batched ring — the traffic its per-socket degradation
 //!      path sees (a sender without `UDP_SEGMENT`, or a kernel without
-//!      `UDP_GRO`);
+//!      `UDP_GRO`). No read comes back coalesced, so the ring never
+//!      asks for kernel RX stamps;
 //!    - `offload`: [`BatchSender::send_segments`] super-datagrams into
-//!      the same ring, which `UDP_GRO` reads back coalesced.
+//!      the same ring, which `UDP_GRO` reads back coalesced, with
+//!      kernel RX stamps from the first coalesced read on.
 //!
 //!    The gate (Linux only — elsewhere every row is the same portable
 //!    path and everything is reported, not gated) demands the
 //!    `sendmmsg` row issue ≥ 8× fewer RX syscalls per datagram than
 //!    `fallback`, beat its packets/sec by ≥ 1.1×, and that no row
-//!    allocates in the drain or fails to decode a cmsg.
+//!    allocates in the drain or fails to decode a cmsg. Stamps are part
+//!    of the contract: the `sendmmsg` row must read none (a stamp per
+//!    separate datagram costs about as much as batching saves), and
+//!    the `offload` row must read some where the kernel stamps.
 //!
 //!    Why the throughput gate is "strictly faster" rather than a fixed
 //!    multiple: the achievable speedup is `(w + s) / (w + s/B)` where
@@ -685,6 +690,12 @@ fn main() {
     } else {
         println!("(no batched syscalls on this platform: results reported, not gated)");
     }
+    if sendmmsg.batched {
+        assert_eq!(
+            sendmmsg.rx_kernel_stamped, 0,
+            "perf gate: separate datagrams must not ask for kernel stamps"
+        );
+    }
     for r in &rows {
         assert_eq!(
             r.drain_allocs, 0,
@@ -731,6 +742,13 @@ fn main() {
             "perf gate: {} row must actually exercise UDP_SEGMENT",
             r.mode
         );
+        if caps.gro_ready() && caps.so_timestamping {
+            assert!(
+                r.rx_kernel_stamped > 0,
+                "perf gate: {} coalesced reads must engage kernel stamps",
+                r.mode
+            );
+        }
         offload_reduction = reduction;
     }
 

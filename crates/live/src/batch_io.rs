@@ -23,24 +23,31 @@
 //!   call); separate packets go out in one `sendmmsg`.
 //! - **Receive.** `recvmmsg` drains up to [`DEFAULT_RECV_BATCH`] reads
 //!   per syscall into a ring of [`GRO_SLOT_BYTES`] slots with `UDP_GRO`
-//!   and `SO_TIMESTAMPING` on. Coalesced reads are split back into
-//!   logical datagrams by the cmsg-reported segment size (tail segment
-//!   included) before the caller ever sees them — `datagram(i)` indexes
-//!   logical datagrams on every path — and every read carries the
-//!   kernel's software RX stamp instead of a userspace timestamp taken
-//!   after scheduler noise. Segments GRO coalesced into one read share
-//!   that read's stamp. The ring is allocated **uninitialized**: a
-//!   2 MiB ring that only ever holds 64-byte probes costs the pages the
-//!   kernel writes, not 2 MiB of zeroes, and only the bytes `recvmmsg`
-//!   reported for a slot are ever read.
+//!   on. Coalesced reads are split back into logical datagrams by the
+//!   cmsg-reported segment size (tail segment included) before the
+//!   caller ever sees them — `datagram(i)` indexes logical datagrams on
+//!   every path. The ring is allocated **uninitialized**: a 2 MiB ring
+//!   that only ever holds 64-byte probes costs the pages the kernel
+//!   writes, not 2 MiB of zeroes, and only the bytes `recvmmsg` reported
+//!   for a slot are ever read.
+//! - **Kernel RX stamps ride on coalescing.** The first read the kernel
+//!   hands back coalesced turns `SO_TIMESTAMPING` on for the socket;
+//!   from then on every read carries the kernel's software RX stamp
+//!   instead of a userspace timestamp taken after scheduler noise, and
+//!   segments coalesced into one read share that read's stamp. The
+//!   kernel stamps per read, so a stamp on a coalesced read is spread
+//!   over its segments, while on separate datagrams it costs about
+//!   100 ns each inside `recvmmsg` — on an unmitigated host, about as
+//!   much as batching the syscalls saves. Until a peer's sends arrive
+//!   coalesced (separate-datagram senders, or a path that never
+//!   coalesces), the caller keeps its one userspace timestamp per batch.
 //!
 //! Each option degrades on its own, per socket ([`kernel_offload_caps`]
 //! probes them): a kernel that refuses `UDP_GRO` leaves the ring
-//! receiving one datagram per slot, still kernel-stamped; one that
-//! refuses `SO_TIMESTAMPING` leaves arrivals on the userspace clock; a
-//! send the kernel refuses (`EINVAL`/`EIO` — typical for missing
-//! offload support) flips the sender to `sendmmsg` permanently for that
-//! socket.
+//! receiving one datagram per slot, on the userspace clock; one that
+//! refuses `SO_TIMESTAMPING` leaves coalesced reads on it too; a send
+//! the kernel refuses (`EINVAL`/`EIO` — typical for missing offload
+//! support) flips the sender to `sendmmsg` permanently for that socket.
 //!
 //! Behaviour contract: all paths deliver the same datagrams with the
 //! same payloads; only the number of syscalls (and the granularity and
@@ -68,11 +75,12 @@ pub const DATAGRAM_BYTES: usize = 4096;
 pub enum IoMode {
     /// Batched syscalls with kernel offload: `UDP_SEGMENT`
     /// super-datagram sends (`sendmmsg` for separate packets), and
-    /// `recvmmsg` into a ring with `UDP_GRO` coalescing and kernel
-    /// software RX timestamps (`SO_TIMESTAMPING`). Each option the
-    /// kernel refuses degrades on its own, per socket. On platforms
-    /// without these syscalls it quietly behaves like
-    /// [`IoMode::Fallback`] so cross-platform tests still run.
+    /// `recvmmsg` into a ring with `UDP_GRO` coalescing and, once reads
+    /// arrive coalesced, kernel software RX timestamps
+    /// (`SO_TIMESTAMPING`). Each option the kernel refuses degrades on
+    /// its own, per socket. On platforms without these syscalls it
+    /// quietly behaves like [`IoMode::Fallback`] so cross-platform tests
+    /// still run.
     #[default]
     Batched,
     /// The portable one-datagram-per-syscall path, everywhere.
@@ -311,6 +319,9 @@ pub struct BatchReceiver {
     views: Vec<View>,
     count: usize,
     gro_on: bool,
+    /// Whether `SO_TIMESTAMPING` has been asked for (at the first
+    /// coalesced read); `stamps_on` says whether the kernel agreed.
+    stamps_asked: bool,
     stamps_on: bool,
     configured: bool,
     syscalls: u64,
@@ -368,6 +379,7 @@ impl BatchReceiver {
             }),
             count: 0,
             gro_on: false,
+            stamps_asked: false,
             stamps_on: false,
             configured: false,
             syscalls: 0,
@@ -441,12 +453,10 @@ impl BatchReceiver {
         matches!(self.slots, Slots::Ring(_))
     }
 
-    /// Enable `SO_TIMESTAMPING` and `UDP_GRO` the first time the ring
-    /// sees its socket. Failures degrade stickily (the flag stays off and
-    /// is never retried): a kernel without `UDP_GRO` still receives, one
-    /// kernel-stamped datagram per slot, and one without
-    /// `SO_TIMESTAMPING` leaves timestamp consumers on the userspace
-    /// clock.
+    /// Enable `UDP_GRO` the first time the ring sees its socket. A
+    /// refusal degrades stickily (the flag stays off and is never
+    /// retried): a kernel without `UDP_GRO` still receives, one datagram
+    /// per slot.
     #[cfg(target_os = "linux")]
     fn ensure_socket_setup(&mut self, socket: &UdpSocket) {
         use std::os::fd::AsRawFd;
@@ -454,24 +464,11 @@ impl BatchReceiver {
             return;
         }
         self.configured = true;
-        let fd = socket.as_raw_fd();
-        let flags: u32 = cmsg::SOF_TIMESTAMPING_RX_SOFTWARE | cmsg::SOF_TIMESTAMPING_SOFTWARE;
-        // SAFETY: passes a 4-byte value the kernel only reads.
-        let rc = unsafe {
-            sys::setsockopt(
-                fd,
-                sys::SOL_SOCKET,
-                cmsg::SO_TIMESTAMPING,
-                &flags as *const u32 as *const _,
-                4,
-            )
-        };
-        self.stamps_on = rc == 0;
         let on: i32 = 1;
         // SAFETY: passes a 4-byte value the kernel only reads.
         let rc = unsafe {
             sys::setsockopt(
-                fd,
+                socket.as_raw_fd(),
                 cmsg::SOL_UDP,
                 cmsg::UDP_GRO,
                 &on as *const i32 as *const _,
@@ -479,6 +476,29 @@ impl BatchReceiver {
             )
         };
         self.gro_on = rc == 0;
+    }
+
+    /// Ask for kernel software RX stamps, once: `recv` calls this after
+    /// the first read that came back coalesced, so each stamp is shared
+    /// by the segments of a read instead of paid per separate datagram.
+    /// A refusal is sticky like `UDP_GRO`'s, and leaves timestamp
+    /// consumers on the userspace clock.
+    #[cfg(target_os = "linux")]
+    fn engage_stamps(&mut self, socket: &UdpSocket) {
+        use std::os::fd::AsRawFd;
+        self.stamps_asked = true;
+        let flags: u32 = cmsg::SOF_TIMESTAMPING_RX_SOFTWARE | cmsg::SOF_TIMESTAMPING_SOFTWARE;
+        // SAFETY: passes a 4-byte value the kernel only reads.
+        let rc = unsafe {
+            sys::setsockopt(
+                socket.as_raw_fd(),
+                sys::SOL_SOCKET,
+                cmsg::SO_TIMESTAMPING,
+                &flags as *const u32 as *const _,
+                4,
+            )
+        };
+        self.stamps_on = rc == 0;
     }
 
     /// Receive into the ring: blocks per the socket's read timeout for
@@ -558,6 +578,7 @@ impl BatchReceiver {
             } else {
                 None
             };
+            let mut coalesced = false;
             for i in 0..n {
                 let hdr = &self.raw.hdrs[i];
                 // The bytes the kernel wrote into slot `i`: `msg_len` is
@@ -628,6 +649,7 @@ impl BatchReceiver {
                     }
                     if produced > 1 {
                         self.gro_segments_split += produced as u64;
+                        coalesced = true;
                     }
                 } else {
                     self.views.push(View {
@@ -636,6 +658,9 @@ impl BatchReceiver {
                         len: len as u32,
                     });
                 }
+            }
+            if coalesced && !self.stamps_asked {
+                self.engage_stamps(socket);
             }
             self.count = self.views.len();
             self.syscalls += 1;
@@ -677,16 +702,19 @@ impl BatchReceiver {
 
     /// Kernel RX stamp of datagram `i` of the last recv, as its age in
     /// nanoseconds at the moment `recv` returned (`None` when the kernel
-    /// didn't stamp it — stamping off, unsupported, or the datagram was
-    /// queued before stamping was enabled). Segments split from one GRO
-    /// super-datagram share their slot's stamp.
+    /// didn't stamp it — no read has come back coalesced yet, stamping
+    /// is unsupported, or the datagram was queued before stamping was
+    /// enabled). Segments split from one GRO super-datagram share their
+    /// slot's stamp.
     pub fn stamp_age_ns(&self, i: usize) -> Option<u64> {
         assert!(i < self.count, "datagram index {i} >= batch {}", self.count);
         let age = self.ages[self.views[i].slot as usize];
         (age != u64::MAX).then_some(age)
     }
 
-    /// Whether kernel RX timestamping actually engaged on the socket.
+    /// Whether kernel RX timestamping engaged on the socket: it is asked
+    /// for at the first coalesced read, so this stays false on a ring
+    /// that has only ever read separate datagrams.
     pub fn kernel_stamps_enabled(&self) -> bool {
         self.stamps_on
     }
@@ -1721,28 +1749,47 @@ mod tests {
         assert_eq!(allocs, 0, "the drain allocated");
     }
 
+    /// Kernel stamps ride on coalescing: a ring that has only read
+    /// separate datagrams asks for none, and the first coalesced read
+    /// turns them on for every later read, separate datagrams included.
     #[cfg(target_os = "linux")]
     #[test]
-    fn kernel_stamps_engage_on_a_lone_datagram() {
+    fn kernel_stamps_engage_at_the_first_coalesced_read() {
+        let (rx, tx) = pair();
+        let mut ring = primed_ring(&rx, 4, GRO_SLOT_BYTES);
+        tx.send(&[0x11; 64]).unwrap();
+        assert_eq!(drain(&mut ring, &rx, 1), vec![(vec![0x11; 64], false)]);
+        assert!(
+            !ring.kernel_stamps_enabled(),
+            "a separate datagram asks for no stamp"
+        );
+        assert_eq!(ring.stamp_age_ns(0), None);
         let caps = kernel_offload_caps();
-        if !caps.so_timestamping {
-            eprintln!("skipping: kernel has no SO_TIMESTAMPING");
+        if !(caps.gso_ready() && caps.so_timestamping && ring.gro_enabled()) {
+            eprintln!("skipping the coalesced read: kernel has no UDP_SEGMENT, UDP_GRO or SO_TIMESTAMPING");
             return;
         }
-        // A lone datagram gives GRO nothing to coalesce; it must still
-        // carry the kernel stamp.
-        let (rx, tx) = pair();
-        let mut ring = BatchReceiver::new(4, IoMode::Batched);
-        tx.send(&[0x11; 64]).unwrap();
-        let n = ring.recv(&rx).unwrap();
-        assert_eq!(n, 1);
-        assert!(ring.kernel_stamps_enabled());
-        // The datagram was queued after stamping was enabled... only if
-        // setup beat the send; both outcomes are legal, but if a stamp
-        // is reported it must be sane.
-        if let Some(age) = ring.stamp_age_ns(0) {
-            assert!(age < 60 * 1_000_000_000, "stamp age {age} ns is absurd");
-        }
+        send_segmented(&tx, &[0x22; 4 * 64], 64);
+        assert_eq!(drain(&mut ring, &rx, 4), vec![(vec![0x22; 64], false); 4]);
+        assert_eq!(ring.gro_segments_split(), 4, "one coalesced read");
+        assert!(
+            ring.kernel_stamps_enabled(),
+            "the coalesced read engages stamps"
+        );
+        // The kernel may switch its stamp clock on a little after the
+        // option is set, so the first few datagrams can still arrive
+        // unstamped; one within half a second must carry a sane stamp.
+        let stamped = (0..50).find_map(|_| {
+            tx.send(&[0x33; 64]).unwrap();
+            assert_eq!(drain(&mut ring, &rx, 1), vec![(vec![0x33; 64], false)]);
+            let age = ring.stamp_age_ns(0);
+            if age.is_none() {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            age
+        });
+        let age = stamped.expect("no separate datagram was stamped after the coalesced read");
+        assert!(age < 60 * 1_000_000_000, "stamp age {age} ns is absurd");
     }
 
     #[test]

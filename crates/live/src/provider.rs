@@ -6,8 +6,9 @@
 //!
 //! - **real UDP** with batched syscalls and kernel offload
 //!   ([`Provider::Udp`] with [`IoMode::Batched`]): `UDP_SEGMENT` sends,
-//!   and `recvmmsg` with `UDP_GRO` coalescing and kernel RX stamps, each
-//!   degrading per socket where the kernel refuses it,
+//!   and `recvmmsg` with `UDP_GRO` coalescing and, once reads arrive
+//!   coalesced, kernel RX stamps, each degrading per socket where the
+//!   kernel refuses it,
 //! - **real UDP** one-datagram-at-a-time ([`IoMode::Fallback`]), or
 //! - the **[`FaultNet`]** — a seeded in-process virtual network with
 //!   virtual time, per-link loss bursts, reordering, duplication,

@@ -366,6 +366,12 @@ fn one_gso_send_across_two_owner_threads_reports_both_sessions_exactly() {
     // session is the other session's probes.
     let non_owner: u64 = rx.iter().map(|&n| n.saturating_sub(per_session)).sum();
     println!("rx_packets_thread_[0, 1] = {rx:?}; non-owner ingest: {non_owner} probes");
+    if caps.gro_ready() {
+        // The steering program reads the super-datagram's first segment,
+        // a probe of session 0, so the whole send reaches thread 0, which
+        // ingests session 1's probes through session 1's shard lock.
+        assert_eq!(rx, [2 * per_session, 0], "the coalesced read steers whole");
+    }
 }
 
 /// The drain-thread count must be invisible to the accounting: a
