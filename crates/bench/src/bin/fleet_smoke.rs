@@ -4,7 +4,7 @@
 //!
 //! One driver thread opens **every** session before fetching any, so
 //! the server really holds the whole fleet concurrently — the regime
-//! the event-driven readiness loop and the sharded registry exist for.
+//! the deadline-scheduled watchdog and the sharded registry exist for.
 //! Per session the driver measures three control-plane latencies on the
 //! *virtual* clock:
 //!

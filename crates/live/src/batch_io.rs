@@ -10,9 +10,10 @@
 //! are declared directly against the C library in a small `sys` module,
 //! gated on `#[cfg(target_os = "linux")]`. Every other platform — and
 //! any caller that asks for [`IoMode::Fallback`] — gets a portable
-//! one-datagram path over plain `std::net::UdpSocket` calls with the
-//! *same* API, so the receiver and sender code is identical on both
-//! paths and differential tests can force either one.
+//! one-datagram path (plain `std::net::UdpSocket` calls, except one
+//! `recvfrom` per receive on Linux, which survives [`wake_readers`])
+//! with the *same* API, so the receiver and sender code is identical on
+//! both paths and differential tests can force either one.
 //!
 //! [`IoMode::Batched`] is one datapath with kernel offload in both
 //! directions:
@@ -277,6 +278,52 @@ fn unspecified() -> SocketAddr {
     SocketAddr::from(([0, 0, 0, 0], 0))
 }
 
+/// The fallback path's one-datagram read: `UdpSocket::recv_from`,
+/// except that on a socket shut for reading ([`wake_readers`]) it fails
+/// with `NotConnected`. std would hand the kernel's empty, sourceless
+/// read to its address decoding, which asserts on it.
+#[cfg(target_os = "linux")]
+fn recv_from(socket: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+    use std::os::fd::AsRawFd;
+    let mut addr = sys::sockaddr_storage {
+        bytes: [0; sys::SOCKADDR_STORAGE_BYTES],
+    };
+    let mut addr_len = sys::SOCKADDR_STORAGE_BYTES as u32;
+    // SAFETY: the kernel writes at most `buf.len()` bytes into `buf` and
+    // at most `addr_len` bytes into `addr`, both live for the call; the
+    // fd is owned by `socket`.
+    let n = unsafe {
+        sys::recvfrom(
+            socket.as_raw_fd(),
+            buf.as_mut_ptr(),
+            buf.len(),
+            0,
+            addr.bytes.as_mut_ptr(),
+            &mut addr_len,
+        )
+    };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    if addr_len == 0 {
+        return Err(shut_for_reading());
+    }
+    let src = sys::parse_sockaddr(&addr).unwrap_or_else(unspecified);
+    Ok((n as usize, src))
+}
+
+/// What a receive on a socket shut for reading ([`wake_readers`])
+/// returns once no datagram is left queued.
+#[cfg(target_os = "linux")]
+fn shut_for_reading() -> io::Error {
+    io::Error::new(io::ErrorKind::NotConnected, "socket shut for reading")
+}
+
+#[cfg(not(target_os = "linux"))]
+fn recv_from(socket: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+    socket.recv_from(buf)
+}
+
 /// Bytes per batched ring slot: under `UDP_GRO` a coalesced read can be
 /// a whole super-datagram (up to the UDP payload maximum).
 pub const GRO_SLOT_BYTES: usize = 65_536;
@@ -512,7 +559,7 @@ impl BatchReceiver {
         self.count = 0;
         self.views.clear();
         if let Slots::One(buf) = &mut self.slots {
-            let (len, src) = socket.recv_from(buf)?;
+            let (len, src) = recv_from(socket, buf)?;
             self.srcs[0] = src;
             // `recv_from` silently clips oversized datagrams to the
             // buffer and reports the clipped length, so a slot-filling
@@ -566,7 +613,17 @@ impl BatchReceiver {
             if n < 0 {
                 return Err(io::Error::last_os_error());
             }
-            let n = n as usize;
+            // A read with no source address carries no datagram: it is
+            // how a socket shut for reading (`wake_readers`) ends a
+            // receive. Keep the datagrams queued ahead of it; a receive
+            // that starts with one fails, as on the fallback path.
+            let n = self.raw.hdrs[..n as usize]
+                .iter()
+                .take_while(|h| h.msg_hdr.msg_namelen != 0)
+                .count();
+            if n == 0 {
+                return Err(shut_for_reading());
+            }
             // One wall sample right after the syscall maps kernel
             // CLOCK_REALTIME stamps into the caller's clock domain as
             // ages ("this packet hit the NIC stack X ns before now"),
@@ -1058,6 +1115,31 @@ pub fn set_buffer_sizes(socket: &UdpSocket, recv_bytes: usize, send_bytes: usize
     }
 }
 
+/// Wake every thread blocked receiving on `socket`, for good (no-op off
+/// Linux, where a blocked receive ends at the socket's read timeout).
+///
+/// `shutdown(SHUT_RD)` on an unconnected UDP socket fails with
+/// `ENOTCONN`, but the kernel still marks the socket shut for reading
+/// and wakes every blocked reader, so the return value is ignored.
+/// From then on every receive returns at once: first with whatever
+/// datagrams were already queued, then with an error (the kernel's
+/// empty, sourceless reads are never reported as datagrams), so no wake
+/// can be lost. It ends the socket's use as a receiver. Read such a
+/// socket only through [`BatchReceiver`]: std's `recv_from` asserts on
+/// the empty read.
+pub fn wake_readers(socket: &UdpSocket) {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::fd::AsRawFd;
+        // SAFETY: plain syscall on an fd `socket` owns; no memory passed.
+        unsafe { sys::shutdown(socket.as_raw_fd(), sys::SHUT_RD) };
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = socket;
+    }
+}
+
 /// What the running kernel's UDP stack can actually do, probed at
 /// runtime on a scratch socket. CI on old kernels uses this to record a
 /// skip instead of failing the offload benches; tests gate on it.
@@ -1156,6 +1238,8 @@ mod sys {
     /// Matches `std`'s sockets: no fd leaks across exec.
     pub const SOCK_CLOEXEC: i32 = 0o2000000;
     pub const SOCKADDR_STORAGE_BYTES: usize = 128;
+    /// `shutdown(2)`: stop further receives.
+    pub const SHUT_RD: i32 = 0;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -1230,6 +1314,14 @@ mod sys {
     };
 
     extern "C" {
+        pub fn recvfrom(
+            sockfd: i32,
+            buf: *mut u8,
+            len: usize,
+            flags: i32,
+            src_addr: *mut u8,
+            addrlen: *mut u32,
+        ) -> isize;
         pub fn recvmmsg(
             sockfd: i32,
             msgvec: *mut mmsghdr,
@@ -1246,6 +1338,7 @@ mod sys {
             optval: *const core::ffi::c_void,
             optlen: u32,
         ) -> i32;
+        pub fn shutdown(sockfd: i32, how: i32) -> i32;
         pub fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         pub fn bind(sockfd: i32, addr: *const u8, addrlen: u32) -> i32;
     }
@@ -1411,6 +1504,78 @@ mod tests {
             1,
             "queued datagrams must drain in one recvmmsg"
         );
+    }
+
+    /// A stop must not wait out the read timeout: `wake_readers` ends a
+    /// receive blocked under a 10 s timeout at once, and every later
+    /// receive returns at once too, so no wake can be lost. The 1 s
+    /// margins are wide on purpose, for a loaded host.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn wake_readers_ends_a_blocked_recv_and_every_later_one() {
+        use std::time::Instant;
+        for mode in [IoMode::Batched, IoMode::Fallback] {
+            let rx = std::sync::Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap());
+            rx.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let reader = {
+                let rx = rx.clone();
+                std::thread::spawn(move || {
+                    let mut ring = BatchReceiver::new(8, mode);
+                    let first = ring.recv(&rx);
+                    let woken_at = Instant::now();
+                    let second = ring.recv(&rx);
+                    (first, woken_at, second, woken_at.elapsed())
+                })
+            };
+            // Let the reader block in its receive (had it not yet, its
+            // receive would still return at once).
+            std::thread::sleep(Duration::from_millis(200));
+            let wake = Instant::now();
+            wake_readers(&rx);
+            let (first, woken_at, second, again) = reader.join().unwrap();
+            let woke_in = woken_at.saturating_duration_since(wake);
+            assert!(
+                woke_in < Duration::from_secs(1),
+                "{mode:?}: woke in {woke_in:?}"
+            );
+            assert!(
+                again < Duration::from_secs(1),
+                "{mode:?}: next recv took {again:?}"
+            );
+            // The kernel answers each read with an empty, sourceless one,
+            // which no path reports as a datagram.
+            for read in [&first, &second] {
+                let err = read.as_ref().expect_err("no datagram was sent");
+                assert_eq!(err.kind(), io::ErrorKind::NotConnected, "{mode:?}");
+            }
+        }
+    }
+
+    /// Datagrams queued before the wake still come out, each as itself;
+    /// only then do reads fail.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn wake_readers_keeps_the_datagrams_queued_ahead_of_it() {
+        for mode in [IoMode::Batched, IoMode::Fallback] {
+            let (rx, tx) = pair();
+            for i in 0u8..3 {
+                tx.send(&[i; 16]).unwrap();
+            }
+            // Let the loopback queue settle so all 3 are receivable.
+            std::thread::sleep(Duration::from_millis(50));
+            wake_readers(&rx);
+            let mut ring = BatchReceiver::new(8, mode);
+            let mut got = Vec::new();
+            while let Ok(n) = ring.recv(&rx) {
+                for i in 0..n {
+                    let (data, src) = ring.datagram(i);
+                    assert_eq!(src, tx.local_addr().unwrap(), "{mode:?}");
+                    got.push(data.to_vec());
+                }
+            }
+            let want: Vec<Vec<u8>> = (0u8..3).map(|i| vec![i; 16]).collect();
+            assert_eq!(got, want, "{mode:?}");
+        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! classic-BPF program sends every datagram of session `s` to thread
 //! `s % N`, so the probe fast path touches no cross-thread locks. Where
 //! the kernel lacks `SO_REUSEPORT` or refuses the program the server
-//! runs one thread and counts the fallback (`steer_fallbacks`). The
-//! drain threads park on epoll where the platform has it.
+//! runs one thread and counts the fallback (`steer_fallbacks`). Every
+//! drain thread waits in a blocking receive bounded by a 25 ms timeout;
+//! at `--secs` the stop wakes them at once.
 //!
 //! At stop the server merges every still-open session's online
 //! estimator and publishes the fleet-wide view as `fleet_*` gauges, so

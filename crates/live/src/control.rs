@@ -103,7 +103,7 @@ pub struct ControlConfig {
     pub heartbeat_interval: Duration,
     /// Consecutive unanswered heartbeats that abort the run.
     pub heartbeat_misses: u32,
-    /// Wait after the last probe before FIN, letting in-flight probes
+    /// Pause after the last probe before FIN, letting in-flight probes
     /// drain through any emulated bottleneck ahead of finalization.
     pub drain: Duration,
 }

@@ -15,11 +15,11 @@
 //!   concurrent sender sessions from a registry keyed by session id
 //!   (opened on SYN, bounded by `max_sessions` and explicit memory
 //!   budgets with a reject-or-evict admission policy, reaped on
-//!   completion or idle timeout). The drain loops wait for work
-//!   through [`event_loop`] — epoll readiness plus an eventfd waker on
-//!   Linux, a portable timeout loop elsewhere — with a
-//!   deadline-scheduled idle watchdog, so a fleet of idle sessions
-//!   costs zero wakeups. Per session it deduplicates arrivals by
+//!   completion or idle timeout). Every drain thread runs one loop on
+//!   every backend — a blocking batched receive bounded by a 25 ms
+//!   read timeout, woken at once on stop — with a deadline-scheduled
+//!   idle watchdog, so an idle wakeup does O(1) work however many
+//!   sessions are open. Per session it deduplicates arrivals by
 //!   `(seq, idx)` so duplicated datagrams never mask loss, removes
 //!   clock offset/skew via a lower-envelope fit (yielding *queueing*
 //!   delay, which is what the α/OWDmax threshold actually needs),
@@ -51,7 +51,6 @@ pub mod cli;
 pub mod cmsg;
 pub mod control;
 pub mod emulator;
-pub mod event_loop;
 pub mod faultnet;
 pub mod persist;
 pub mod provider;
@@ -66,7 +65,6 @@ pub use batch_io::{
 };
 pub use control::{ControlClient, ControlConfig, ControlError};
 pub use emulator::{Emulator, EmulatorConfig, EmulatorStats, SessionFlow};
-pub use event_loop::{PollWaker, Poller};
 pub use faultnet::{FaultDatagram, FaultNet, FaultSocket, LinkFaults};
 pub use provider::{Clock, Provider, RecvBatch, SendBatch, Socket, TimestampSource};
 pub use receiver::{

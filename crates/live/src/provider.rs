@@ -180,15 +180,14 @@ impl Socket {
         }
     }
 
-    /// The underlying OS file descriptor, where the backend has one —
-    /// what an epoll readiness loop registers. Virtual sockets have no
-    /// fd (their readiness is the virtual clock's business), so callers
-    /// must fall back to the timeout loop for them.
-    #[cfg(unix)]
-    pub fn raw_fd(&self) -> Option<i32> {
-        match self {
-            Socket::Udp(s) => Some(std::os::fd::AsRawFd::as_raw_fd(s)),
-            Socket::Fault(_) => None,
+    /// Wake every thread blocked receiving on this socket, for good:
+    /// from here on each receive returns at once (see
+    /// [`batch_io::wake_readers`]). No-op on the virtual backend: a
+    /// blocked virtual receive ends at its read timeout, which costs
+    /// virtual time, not wall time.
+    pub fn wake_readers(&self) {
+        if let Socket::Udp(s) = self {
+            batch_io::wake_readers(s);
         }
     }
 }

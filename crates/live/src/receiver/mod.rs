@@ -16,9 +16,9 @@
 //! produce byte-identical per-session reports for the same arrival
 //! sequence (see the differential tests).
 //!
-//! There is one concurrency model: **drain thread `t` owns socket `t`,
-//! its poller and registry shard `t`**, and session `s` lives in shard
-//! `s % N`. One thread (the default) binds one plain socket.
+//! There is one concurrency model: **drain thread `t` owns socket `t`
+//! and registry shard `t`**, and session `s` lives in shard `s % N`.
+//! One thread (the default) binds one plain socket.
 //! `recv_threads = N > 1` binds an `SO_REUSEPORT` group (virtual lanes
 //! on the fault net) with a classic-BPF program that sends every
 //! datagram of session `s` to thread `s % N`, reading the session id
@@ -61,7 +61,13 @@
 //! * `watchdog` — the deadline-scheduled sweep on drain thread 0: idle
 //!   reaping, memory re-settlement, eviction back under the budget;
 //! * this module — the public types, server start and stop, and the
-//!   drain loops with the probe fast path.
+//!   drain loop with the probe fast path.
+//!
+//! Every drain thread, on every backend, runs one loop: a blocking
+//! batched receive bounded by a 25 ms read timeout, so an idle thread
+//! wakes 40 times a second and does O(1) work each time. A stop wakes
+//! every blocked receive at once through `Socket::wake_readers`
+//! (`shutdown(SHUT_RD)` on real UDP).
 //!
 //! Every session, however it ends, ends through one function,
 //! `Shared::end_session`, after it has left its shard and the shard
@@ -75,7 +81,6 @@ mod tests;
 mod watchdog;
 
 use crate::batch_io::DEFAULT_RECV_BATCH;
-use crate::event_loop::{epoll_ready, PollWaker, Poller, Wait};
 use crate::provider::{Clock, Provider, RecvBatch, Socket, TimestampSource};
 use admission::Admission;
 use badabing_core::estimator::Estimates;
@@ -400,9 +405,8 @@ pub struct ServerHandle {
     joined: std::thread::JoinHandle<ServerReport>,
     local_addr: SocketAddr,
     clock: Clock,
-    /// One waker per drain thread (each parks on its own epoll fd, so
-    /// stop must kick every one).
-    wakers: Arc<Vec<PollWaker>>,
+    /// The drain threads' sockets, so stop can wake every blocked one.
+    sockets: Arc<Vec<Socket>>,
 }
 
 impl ServerHandle {
@@ -421,10 +425,8 @@ impl ServerHandle {
     /// Stop the server and collect its report.
     pub fn stop(self) -> ServerReport {
         self.stop.store(true, Ordering::Relaxed);
-        // Kick every parked drain thread out of epoll_wait; no-op on
-        // the timeout loop (its blocking recv times out on its own).
-        for w in self.wakers.iter() {
-            w.wake();
+        for socket in self.sockets.iter() {
+            socket.wake_readers();
         }
         self.clock.notify_waiters();
         // Join outside the virtual busy count, or a fault-backed serve
@@ -436,13 +438,9 @@ impl ServerHandle {
     }
 }
 
-/// How often the receive loop wakes to check the stop flag and watchdog.
+/// The receive wait: how long a drain thread's blocking receive waits
+/// for a datagram before it re-checks the stop flag and the watchdog.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Upper bound on one epoll park: keeps stop-flag latency bounded even
-/// if a wake is somehow lost, without costing idle CPU (one wakeup per
-/// half-second is noise).
-const EPOLL_MAX_PARK: Duration = Duration::from_millis(500);
 
 /// Start a multi-session server thread; it serves every session a SYN
 /// opens until stopped.
@@ -466,13 +464,8 @@ pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         // kernel rcvbuf overflows between scheduler quanta.
         socket.set_buffer_sizes(1 << 22, 1 << 22);
     }
-    let wakers: Arc<Vec<PollWaker>> = Arc::new(
-        sockets
-            .iter()
-            .map(|s| PollWaker::new(epoll_ready(s)))
-            .collect::<std::io::Result<_>>()?,
-    );
-    let serve_wakers = wakers.clone();
+    let sockets = Arc::new(sockets);
+    let serve_sockets = sockets.clone();
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = stop.clone();
     let clock = cfg.provider.clock();
@@ -492,13 +485,12 @@ pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         .spawn(move || {
             serve_clock.adopt(enlistment);
             serve_loop(
-                &sockets,
+                &serve_sockets,
                 &cfg,
                 &metrics,
                 &serve_clock,
                 t0,
                 &stop_flag,
-                &serve_wakers,
                 steer_fallback,
             )
         })
@@ -509,7 +501,7 @@ pub fn start_server(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         joined,
         local_addr,
         clock,
-        wakers,
+        sockets,
     })
 }
 
@@ -581,10 +573,10 @@ impl ServeCounters {
 /// of `N` holds every session `s` with `s % N == t`.
 type Shard = HashMap<u32, SessionState>;
 
-/// Everything the drain threads share. Thread `t` owns `sockets[t]`,
-/// `wakers[t]` and `shards[t]`: steering delivers it only its own
-/// sessions, so its probe fast path locks only its own (uncontended)
-/// shard. Global tallies are counters in `c`, bumped once per batch.
+/// Everything the drain threads share. Thread `t` owns `sockets[t]` and
+/// `shards[t]`: steering delivers it only its own sessions, so its
+/// probe fast path locks only its own (uncontended) shard. Global
+/// tallies are counters in `c`, bumped once per batch.
 struct Shared<'a> {
     cfg: &'a ServerConfig,
     /// One socket per drain thread: a plain socket for one thread, an
@@ -601,11 +593,9 @@ struct Shared<'a> {
     admission: Admission,
     outcomes: Mutex<Vec<SessionOutcome>>,
     /// Set by [`ServerHandle::stop`], or by a drain thread on a hard
-    /// socket error.
+    /// socket error; whoever sets it wakes every socket's blocked
+    /// reader.
     stop: &'a AtomicBool,
-    /// Kick parked epoll waiters on stop: one per drain thread (each
-    /// parks on its own epoll fd).
-    wakers: &'a [PollWaker],
     c: ServeCounters,
 }
 
@@ -653,7 +643,6 @@ impl Shared<'_> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn serve_loop(
     sockets: &[Socket],
     cfg: &ServerConfig,
@@ -661,7 +650,6 @@ fn serve_loop(
     clock: &Clock,
     t0: Duration,
     stop: &AtomicBool,
-    wakers: &[PollWaker],
     steer_fallback: bool,
 ) -> ServerReport {
     // One drain thread per socket, each owning the shard of its index.
@@ -676,7 +664,6 @@ fn serve_loop(
         admission: Admission::new(cfg),
         outcomes: Mutex::new(Vec::new()),
         stop,
-        wakers,
         c: ServeCounters::new(metrics, nthreads),
     };
     if steer_fallback {
@@ -686,20 +673,9 @@ fn serve_loop(
         shared.c.reuseport_sockets.add(nthreads as u64);
     }
 
-    // One poller per thread over that thread's own socket, so a
-    // datagram wakes exactly its owner. If the epoll backend cannot
-    // come up, fall back to the timeout loop — readiness is an
-    // optimization, the socket read timeout keeps the loop correct
-    // without it.
-    let pollers: Vec<Poller> = sockets
-        .iter()
-        .zip(wakers)
-        .map(|(s, w)| Poller::new(s, w).unwrap_or_else(|_| Poller::timeout()))
-        .collect();
-
     std::thread::scope(|s| {
         let mut workers = Vec::with_capacity(nthreads.saturating_sub(1));
-        for (t, poller) in pollers.iter().enumerate().skip(1) {
+        for t in 1..nthreads {
             let shared = &shared;
             // Workers are clock-enlisted like the serve thread itself:
             // a virtual net must not advance time past a worker that
@@ -707,14 +683,15 @@ fn serve_loop(
             let enlistment = clock.enlist();
             workers.push(s.spawn(move || {
                 shared.clock.adopt(enlistment);
-                drain_loop(shared, poller, t);
+                drain_loop(shared, t);
             }));
         }
         // The main thread drains too, and owns the idle watchdog.
-        drain_loop(&shared, &pollers[0], 0);
-        // Workers notice `stop` within one poll interval (setting it
-        // also kicks every waker). Join them with this thread's clock
-        // token released: a worker still parked in a *virtual* poll
+        drain_loop(&shared, 0);
+        // Workers notice `stop` as soon as their blocked receive
+        // returns: at once where the stop woke it, else within one
+        // receive wait. Join them with this thread's clock token
+        // released: a worker still parked in a *virtual* receive
         // timeout needs virtual time to advance before it can observe
         // the flag, and a busy joiner would freeze it.
         clock.unenrolled(|| {
@@ -794,37 +771,23 @@ fn publish_fleet_gauges(shared: &Shared<'_>, metrics: &Registry) {
     }
 }
 
-/// One drain thread: park on readiness (epoll where available), batched
-/// receive (one syscall per batch where the platform allows), one
+/// One drain thread: a blocking batched receive (one syscall per batch
+/// where the platform allows) bounded by the receive wait, one
 /// timestamp per batch, probe fast path into its own registry shard,
-/// control messages on the slow path. All reply encoding goes through a
-/// reused stack buffer — the steady-state probe path allocates nothing
-/// per datagram. Thread 0 also runs the watchdog.
-fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize) {
+/// control messages on the slow path. Every backend runs this one loop;
+/// an idle thread wakes once per receive wait, and a stop wakes it at
+/// once. All reply encoding goes through a reused stack buffer — the
+/// steady-state probe path allocates nothing per datagram. Thread 0
+/// also runs the watchdog.
+fn drain_loop(shared: &Shared<'_>, me: usize) {
     let mut ring = RecvBatch::new(DEFAULT_RECV_BATCH, &shared.cfg.provider);
     let mut scratch = [0u8; MAX_CONTROL_BYTES];
     // Only thread 0 ever arms it.
     let mut next_sweep: Option<Duration> = None;
     let socket = &shared.sockets[me];
-    let waker = &shared.wakers[me];
-    let rx_here = &shared.c.rx_thread[me];
     while !shared.stop.load(Ordering::Relaxed) {
         if me == 0 {
             maybe_sweep(shared, &mut next_sweep);
-        }
-        // Under epoll, park until a datagram arrives, the waker fires
-        // (stop, or another thread's hard socket error), or the next
-        // sweep is due — idle sessions cost zero wakeups. The timeout
-        // backend reports ready at once; its blocking recv, bounded by
-        // the socket read timeout, paces the loop instead.
-        if poller.is_epoll() {
-            let now = shared.clock.now();
-            let horizon = now + EPOLL_MAX_PARK;
-            let due = next_sweep.map_or(horizon, |d| d.min(horizon));
-            match poller.wait(due.saturating_sub(now), waker) {
-                Wait::Ready => {}
-                Wait::TimedOut | Wait::Woken => continue,
-            }
         }
         let n = match ring.recv(socket) {
             Ok(n) => n,
@@ -839,12 +802,15 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize) {
                 continue
             }
             Err(_) => {
-                // A hard socket error stops the whole server: every
+                // A stop wakes a blocked receive with an error (see
+                // `Socket::wake_readers`). Any other error is a hard
+                // socket error, and that stops the whole server: every
                 // thread leaves its loop, and open sessions end as
                 // `Stopped`.
-                shared.stop.store(true, Ordering::Relaxed);
-                for w in shared.wakers {
-                    w.wake();
+                if !shared.stop.swap(true, Ordering::Relaxed) {
+                    for socket in shared.sockets {
+                        socket.wake_readers();
+                    }
                 }
                 break;
             }
@@ -856,10 +822,7 @@ fn drain_loop(shared: &Shared<'_>, poller: &Poller, me: usize) {
         // byte-identical). A fallback-path batch is one datagram, so
         // there each datagram gets its own stamp.
         let batch_abs = shared.clock.now();
-        let accepted = process_batch(shared, &ring, n, batch_abs, &mut scratch);
-        if accepted > 0 {
-            rx_here.add(accepted);
-        }
+        process_batch(shared, &ring, n, batch_abs, me, &mut scratch);
     }
     // The ring's own totals land once, at exit.
     let c = &shared.c;
@@ -878,69 +841,86 @@ enum Ingest {
     OverBudget,
 }
 
-/// Returns the number of probes accepted (the per-thread RX tally).
+/// The hot counters of one batch: they accumulate per datagram and land
+/// as one atomic add each, instead of one per datagram.
+#[derive(Default)]
+struct Tally {
+    accepted: u64,
+    rejected: u64,
+    duplicates: u64,
+    truncated: u64,
+    over_budget: u64,
+    ts_kernel: u64,
+    ts_user: u64,
+}
+
+impl Tally {
+    /// Add what has accumulated to the server counters and drain thread
+    /// `me`'s `rx_packets_thread_<me>`, and start over from zero.
+    fn flush(&mut self, c: &ServeCounters, me: usize) {
+        let t = std::mem::take(self);
+        for (counter, n) in [
+            (&c.packets, t.accepted),
+            (&c.rx_thread[me], t.accepted),
+            (&c.dup, t.duplicates),
+            (&c.truncated, t.truncated),
+            (&c.over_budget, t.over_budget),
+            (&c.ts_kernel, t.ts_kernel),
+            (&c.ts_user, t.ts_user),
+            (&c.rejected, t.rejected),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
+}
+
+/// Ingest one received batch on drain thread `me`. The counters are
+/// flushed before every control reply, so a reply never runs ahead of
+/// the counts of the probes queued before it.
 fn process_batch(
     shared: &Shared<'_>,
     ring: &RecvBatch,
     n: usize,
     batch_abs: Duration,
+    me: usize,
     scratch: &mut [u8; MAX_CONTROL_BYTES],
-) -> u64 {
-    // Hot counters accumulate across the batch and land as one atomic
-    // add each, instead of one per datagram.
-    let mut accepted = 0u64;
-    let mut rejected = 0u64;
-    let mut duplicates = 0u64;
-    let mut truncated = 0u64;
-    let mut over_budget = 0u64;
-    let mut ts_kernel = 0u64;
-    let mut ts_user = 0u64;
+) {
+    let mut tally = Tally::default();
     for i in 0..n {
         // A clipped datagram's payload is incomplete: decoding it would
         // either fail noisily or, worse, parse a valid-looking prefix
         // into garbage accounting. Drop it and make the drop countable.
         if ring.is_truncated(i) {
-            truncated += 1;
+            tally.truncated += 1;
             continue;
         }
         let (abs, source) = ring.stamp(i, batch_abs);
         match source {
-            TimestampSource::Kernel => ts_kernel += 1,
-            TimestampSource::User => ts_user += 1,
+            TimestampSource::Kernel => tally.ts_kernel += 1,
+            TimestampSource::User => tally.ts_user += 1,
         }
         let rel = abs.saturating_sub(shared.t0);
         let (data, src) = ring.datagram(i);
         if let Ok(h) = ProbeHeader::decode(data) {
             match ingest_probe(shared, &h, rel, abs, source) {
-                Ingest::Accepted => accepted += 1,
-                Ingest::Duplicate => duplicates += 1,
-                Ingest::Rejected => rejected += 1,
+                Ingest::Accepted => tally.accepted += 1,
+                Ingest::Duplicate => tally.duplicates += 1,
+                Ingest::Rejected => tally.rejected += 1,
                 Ingest::OverBudget => {
-                    rejected += 1;
-                    over_budget += 1;
+                    tally.rejected += 1;
+                    tally.over_budget += 1;
                 }
             }
         } else if let Ok(msg) = ControlMessage::decode(data) {
+            tally.flush(&shared.c, me);
             handle_control(shared, msg, src, abs, scratch);
         } else {
-            rejected += 1;
+            tally.rejected += 1;
         }
     }
-    let c = &shared.c;
-    for (counter, n) in [
-        (&c.packets, accepted),
-        (&c.dup, duplicates),
-        (&c.truncated, truncated),
-        (&c.over_budget, over_budget),
-        (&c.ts_kernel, ts_kernel),
-        (&c.ts_user, ts_user),
-        (&c.rejected, rejected),
-    ] {
-        if n > 0 {
-            counter.add(n);
-        }
-    }
-    accepted
+    tally.flush(&shared.c, me);
 }
 
 /// The probe fast path: one lock on the session's shard (the arriving

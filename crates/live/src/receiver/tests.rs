@@ -798,6 +798,56 @@ fn one_sender_socket_spreads_sessions_by_id() {
     }
 }
 
+/// A control reply never runs ahead of the counters: once a heartbeat
+/// sent behind K probes is acked, the server-wide and per-thread probe
+/// counters both read K, although the probes and the heartbeat may
+/// share one batch (real UDP, one socket, so they queue in order). The
+/// race this pins is narrow, so the test runs many rounds.
+#[test]
+fn counters_include_every_probe_queued_ahead_of_an_acked_heartbeat() {
+    let metrics = Arc::new(Registry::new("counters-before-replies"));
+    let handle = start_server(ServerConfig {
+        metrics: Some(metrics.clone()),
+        ..ServerConfig::any(local0(), 4)
+    })
+    .unwrap();
+    let target = handle.local_addr();
+    let sock = UdpSocket::bind(local0()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut buf = [0u8; MAX_CONTROL_BYTES];
+    let mut reply = |sent: ControlMessage| {
+        sock.send_to(&sent.encode(), target).unwrap();
+        let n = sock.recv(&mut buf).expect("reply within 5 s");
+        ControlMessage::decode(&buf[..n]).unwrap()
+    };
+    let (k, rounds) = (16u64, 200u64);
+    let params = SessionParams {
+        n_slots: k * rounds,
+        probe_packets: 1,
+        ..params()
+    };
+    let got = reply(ControlMessage::Syn { session: 5, params });
+    assert!(matches!(got, ControlMessage::SynAck { .. }), "{got:?}");
+    for round in 0..rounds {
+        for i in 0..k {
+            let slot = round * k + i;
+            send_header(&sock, target, &probe(5, slot, slot, slot), 64);
+        }
+        let got = reply(ControlMessage::Heartbeat {
+            session: 5,
+            seq: round,
+        });
+        assert!(
+            matches!(got, ControlMessage::HeartbeatAck { .. }),
+            "{got:?}"
+        );
+        let want = (round + 1) * k;
+        assert_eq!(metrics.counter("packets_accepted").get(), want);
+        assert_eq!(metrics.counter("rx_packets_thread_0").get(), want);
+    }
+    handle.stop();
+}
+
 /// The zero-allocation claim of the module docs: once a SYN has
 /// sized the session, ingesting a paper-shaped stream (loss,
 /// duplicates, reordering, mixed stamp sources) allocates nothing,

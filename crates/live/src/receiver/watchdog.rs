@@ -33,8 +33,8 @@ const SWEEP_FALLBACK: Duration = Duration::from_millis(200);
 /// after every lock is dropped, so the skew fit and record assembly
 /// never stall a probe path. `next_sweep` is then re-armed to the
 /// earliest deadline still open; at fleet scale this is the difference
-/// between one registry walk per deadline and one per 25 ms poll tick,
-/// and it is exactly how long the epoll loop may park.
+/// between one registry walk per deadline and one per 25 ms receive
+/// timeout; a wakeup before it does no registry work.
 pub(super) fn maybe_sweep(shared: &Shared<'_>, next_sweep: &mut Option<Duration>) {
     let now = shared.clock.now();
     if next_sweep.is_some_and(|due| now < due) {

@@ -354,13 +354,10 @@ fn one_gso_send_across_two_owner_threads_reports_both_sessions_exactly() {
             "session {session}"
         );
     }
-    // A drain thread adds its batch to its counter after answering the
-    // heartbeat in that batch, so read the counters once the threads
-    // have joined.
-    server.stop();
     let rx: Vec<u64> = (0..2)
         .map(|t| metrics.counter(&format!("rx_packets_thread_{t}")).get())
         .collect();
+    server.stop();
     assert_eq!(rx.iter().sum::<u64>(), 2 * per_session, "rx {rx:?}");
     // Thread t owns session t, so any excess over a thread's own
     // session is the other session's probes.

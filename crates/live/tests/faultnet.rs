@@ -15,9 +15,9 @@ use badabing_live::analyze::analyze_run;
 use badabing_live::control::{ControlClient, ControlConfig, ControlError};
 use badabing_live::faultnet::{FaultNet, LinkFaults};
 use badabing_live::persist::ManifestFile;
-use badabing_live::provider::Provider;
+use badabing_live::provider::{Clock, Provider};
 use badabing_live::receiver::{
-    start_server, ReceiverLog, ServerConfig, SessionEnd, SessionOutcome,
+    start_server, ReceiverLog, ServerConfig, ServerReport, SessionEnd, SessionOutcome,
 };
 use badabing_live::sender::{run_sender, SenderConfig, SenderOutcome};
 use badabing_metrics::Registry;
@@ -236,9 +236,10 @@ fn lossy_control(net: &Arc<FaultNet>) {
 }
 
 /// The acceptance gate: the full control plane completes through 30%
-/// control loss + reordering in well under a second of wall time, and
-/// two runs from the same seed are byte-identical — manifests and
-/// report chunks both.
+/// control loss + reordering in well under a second of wall time, so
+/// backoff retries carry the handshake, FIN and every report chunk
+/// through while the clean probe path loses nothing, and two runs from
+/// the same seed are byte-identical — manifests and report chunks both.
 #[test]
 fn lossy_control_plane_completes_fast_and_deterministically() {
     let a = run_session(11, 400, lossy_control);
@@ -260,6 +261,10 @@ fn lossy_control_plane_completes_fast_and_deterministically() {
             "{name} run took {:?} of wall time",
             run.wall
         );
+        let fetched = run.outcome.receiver_log.as_ref().unwrap();
+        assert!(fetched.packets > 0, "{name} run");
+        let analysis = analyze_run(&fast_tool(), &run.outcome.manifest, fetched);
+        assert_eq!(analysis.packets_lost, 0, "{name} run: probe path was clean");
     }
 
     // Byte-identical manifests, asserted on the serialized files the
@@ -516,4 +521,189 @@ fn two_sessions_share_one_server_over_faultnet() {
         assert_eq!(log.arrivals.len(), outcome.manifest.sent.len());
     }
     server.stop();
+}
+
+/// Whether the server completes a session (the sender's closing
+/// `ReportAck`) within `limit` of virtual time from now.
+fn completes_within(metrics: &Registry, clock: &Clock, limit: Duration) -> bool {
+    let deadline = clock.now() + limit;
+    while metrics.counter("sessions_completed").get() == 0 {
+        if clock.now() > deadline {
+            return false;
+        }
+        clock.sleep(Duration::from_millis(5));
+    }
+    true
+}
+
+/// One sender run whose receiver is stopped once it has accepted a
+/// probe. Returns the outcome and how long, in virtual time, the sender
+/// took to give up after the stop.
+fn receiver_death_run() -> (SenderOutcome, Duration) {
+    let net = FaultNet::new(6);
+    let provider = Provider::Fault(net.clone());
+    let clock = provider.clock();
+    let metrics = Arc::new(Registry::new("faultnet-death"));
+    let receiver = start_server(ServerConfig {
+        provider: provider.clone(),
+        metrics: Some(metrics.clone()),
+        ..ServerConfig::any(addr(RECV), 4)
+    })
+    .unwrap();
+    let tool = fast_tool();
+    let mut control = ControlConfig::new(addr(RECV));
+    control.bind = Some(addr(CTL_SRC));
+    // 100 ms heartbeats, 1 µs off the 5 ms slot grid, so the abort
+    // never ties with a probe send.
+    control.heartbeat_interval = Duration::from_micros(100_001);
+    control.heartbeat_misses = 3;
+    let cfg = SenderConfig {
+        tool,
+        bind: addr(PROBE_SRC),
+        control: Some(control),
+        provider,
+        ..SenderConfig::new(tool, 4_000 /* nominally 20 s */, addr(RECV), SESSION)
+    };
+    let ticket = net.reserve();
+    let sender = {
+        let net = net.clone();
+        std::thread::spawn(move || {
+            net.adopt(ticket);
+            run_sender(cfg, seeded(6, "death"))
+        })
+    };
+
+    // Let the run establish itself (the receiver has accepted a probe,
+    // so the handshake is done), then kill the receiver. The poll step
+    // is 1 ns off the whole microseconds every send and delivery of this
+    // run lands on, so the stop never ties with a datagram.
+    let accepted = metrics.counter("packets_accepted");
+    let deadline = clock.now() + Duration::from_secs(5);
+    while accepted.get() == 0 && clock.now() < deadline {
+        clock.sleep(Duration::from_nanos(1_000_001));
+    }
+    assert!(accepted.get() >= 1, "no probe reached the receiver in 5 s");
+    let _ = receiver.stop();
+    let killed_at = clock.now();
+    let outcome = net.unenrolled(|| sender.join()).unwrap().unwrap();
+    (outcome, clock.now() - killed_at)
+}
+
+/// A receiver that dies mid-run degrades the sender to a partial
+/// manifest within a few heartbeats. A same-seed rerun gives the same
+/// manifest.
+#[test]
+fn receiver_death_mid_run_degrades_to_partial_manifest() {
+    let (outcome, detected_in) = receiver_death_run();
+    // Watchdog budget: 3 misses × 100 ms heartbeats plus slack —
+    // nowhere near the 19 s of schedule that remained.
+    assert!(
+        detected_in < Duration::from_secs(5),
+        "sender took {detected_in:?} to abort after receiver death"
+    );
+    assert!(!outcome.completed, "run must be marked incomplete");
+    assert!(
+        outcome.receiver_log.is_none(),
+        "no report from a dead receiver"
+    );
+    assert!(
+        !outcome.diagnostics.is_empty(),
+        "a partial run must carry a diagnostic"
+    );
+    assert!(
+        outcome.diagnostics[0].contains("partial"),
+        "{:?}",
+        outcome.diagnostics
+    );
+    let manifest = &outcome.manifest;
+    assert!(
+        !manifest.sent.is_empty(),
+        "probes before the kill are retained"
+    );
+    // The schedule had ~20 s to go; a completed run would have sent far
+    // more probes than fit in the first ~1.5 s.
+    let max_slot = manifest.sent.iter().map(|s| s.slot).max().unwrap();
+    assert!(
+        max_slot < 1_500,
+        "sender kept probing after abort (slot {max_slot})"
+    );
+
+    let (again, _) = receiver_death_run();
+    assert_eq!(
+        format!("{:?}", again.manifest),
+        format!("{:?}", outcome.manifest),
+        "same seed must give an identical manifest"
+    );
+}
+
+/// One sender run whose probes all go to a socket nobody reads; only
+/// the control plane reaches the receiver. Returns the sender's outcome
+/// and the server's report, taken once the session completed or 5 s of
+/// virtual time passed.
+fn zero_record_run() -> (SenderOutcome, bool, ServerReport) {
+    let net = FaultNet::new(9);
+    let provider = Provider::Fault(net.clone());
+    let clock = provider.clock();
+    let metrics = Arc::new(Registry::new("faultnet-blackhole"));
+    let receiver = start_server(ServerConfig {
+        provider: provider.clone(),
+        idle_timeout: Some(Duration::from_secs(10)),
+        metrics: Some(metrics.clone()),
+        ..ServerConfig::any(addr(RECV), 4)
+    })
+    .unwrap();
+    let blackhole = provider.bind(addr("10.0.0.9:7000")).unwrap(); // bound, never read
+    let tool = fast_tool();
+    let mut control = ControlConfig::new(addr(RECV));
+    control.bind = Some(addr(CTL_SRC));
+    control.drain = Duration::from_millis(100);
+    let cfg = SenderConfig {
+        tool,
+        bind: addr(PROBE_SRC),
+        control: Some(control),
+        provider,
+        ..SenderConfig::new(
+            tool,
+            200, /* 1 s */
+            blackhole.local_addr().unwrap(),
+            SESSION,
+        )
+    };
+    let outcome = run_sender(cfg, seeded(9, "blackhole")).unwrap();
+    let completed = completes_within(&metrics, &clock, Duration::from_secs(5));
+    (outcome, completed, receiver.stop())
+}
+
+/// FIN → FinAck(total_chunks = 0) → closing ReportAck must complete a
+/// session with an empty record set — the `chunk >= total_chunks`
+/// completion edge at zero chunks — rather than wedging the receiver
+/// until its watchdog. A same-seed rerun gives the same manifest.
+#[test]
+fn zero_record_session_completes_cleanly() {
+    let (outcome, completed, report) = zero_record_run();
+    assert!(outcome.completed, "diagnostics: {:?}", outcome.diagnostics);
+    let fetched = outcome
+        .receiver_log
+        .as_ref()
+        .expect("an empty report must still be retrievable");
+    assert_eq!(fetched.packets, 0);
+    assert!(fetched.arrivals.is_empty(), "no probe ever arrived");
+
+    assert!(
+        completed,
+        "session must complete via the closing ReportAck, not the watchdog"
+    );
+    assert_eq!(report.sessions[0].end, SessionEnd::Completed);
+    assert!(report.sessions[0].log.arrivals.is_empty());
+
+    // Loss accounting off the manifest alone: everything sent was lost.
+    let analysis = analyze_run(&fast_tool(), &outcome.manifest, fetched);
+    assert_eq!(analysis.packets_lost, outcome.manifest.packets_sent);
+
+    let (again, _, _) = zero_record_run();
+    assert_eq!(
+        format!("{:?}", again.manifest),
+        format!("{:?}", outcome.manifest),
+        "same seed must give an identical manifest"
+    );
 }

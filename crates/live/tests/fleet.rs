@@ -1,6 +1,6 @@
-//! Fleet-era receiver tests: the event-driven readiness loop, the
-//! memory budgets with their admission/eviction policy, and the
-//! control-plane lifecycle regressions that the fleet rewrite must pin:
+//! Fleet-era receiver tests: the memory budgets with their
+//! admission/eviction policy, and the control-plane lifecycle
+//! regressions that the fleet rewrite must pin:
 //!
 //! * a slow chunked report fetch must keep its session alive through a
 //!   short idle timeout (every control message refreshes the idle
