@@ -81,6 +81,14 @@
 //! ```text
 //! live_perf_smoke [--quick] [--packets N] [--out PATH]
 //! ```
+//!
+//! `--quick` shortens the TX allocation phase and the steering rows
+//! (60 000 packets). The RX rows drain [`RX_PACKETS`] packets each
+//! either way, and they take turns, one burst each (see [`rx_phase`]).
+//! Run one after another, on a shared 2-vCPU host, the
+//! `sendmmsg`/`fallback` ratio read 0.83–2.14× over 100 runs and the
+//! ≥ 1.1× gate failed in 12; taking turns, over 200 runs it read
+//! 1.08–1.29× and failed once. `--packets N` sets both counts.
 
 use badabing_live::batch_io::{set_buffer_sizes, BatchReceiver, BatchSender, IoMode};
 use badabing_live::cmsg::MAX_GSO_SEGMENTS;
@@ -133,6 +141,8 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const PACKET_BYTES: usize = 600; // the paper-default probe size
 const TRAIN: usize = 3; // packets per probe (the improved schedule's N)
+/// Packets each RX row drains, `--quick` or not (`--packets` overrides).
+const RX_PACKETS: u64 = 240_000;
 const RECV_BATCH: usize = 32;
 
 /// Gate floors (see the module docs for why throughput is gated as
@@ -277,93 +287,150 @@ enum Tx {
 /// anchor (same process), making `batch_timestamp - send_stamp` a true
 /// send-to-timestamp latency.
 ///
+/// The rows take turns, one round each, so every row drains under the
+/// same host load. Run one after another, the rows met different
+/// neighbours, and the `sendmmsg`/`fallback` ratio measured the host
+/// rather than the code.
+///
 /// [`Tx::Fallback`] and [`Tx::Separate`] queue per train of [`TRAIN`] —
 /// the live sender's unit of work. [`Tx::Segments`] encodes the whole
 /// burst into one flat buffer and submits it in `MAX_GSO_SEGMENTS`-sized
 /// super-datagrams, which is exactly how a fleet sender amortizes a
 /// dense schedule.
-fn rx_phase(label: &'static str, tx_kind: Tx, count: u64) -> RxResult {
-    let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
-    set_buffer_sizes(&rx, 1 << 22, 1 << 20);
-    rx.set_read_timeout(Some(Duration::from_millis(50)))
-        .unwrap();
-    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
-    tx.connect(rx.local_addr().unwrap()).unwrap();
-    set_buffer_sizes(&tx, 1 << 20, 1 << 22);
-
-    let mode = if tx_kind == Tx::Fallback {
-        IoMode::Fallback
-    } else {
-        IoMode::Batched
-    };
-    let segments = tx_kind == Tx::Segments;
-    let chunk = if segments { BURST as usize } else { TRAIN };
+fn rx_phase(rows: &[(&'static str, Tx)], count: u64) -> Vec<RxResult> {
     let anchor = Instant::now();
-    let latency = Histogram::latency();
-    let mut ring = BatchReceiver::new(RECV_BATCH, mode);
-    let mut train = vec![0u8; chunk * PACKET_BYTES];
-    let mut sender = BatchSender::new(if segments { MAX_GSO_SEGMENTS } else { TRAIN }, mode);
-
-    let mut sent = 0u64;
-    let mut received = 0u64;
-    let mut kernel_stamped = 0u64;
-    let mut busy = Duration::ZERO;
-    let mut tx_busy = Duration::ZERO;
-    let alloc_before = ALLOCS.load(Ordering::Relaxed);
+    let mut rows: Vec<RxRow> = rows
+        .iter()
+        .map(|&(label, tx_kind)| RxRow::new(label, tx_kind))
+        .collect();
+    let mut sent = 0;
     while sent < count {
+        let n = BURST.min(count - sent);
+        for row in &mut rows {
+            row.round(n, anchor);
+        }
+        sent += n;
+    }
+    rows.into_iter().map(RxRow::result).collect()
+}
+
+/// One RX row's sockets, rings and running tallies.
+struct RxRow {
+    label: &'static str,
+    tx_kind: Tx,
+    rx: UdpSocket,
+    tx: UdpSocket,
+    ring: BatchReceiver,
+    sender: BatchSender,
+    /// Packets encoded per send: a train, or a whole burst of segments.
+    chunk: usize,
+    train: Vec<u8>,
+    latency: Histogram,
+    sent: u64,
+    received: u64,
+    kernel_stamped: u64,
+    busy: Duration,
+    tx_busy: Duration,
+    drain_allocs: u64,
+}
+
+impl RxRow {
+    fn new(label: &'static str, tx_kind: Tx) -> Self {
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        set_buffer_sizes(&rx, 1 << 22, 1 << 20);
+        rx.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.connect(rx.local_addr().unwrap()).unwrap();
+        set_buffer_sizes(&tx, 1 << 20, 1 << 22);
+
+        let mode = if tx_kind == Tx::Fallback {
+            IoMode::Fallback
+        } else {
+            IoMode::Batched
+        };
+        let segments = tx_kind == Tx::Segments;
+        let chunk = if segments { BURST as usize } else { TRAIN };
+        Self {
+            label,
+            tx_kind,
+            rx,
+            tx,
+            ring: BatchReceiver::new(RECV_BATCH, mode),
+            sender: BatchSender::new(if segments { MAX_GSO_SEGMENTS } else { TRAIN }, mode),
+            chunk,
+            train: vec![0u8; chunk * PACKET_BYTES],
+            latency: Histogram::latency(),
+            sent: 0,
+            received: 0,
+            kernel_stamped: 0,
+            busy: Duration::ZERO,
+            tx_busy: Duration::ZERO,
+            drain_allocs: 0,
+        }
+    }
+
+    /// Queue `target` packets, then drain them.
+    fn round(&mut self, target: u64, anchor: Instant) {
+        let alloc_before = ALLOCS.load(Ordering::Relaxed);
         // Queue one burst: encode `chunk` packets at a time into the
         // reused buffer, then hand each encoded block to the kernel.
-        let round_target = BURST.min(count - sent);
         let mut queued = 0u64;
-        while queued < round_target {
-            let n = (chunk as u64).min(round_target - queued) as usize;
+        while queued < target {
+            let n = (self.chunk as u64).min(target - queued) as usize;
             for idx in 0..n {
                 let h = header(
-                    sent,
+                    self.sent,
                     anchor.elapsed().as_nanos() as u64,
                     (idx % TRAIN) as u8,
                 );
-                sent += 1;
-                h.encode_into(&mut train[idx * PACKET_BYTES..][..PACKET_BYTES]);
+                self.sent += 1;
+                h.encode_into(&mut self.train[idx * PACKET_BYTES..][..PACKET_BYTES]);
             }
             let t0 = Instant::now();
             let mut off = 0;
-            if tx_kind == Tx::Separate {
+            if self.tx_kind == Tx::Separate {
                 let pkts: [&[u8]; TRAIN] =
-                    std::array::from_fn(|k| &train[k * PACKET_BYTES..][..PACKET_BYTES]);
+                    std::array::from_fn(|k| &self.train[k * PACKET_BYTES..][..PACKET_BYTES]);
                 while off < n {
-                    off += sender.send(&tx, &pkts[off..n]).unwrap();
+                    off += self.sender.send(&self.tx, &pkts[off..n]).unwrap();
                 }
             } else {
                 while off < n {
-                    off += sender
-                        .send_segments(&tx, &train[off * PACKET_BYTES..], PACKET_BYTES, n - off)
+                    off += self
+                        .sender
+                        .send_segments(
+                            &self.tx,
+                            &self.train[off * PACKET_BYTES..],
+                            PACKET_BYTES,
+                            n - off,
+                        )
                         .unwrap();
                 }
             }
-            tx_busy += t0.elapsed();
+            self.tx_busy += t0.elapsed();
             queued += n as u64;
         }
         // Drain it, timing only the receive path.
         let mut round_received = 0u64;
         while round_received < queued {
             let t0 = Instant::now();
-            match ring.recv(&rx) {
+            match self.ring.recv(&self.rx) {
                 Ok(n) => {
                     // One timestamp per batch — the live receiver's
                     // stamping discipline, and the latency we report.
                     let now_ns = anchor.elapsed().as_nanos() as u64;
                     for i in 0..n {
-                        let (data, _) = ring.datagram(i);
-                        if ring.stamp_age_ns(i).is_some() {
-                            kernel_stamped += 1;
+                        let (data, _) = self.ring.datagram(i);
+                        if self.ring.stamp_age_ns(i).is_some() {
+                            self.kernel_stamped += 1;
                         }
                         if let Ok(h) = ProbeHeader::decode(data) {
                             round_received += 1;
-                            latency.record_ns(now_ns.saturating_sub(h.send_ns));
+                            self.latency.record_ns(now_ns.saturating_sub(h.send_ns));
                         }
                     }
-                    busy += t0.elapsed();
+                    self.busy += t0.elapsed();
                 }
                 Err(e)
                     if matches!(
@@ -378,32 +445,34 @@ fn rx_phase(label: &'static str, tx_kind: Tx, count: u64) -> RxResult {
                 Err(e) => panic!("recv failed: {e}"),
             }
         }
-        received += round_received;
+        self.received += round_received;
+        self.drain_allocs += ALLOCS.load(Ordering::Relaxed) - alloc_before;
     }
-    let drain_allocs = ALLOCS.load(Ordering::Relaxed) - alloc_before;
 
-    let busy_secs = busy.as_secs_f64();
-    RxResult {
-        mode: label,
-        batched: ring.is_batched(),
-        sent,
-        received,
-        busy_secs,
-        pps: if busy_secs > 0.0 {
-            received as f64 / busy_secs
-        } else {
-            0.0
-        },
-        syscalls: ring.syscalls(),
-        datagrams: ring.datagrams(),
-        p99_latency_secs: latency.quantile_secs(0.99).unwrap_or(0.0),
-        drain_allocs,
-        tx_syscalls: sender.syscalls(),
-        tx_busy_secs: tx_busy.as_secs_f64(),
-        gso_sends: sender.gso_sends(),
-        gro_segments_split: ring.gro_segments_split(),
-        cmsg_decode_errors: ring.cmsg_decode_errors(),
-        rx_kernel_stamped: kernel_stamped,
+    fn result(self) -> RxResult {
+        let busy_secs = self.busy.as_secs_f64();
+        RxResult {
+            mode: self.label,
+            batched: self.ring.is_batched(),
+            sent: self.sent,
+            received: self.received,
+            busy_secs,
+            pps: if busy_secs > 0.0 {
+                self.received as f64 / busy_secs
+            } else {
+                0.0
+            },
+            syscalls: self.ring.syscalls(),
+            datagrams: self.ring.datagrams(),
+            p99_latency_secs: self.latency.quantile_secs(0.99).unwrap_or(0.0),
+            drain_allocs: self.drain_allocs,
+            tx_syscalls: self.sender.syscalls(),
+            tx_busy_secs: self.tx_busy.as_secs_f64(),
+            gso_sends: self.sender.gso_sends(),
+            gro_segments_split: self.ring.gro_segments_split(),
+            cmsg_decode_errors: self.ring.cmsg_decode_errors(),
+            rx_kernel_stamped: self.kernel_stamped,
+        }
     }
 }
 
@@ -605,9 +674,16 @@ fn main() {
             }
         }
     }
-    let count = packets.unwrap_or(if quick { 60_000 } else { 240_000 });
+    // The RX rows drain the full run's packets even under `--quick`: the
+    // `sendmmsg`/`fallback` gate compares two throughputs, and a shorter
+    // drain leaves the ratio to scheduling noise.
+    let rx_count = packets.unwrap_or(RX_PACKETS);
+    let count = packets.unwrap_or(if quick { 60_000 } else { RX_PACKETS });
 
-    println!("=== live_perf_smoke: {count} packets of {PACKET_BYTES} B, trains of {TRAIN} ===");
+    println!(
+        "=== live_perf_smoke: {rx_count} packets per RX row ({count} per steering row) of \
+         {PACKET_BYTES} B, trains of {TRAIN} ==="
+    );
 
     // Phase 1: the zero-allocation TX contract.
     let (tx_trains, tx_allocs) = tx_alloc_phase(if quick { 2_000 } else { 10_000 });
@@ -625,11 +701,14 @@ fn main() {
     // the batched ring fed separate datagrams, then (where the running
     // kernel supports it) fed super-datagrams.
     let caps = kernel_offload_caps();
-    let fallback = rx_phase("fallback", Tx::Fallback, count);
-    let sendmmsg = rx_phase("sendmmsg", Tx::Separate, count);
-    let offload = caps
-        .gso_ready()
-        .then(|| rx_phase("offload", Tx::Segments, count));
+    let mut kinds = vec![("fallback", Tx::Fallback), ("sendmmsg", Tx::Separate)];
+    if caps.gso_ready() {
+        kinds.push(("offload", Tx::Segments));
+    }
+    let mut results = rx_phase(&kinds, rx_count).into_iter();
+    let fallback = results.next().expect("fallback row");
+    let sendmmsg = results.next().expect("sendmmsg row");
+    let offload = results.next();
     let rows: Vec<&RxResult> = [Some(&fallback), Some(&sendmmsg), offload.as_ref()]
         .into_iter()
         .flatten()

@@ -5,7 +5,9 @@
 //! message-level protocol). All requests follow the same discipline:
 //! send, wait up to the current backoff delay for a matching reply,
 //! retry with the delay doubling up to a cap, give up after a bounded
-//! number of attempts. The caller decides what "give up" means — a
+//! number of attempts. Report retrieval applies it per window: one
+//! request for up to [`REPORT_WINDOW_CHUNKS`] chunks, then re-requests
+//! of only the chunks lost. The caller decides what "give up" means — a
 //! failed handshake aborts the run before any probe is sent, while a
 //! failed report retrieval degrades to a partial result (the manifest
 //! alone still supports loss accounting for every probe that was sent).
@@ -15,10 +17,11 @@ use badabing_core::estimator::Estimates;
 use badabing_metrics::Registry;
 use badabing_wire::control::{
     ControlMessage, EstimateCounters, EstimateScope, RejectReason, ReportRecord, ReportSummary,
-    SessionParams,
+    SessionParams, REPORT_WINDOW_CHUNKS,
 };
 use std::io;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::time::Duration;
 
 /// Convert in-memory estimator counters to their wire form (loses
@@ -284,41 +287,10 @@ impl ControlClient {
                 self.note("control_retries");
             }
             self.socket.send(&wire)?;
-            let wait = backoff.next().expect("backoff is infinite");
-            let deadline = self.clock.now() + wait;
-            loop {
-                let remaining = deadline.saturating_sub(self.clock.now());
-                if remaining.is_zero() {
-                    break;
-                }
-                self.socket.set_read_timeout(Some(remaining))?;
-                match self.socket.recv(&mut buf) {
-                    Ok(len) => match ControlMessage::decode(&buf[..len]) {
-                        Ok(ControlMessage::SynNack { session, reason })
-                            if session == request.session() =>
-                        {
-                            self.note("control_rejected");
-                            return Err(ControlError::Rejected { reason });
-                        }
-                        Ok(msg) if msg.session() == request.session() => {
-                            if let Some(out) = matches(msg) {
-                                return Ok(out);
-                            }
-                        }
-                        Ok(_) => self.note("control_foreign_session"),
-                        Err(_) => self.note("control_decode_errors"),
-                    },
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        break
-                    }
-                    // A previous send to a dead port surfaces as
-                    // ConnectionRefused on the next recv; treat it as
-                    // this attempt timing out and keep retrying.
-                    Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => break,
-                    Err(e) => return Err(ControlError::Io(e)),
+            let deadline = self.clock.now() + backoff.next().expect("backoff is infinite");
+            while let Some(msg) = self.recv_reply(request.session(), deadline, &mut buf)? {
+                if let Some(out) = matches(msg) {
+                    return Ok(out);
                 }
             }
         }
@@ -326,6 +298,47 @@ impl ControlClient {
             what,
             attempts: self.cfg.max_attempts,
         })
+    }
+
+    /// Wait until `deadline` for the next decodable control message for
+    /// `session`; `None` once the wait is over. Noise and other
+    /// sessions' traffic are counted and skipped, and a SYN-NACK for
+    /// `session` fails fast (see [`ControlClient::request`]).
+    fn recv_reply(
+        &self,
+        session: u32,
+        deadline: Duration,
+        buf: &mut [u8],
+    ) -> Result<Option<ControlMessage>, ControlError> {
+        loop {
+            let remaining = deadline.saturating_sub(self.clock.now());
+            if remaining.is_zero() {
+                return Ok(None);
+            }
+            self.socket.set_read_timeout(Some(remaining))?;
+            match self.socket.recv(buf) {
+                Ok(len) => match ControlMessage::decode(&buf[..len]) {
+                    Ok(ControlMessage::SynNack { session: s, reason }) if s == session => {
+                        self.note("control_rejected");
+                        return Err(ControlError::Rejected { reason });
+                    }
+                    Ok(msg) if msg.session() == session => return Ok(Some(msg)),
+                    Ok(_) => self.note("control_foreign_session"),
+                    Err(_) => self.note("control_decode_errors"),
+                },
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None)
+                }
+                // A previous send to a dead port surfaces as
+                // ConnectionRefused on the next recv; treat it as this
+                // attempt timing out and keep retrying.
+                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => return Ok(None),
+                Err(e) => return Err(ControlError::Io(e)),
+            }
+        }
     }
 
     /// Run the SYN/SYN-ACK handshake. A SYN-NACK from the receiver
@@ -412,8 +425,9 @@ impl ControlClient {
         })
     }
 
-    /// FIN, then pull every report chunk, then the closing ack.
-    /// Returns the receiver's summary and the full record list.
+    /// FIN, then pull the report one window of [`REPORT_WINDOW_CHUNKS`]
+    /// chunks at a time, then the closing ack. Returns the receiver's
+    /// summary and the full record list.
     pub fn fetch_report(
         &self,
         session: u32,
@@ -435,21 +449,13 @@ impl ControlClient {
         })?;
 
         let mut records = Vec::new();
-        for want in 0..total_chunks {
-            let req = ControlMessage::ReportRequest {
-                session,
-                chunk: want,
-            };
-            let chunk_records = self.request("report chunk", &req, |msg| match msg {
-                ControlMessage::ReportChunk { chunk, records, .. } if chunk == want => {
-                    Some(records)
-                }
-                _ => None,
-            })?;
-            records.extend(chunk_records);
-            if let Some(m) = &self.metrics {
-                m.counter("report_chunks_fetched").inc();
+        let mut base = 0;
+        while base < total_chunks {
+            let end = base.saturating_add(REPORT_WINDOW_CHUNKS).min(total_chunks);
+            for chunk in self.fetch_window(session, base..end)? {
+                records.extend(chunk);
             }
+            base = end;
         }
 
         // Closing ack: fire a few copies and move on — if all are lost
@@ -464,11 +470,116 @@ impl ControlClient {
         }
         Ok((summary, records))
     }
+
+    /// Fetch the report chunks `window` (at most one window), re-requesting
+    /// only the ones lost, and return their records in chunk order.
+    ///
+    /// Loss detection follows RFC 9002 §6.1, with a chunk's place in the
+    /// reply stream standing in for a packet number: each request asks
+    /// for a contiguous run of chunks and the receiver answers in index
+    /// order, so a request for `k` chunks takes the next `k` places.
+    fn fetch_window(
+        &self,
+        session: u32,
+        window: Range<u32>,
+    ) -> Result<Vec<Vec<ReportRecord>>, ControlError> {
+        let n = window.len();
+        let mut got: Vec<Option<Vec<ReportRecord>>> = vec![None; n];
+        let mut place = vec![0u64; n];
+        let mut next_place = 0u64;
+        let mut missing = n;
+        let mut lost: Vec<usize> = (0..n).collect();
+        let mut backoff = Backoff::new(&self.cfg);
+        let mut wait = backoff.next().expect("backoff is infinite");
+        let mut expiries = 0;
+        let mut buf = [0u8; 2048];
+        let mut deadline = Duration::ZERO;
+        while missing > 0 {
+            if !lost.is_empty() {
+                //= DESIGN.md#windowed-report-transfer
+                //# The sender then re-requests each contiguous run of lost
+                //# chunks in one request.
+                let mut i = 0;
+                while i < lost.len() {
+                    let mut j = i + 1;
+                    while j < lost.len() && lost[j] == lost[j - 1] + 1 {
+                        j += 1;
+                    }
+                    // The window's first request takes places 0..n; every
+                    // request after it is a retry.
+                    if next_place > 0 {
+                        self.note("control_retries");
+                    }
+                    for &k in &lost[i..j] {
+                        place[k] = next_place;
+                        next_place += 1;
+                    }
+                    let req = ControlMessage::ReportRequest {
+                        session,
+                        chunk: window.start + lost[i] as u32,
+                        count: (j - i) as u16,
+                    };
+                    self.socket.send(&req.encode())?;
+                    i = j;
+                }
+                lost.clear();
+                deadline = self.clock.now() + wait;
+            }
+            match self.recv_reply(session, deadline, &mut buf)? {
+                Some(ControlMessage::ReportChunk { chunk, records, .. })
+                    if window.contains(&chunk) =>
+                {
+                    let k = (chunk - window.start) as usize;
+                    if got[k].is_some() {
+                        continue; // a duplicate reply
+                    }
+                    got[k] = Some(records);
+                    missing -= 1;
+                    self.note("report_chunks_fetched");
+                    // The peer is alive: the next wait starts over.
+                    backoff = Backoff::new(&self.cfg);
+                    wait = backoff.next().expect("backoff is infinite");
+                    expiries = 0;
+                    //= DESIGN.md#windowed-report-transfer
+                    //# A chunk is lost once a chunk three or more places
+                    //# later in its window's reply stream has arrived.
+                    lost.extend(
+                        (0..n).filter(|&m| {
+                            got[m].is_none() && place[m] + REORDER_THRESHOLD <= place[k]
+                        }),
+                    );
+                }
+                // Stale chunks of an earlier window, FIN-ACK retransmits.
+                Some(_) => {}
+                None => {
+                    expiries += 1;
+                    if expiries >= self.cfg.max_attempts {
+                        return Err(ControlError::Unreachable {
+                            what: "report chunk",
+                            attempts: expiries,
+                        });
+                    }
+                    wait = backoff.next().expect("backoff is infinite");
+                    //= DESIGN.md#windowed-report-transfer
+                    //# A chunk is also lost when the attempt's backoff
+                    //# wait expires before it arrives.
+                    lost.extend((0..n).filter(|&m| got[m].is_none()));
+                }
+            }
+        }
+        Ok(got.into_iter().map(Option::unwrap_or_default).collect())
+    }
 }
+
+/// RFC 9002's packet threshold (`kPacketThreshold`): how many places
+/// later in the reply stream a chunk must arrive before an earlier one
+/// still missing counts as lost rather than reordered.
+const REORDER_THRESHOLD: u64 = 3;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn cfg() -> ControlConfig {
         ControlConfig::new("127.0.0.1:9".parse().unwrap())
@@ -524,6 +635,143 @@ mod tests {
             "{err}"
         );
         assert!(started.elapsed() < Duration::from_secs(2));
+    }
+
+    /// What a scripted report server saw: every request, as
+    /// `(chunk, count)`, and the closing ack's chunk.
+    type Seen = (Vec<(u32, u16)>, Option<u32>);
+
+    /// A report server on FaultNet that serves `total` chunks (chunk `c`
+    /// carries one record with `experiment == c`) but drops the first
+    /// serve of each chunk in `drop_once`.
+    fn scripted_fetch(total: u32, drop_once: &[u32]) -> (Vec<ReportRecord>, Seen, Arc<Registry>) {
+        use crate::faultnet::FaultNet;
+        use badabing_wire::control::{encode_report_chunk_into, served_chunks, MAX_CONTROL_BYTES};
+        let recv: SocketAddr = "10.0.0.1:9000".parse().unwrap();
+        let net = FaultNet::new(3);
+        let peer = net.bind(recv).unwrap();
+        let mut dropped: Vec<u32> = drop_once.to_vec();
+        let ticket = net.reserve();
+        let server = {
+            let net = net.clone();
+            std::thread::spawn(move || {
+                net.adopt(ticket);
+                let mut requests = Vec::new();
+                let mut buf = [0u8; MAX_CONTROL_BYTES];
+                loop {
+                    let d = peer.recv_msg().unwrap();
+                    match ControlMessage::decode(&d.data).unwrap() {
+                        ControlMessage::Fin { session, .. } => {
+                            let ack = ControlMessage::FinAck {
+                                session,
+                                total_chunks: total,
+                                summary: ReportSummary::default(),
+                            };
+                            peer.send_to(&ack.encode(), d.src).unwrap();
+                        }
+                        ControlMessage::ReportRequest {
+                            session,
+                            chunk,
+                            count,
+                        } => {
+                            requests.push((chunk, count));
+                            for c in served_chunks(chunk, count, total) {
+                                if let Some(i) = dropped.iter().position(|&x| x == c) {
+                                    dropped.swap_remove(i);
+                                    continue;
+                                }
+                                let record = ReportRecord {
+                                    experiment: u64::from(c),
+                                    slot: 0,
+                                    received: 1,
+                                    duplicates: 0,
+                                    qdelay_last_secs: 0.0,
+                                    qdelay_max_secs: 0.0,
+                                    flags: 0,
+                                };
+                                let n = encode_report_chunk_into(
+                                    session,
+                                    c,
+                                    total,
+                                    &[record],
+                                    &mut buf,
+                                );
+                                peer.send_to(&buf[..n], d.src).unwrap();
+                            }
+                        }
+                        ControlMessage::ReportAck { chunk, .. } => return (requests, Some(chunk)),
+                        other => panic!("unexpected {other:?}"),
+                    }
+                }
+            })
+        };
+        let mut cfg = ControlConfig::new(recv);
+        cfg.provider = Provider::Fault(net.clone());
+        cfg.bind = Some("10.0.0.2:7001".parse().unwrap());
+        let metrics = Arc::new(Registry::new("scripted-fetch"));
+        let client = ControlClient::connect(cfg, Some(metrics.clone())).unwrap();
+        let (_, records) = client.fetch_report(1, 0, 0).unwrap();
+        let seen = net.unenrolled(|| server.join()).unwrap();
+        (records, seen, metrics)
+    }
+
+    #[test]
+    fn windowed_fetch_re_requests_only_the_holes() {
+        // Window [0, 32): chunks 5 and 6 are lost early and caught by
+        // the packet threshold as chunks 8 and 9 arrive; 30 and 31 have
+        // fewer than three chunks after them in the first reply stream
+        // and are caught as the re-requested 5 and 6 come back. Window
+        // [32, 40): the last three chunks are lost with nothing after
+        // them, so the time threshold re-requests them as one run.
+        let (records, (requests, ack), metrics) = scripted_fetch(40, &[5, 6, 30, 31, 37, 38, 39]);
+        assert_eq!(
+            requests,
+            vec![(0, 32), (5, 1), (6, 1), (30, 1), (31, 1), (32, 8), (37, 3)]
+        );
+        assert_eq!(ack, Some(40));
+        // Placed by index: the records come back in chunk order.
+        let order: Vec<u64> = records.iter().map(|r| r.experiment).collect();
+        assert_eq!(order, (0..40).collect::<Vec<u64>>());
+        assert_eq!(metrics.counter("report_chunks_fetched").get(), 40);
+        assert_eq!(metrics.counter("control_retries").get(), 5);
+    }
+
+    #[test]
+    fn windowed_fetch_of_a_clean_report_sends_one_request_per_window() {
+        let (records, (requests, ack), metrics) = scripted_fetch(70, &[]);
+        assert_eq!(requests, vec![(0, 32), (32, 32), (64, 6)]);
+        assert_eq!(ack, Some(70));
+        assert_eq!(records.len(), 70);
+        assert_eq!(metrics.counter("control_retries").get(), 0);
+        let (records, (requests, ack), _) = scripted_fetch(0, &[]);
+        assert!(records.is_empty() && requests.is_empty());
+        assert_eq!(ack, Some(0));
+    }
+
+    /// The loss-detection rules are quoted beside the code that applies
+    /// them (`//#` lines under a `//= DESIGN.md#…` line, in the manner
+    /// of RFC-pinned QUIC stacks): every quote must still appear in
+    /// DESIGN.md word for word, so the code and its stated rules cannot
+    /// drift apart silently.
+    #[test]
+    fn loss_rules_are_quoted_from_design_md() {
+        let words = |s: &str| s.split_whitespace().collect::<Vec<_>>().join(" ");
+        let design = words(include_str!("../../../DESIGN.md"));
+        let mut quotes = Vec::new();
+        let mut quote = String::new();
+        for line in include_str!("control.rs").lines().map(str::trim) {
+            if let Some(q) = line.strip_prefix("//# ") {
+                quote.push_str(q);
+                quote.push(' ');
+            } else if !quote.is_empty() {
+                quotes.push(words(&quote));
+                quote.clear();
+            }
+        }
+        assert_eq!(quotes.len(), 3, "{quotes:?}");
+        for q in &quotes {
+            assert!(design.contains(q.as_str()), "DESIGN.md no longer says: {q}");
+        }
     }
 
     #[test]

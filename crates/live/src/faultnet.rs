@@ -55,6 +55,15 @@
 //! traffic (heartbeat counts, retry timing) may interleave
 //! differently between runs, but by construction it cannot perturb
 //! the probe link's RNG stream or the finalized report snapshot.
+//!
+//! The contract holds only while no two threads act at the same virtual
+//! nanosecond. Two threads woken at one instant both hold tokens, and
+//! the OS picks which acts first: when a heartbeat thread's abort and
+//! the probe loop's slot wake fall on the same nanosecond, the manifest
+//! can differ between runs. A test whose threads could tie moves one
+//! schedule off the other's grid; the receiver-death test in
+//! `tests/faultnet.rs` runs its heartbeats every 100 001 µs, 1 µs off
+//! the 5 ms slot grid.
 
 use crate::batch_io::steer_lane;
 use rand::rngs::StdRng;

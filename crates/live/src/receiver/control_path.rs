@@ -9,8 +9,8 @@ use crate::provider::Socket;
 use badabing_core::estimator::Estimates;
 use badabing_stats::DelaySketch;
 use badabing_wire::control::{
-    chunk_window, encode_report_chunk_into, ControlMessage, DelaySummary, EstimateScope,
-    RejectReason, SessionParams, MAX_CONTROL_BYTES,
+    chunk_window, encode_report_chunk_into, served_chunks, ControlMessage, DelaySummary,
+    EstimateScope, RejectReason, SessionParams, MAX_CONTROL_BYTES,
 };
 use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::net::SocketAddr;
@@ -59,33 +59,34 @@ pub(super) fn handle_control(
             shared.admission.shed(|| shared.evict_oldest_idle());
             ack
         }
-        ControlMessage::ReportRequest { chunk, .. } => {
+        ControlMessage::ReportRequest { chunk, count, .. } => {
             with_open(shared, id, src, abs, scratch, |e, scratch| {
                 // Every request from a live session gets a deterministic
-                // reply. In-range chunks are served straight from the
-                // snapshot's record slice ([`chunk_window`]): no clone,
-                // byte-identical on every re-request. Out-of-range chunks
-                // (sender bug, corrupted index) get an *empty* chunk
-                // echoing the true `total_chunks`; requests before any
-                // FIN get one with `total_chunks: 0`. Silence in either
-                // case would leave the sender burning its full
-                // retry/backoff schedule per chunk before concluding
-                // anything.
-                let (total, window) = match &e.get().finalized {
-                    Some(f) if chunk < f.total_chunks() => {
-                        (f.total_chunks(), chunk_window(&f.records, chunk))
-                    }
-                    Some(f) => {
-                        shared.c.chunk_nacks.inc();
-                        (f.total_chunks(), &[][..])
-                    }
-                    None => {
-                        shared.c.chunk_nacks.inc();
-                        (0, &[][..])
-                    }
+                // reply. The in-range chunks ([`served_chunks`]: the
+                // range clipped at `total_chunks` and the window) go
+                // out back to back, straight from the snapshot's record
+                // slice: no clone, byte-identical on every re-request.
+                // A range starting past the end (sender bug, corrupted
+                // index) gets one *empty* chunk echoing the true
+                // `total_chunks`; a request before any FIN gets one with
+                // `total_chunks: 0`. Silence in either case would leave
+                // the sender burning its full retry/backoff schedule
+                // before concluding anything.
+                let (total, records) = match &e.get().finalized {
+                    Some(f) => (f.total_chunks(), &f.records[..]),
+                    None => (0, &[][..]),
                 };
-                let n = encode_report_chunk_into(id, chunk, total, window, scratch);
-                let _ = shared.socket.send_to(&scratch[..n], src);
+                let served = served_chunks(chunk, count, total);
+                if served.is_empty() {
+                    shared.c.chunk_nacks.inc();
+                    let n = encode_report_chunk_into(id, chunk, total, &[], scratch);
+                    let _ = shared.socket.send_to(&scratch[..n], src);
+                }
+                for c in served {
+                    let window = chunk_window(records, c);
+                    let n = encode_report_chunk_into(id, c, total, window, scratch);
+                    let _ = shared.socket.send_to(&scratch[..n], src);
+                }
             });
             None
         }

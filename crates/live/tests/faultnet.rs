@@ -11,6 +11,7 @@
 //! chunks, even with 30% control-plane loss and reordering.
 
 use badabing_core::config::BadabingConfig;
+use badabing_core::schedule::ExperimentScheduler;
 use badabing_live::analyze::analyze_run;
 use badabing_live::control::{ControlClient, ControlConfig, ControlError};
 use badabing_live::faultnet::{FaultNet, LinkFaults};
@@ -23,9 +24,9 @@ use badabing_live::sender::{run_sender, SenderConfig, SenderOutcome};
 use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
 use badabing_wire::control::{
-    chunk_count, encode_report_chunk_into, RejectReason, SessionParams, MAX_CONTROL_BYTES,
-    RECORDS_PER_CHUNK,
+    chunk_records, ControlMessage, RejectReason, ReportRecord, SessionParams, REPORT_WINDOW_CHUNKS,
 };
+use badabing_wire::ProbeHeader;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,12 +102,17 @@ fn run_session_with(
         tool,
         bind: addr(PROBE_SRC),
         control: Some(control),
-        provider,
+        provider: provider.clone(),
         ..SenderConfig::new(tool, n_slots, addr(RECV), SESSION)
     };
     let started = Instant::now();
     let outcome = run_sender(cfg, seeded(seed, "faultnet-run")).unwrap();
     let wall = started.elapsed();
+    // The sender's closing `ReportAck` is still on the virtual link when
+    // `run_sender` returns: let it land before the stop, so the session's
+    // end never depends on what a drain thread does with a batch it
+    // receives after the stop flag is set.
+    completes_within(&metrics, &provider.clock(), Duration::from_secs(5));
     let server = server
         .stop()
         .sessions
@@ -123,16 +129,14 @@ fn run_session_with(
 /// The exact wire bytes of every report chunk the receiver serves for
 /// this log (same encoder, same deterministic record order).
 fn report_chunk_bytes(log: &ReceiverLog) -> Vec<Vec<u8>> {
-    let records = log.to_records();
-    let total = chunk_count(records.len());
-    records
-        .chunks(RECORDS_PER_CHUNK)
-        .enumerate()
-        .map(|(i, window)| {
-            let mut buf = [0u8; MAX_CONTROL_BYTES];
-            let n = encode_report_chunk_into(SESSION, i as u32, total, window, &mut buf);
-            buf[..n].to_vec()
-        })
+    record_bytes(&log.to_records())
+}
+
+/// The report's records as the exact datagrams the receiver serves.
+fn record_bytes(records: &[ReportRecord]) -> Vec<Vec<u8>> {
+    chunk_records(SESSION, records)
+        .iter()
+        .map(|c| c.encode().to_vec())
         .collect()
 }
 
@@ -705,5 +709,192 @@ fn zero_record_session_completes_cleanly() {
         format!("{:?}", again.manifest),
         format!("{:?}", outcome.manifest),
         "same seed must give an identical manifest"
+    );
+}
+
+/// The wide-area fetch's control host: both directions 50 ms one way (a
+/// 100 ms RTT) with 5 % uniform loss. The probe link stays clean.
+const WIDE_RTT: Duration = Duration::from_millis(100);
+
+/// A control client at `bind` whose first wait covers the 100 ms RTT.
+fn wide_area_client(provider: &Provider, bind: &str) -> ControlClient {
+    let mut cfg = ControlConfig::new(addr(RECV));
+    cfg.provider = provider.clone();
+    cfg.bind = Some(addr(bind));
+    cfg.retry_base = Duration::from_millis(150);
+    ControlClient::connect(cfg, None).unwrap()
+}
+
+struct WideAreaFetch {
+    total_chunks: u32,
+    /// Wire bytes of the windowed `fetch_report`'s records.
+    windowed: Vec<Vec<u8>>,
+    /// Wire bytes of the same report fetched one `count = 1` request
+    /// at a time.
+    by_hand: Vec<Vec<u8>>,
+    /// Wire bytes of the receiver's own log of the session.
+    server: Vec<Vec<u8>>,
+    /// Virtual time of each fetch, FIN included.
+    windowed_time: Duration,
+    by_hand_time: Duration,
+}
+
+/// A paper-scale report (60 000 slots at p = 0.3, two single-packet
+/// probes per experiment: about 36 000 records, 1 100 chunks) fetched
+/// over 100 ms RTT control links losing 5 % each way: first by hand
+/// with `count = 1` requests, then by `fetch_report`.
+fn wide_area_fetch(seed: u64) -> WideAreaFetch {
+    const HAND_SRC: &str = "10.0.0.3:7001";
+    let net = FaultNet::new(seed);
+    let lossy = LinkFaults {
+        latency: WIDE_RTT / 2,
+        ..LinkFaults::uniform_loss(0.05)
+    };
+    for host in [CTL_SRC, HAND_SRC] {
+        net.set_faults(addr(host), addr(RECV), lossy.clone());
+        net.set_faults(addr(RECV), addr(host), lossy.clone());
+    }
+    let provider = Provider::Fault(net.clone());
+    let clock = provider.clock();
+    let metrics = Arc::new(Registry::new("faultnet-wide-area"));
+    let server = start_server(ServerConfig {
+        provider: provider.clone(),
+        metrics: Some(metrics.clone()),
+        ..ServerConfig::any(addr(RECV), 4)
+    })
+    .unwrap();
+    let params = SessionParams {
+        n_slots: 60_000,
+        slot_ns: 5_000_000,
+        probe_packets: 1,
+        packet_bytes: 64,
+        p: 0.3,
+        improved: false,
+    };
+    let client = wide_area_client(&provider, CTL_SRC);
+    client.handshake(SESSION, params).unwrap();
+
+    let probes = net.bind(addr(PROBE_SRC)).unwrap();
+    let mut pkt = [0u8; 64];
+    let mut sched = ExperimentScheduler::new(params.p, params.improved, seeded(seed, "wide-area"));
+    let mut seq = 0;
+    for e in sched.take_run(params.n_slots) {
+        for slot in e.slots() {
+            ProbeHeader {
+                session: SESSION,
+                experiment: e.id,
+                slot,
+                seq,
+                send_ns: 0,
+                idx: 0,
+                probe_len: 1,
+            }
+            .encode_into(&mut pkt);
+            probes.send_to(&pkt, addr(RECV)).unwrap();
+            seq += 1;
+        }
+    }
+
+    // By hand: FIN, then one chunk per request, each retried on the
+    // control plane's backoff like any request.
+    let hand = wide_area_client(&provider, HAND_SRC);
+    let started = clock.now();
+    let fin = ControlMessage::Fin {
+        session: SESSION,
+        probes_sent: seq,
+        packets_sent: seq,
+    };
+    let total_chunks = hand
+        .request("FIN", &fin, |msg| match msg {
+            ControlMessage::FinAck { total_chunks, .. } => Some(total_chunks),
+            _ => None,
+        })
+        .unwrap();
+    let mut by_hand = Vec::new();
+    for want in 0..total_chunks {
+        let req = ControlMessage::ReportRequest {
+            session: SESSION,
+            chunk: want,
+            count: 1,
+        };
+        by_hand.extend(
+            hand.request("report chunk", &req, |msg| match msg {
+                ControlMessage::ReportChunk { chunk, records, .. } if chunk == want => {
+                    Some(records)
+                }
+                _ => None,
+            })
+            .unwrap(),
+        );
+    }
+    let by_hand_time = clock.now() - started;
+
+    let started = clock.now();
+    let (_, windowed) = client.fetch_report(SESSION, seq, seq).unwrap();
+    let windowed_time = clock.now() - started;
+    assert!(
+        completes_within(&metrics, &clock, Duration::from_secs(5)),
+        "the closing ReportAck never landed"
+    );
+    let report = server.stop();
+    let outcome = report
+        .sessions
+        .iter()
+        .find(|o| o.session == SESSION)
+        .expect("server recorded the session");
+    assert_eq!(outcome.end, SessionEnd::Completed);
+    WideAreaFetch {
+        total_chunks,
+        windowed: record_bytes(&windowed),
+        by_hand: record_bytes(&by_hand),
+        server: record_bytes(&outcome.log.to_records()),
+        windowed_time,
+        by_hand_time,
+    }
+}
+
+/// Windowed report transfer at wide-area latency: a 1 100-chunk report
+/// over 100 ms RTT control links with 5 % loss each way arrives in
+/// under 4 RTTs per window of [`REPORT_WINDOW_CHUNKS`] chunks, where a
+/// chunk-at-a-time fetch needs at least one RTT per chunk. The records
+/// are the receiver's own, byte for byte, and the same as the
+/// chunk-at-a-time fetch's; a same-seed rerun is byte-identical.
+#[test]
+fn windowed_fetch_of_a_paper_scale_report_over_a_lossy_wide_area_link() {
+    let a = wide_area_fetch(25);
+    assert!(
+        (1_000..1_250).contains(&a.total_chunks),
+        "{} chunks",
+        a.total_chunks
+    );
+    let windows = a.total_chunks.div_ceil(REPORT_WINDOW_CHUNKS);
+    assert!(
+        a.windowed_time < WIDE_RTT * (4 * windows),
+        "windowed fetch took {:?} for {windows} windows",
+        a.windowed_time
+    );
+    assert!(
+        a.by_hand_time >= WIDE_RTT * a.total_chunks,
+        "a chunk-at-a-time fetch took {:?}",
+        a.by_hand_time
+    );
+    assert_eq!(a.windowed.len(), a.total_chunks as usize);
+    assert!(
+        a.windowed == a.server,
+        "fetched records differ from the receiver's log"
+    );
+    assert!(
+        a.windowed == a.by_hand,
+        "windowed and chunk-at-a-time fetches differ"
+    );
+
+    let b = wide_area_fetch(25);
+    assert!(
+        a.windowed == b.windowed,
+        "same seed must give identical records"
+    );
+    assert_eq!(
+        a.windowed_time, b.windowed_time,
+        "same seed, same fetch time"
     );
 }

@@ -5,8 +5,9 @@
 //! * a slow chunked report fetch must keep its session alive through a
 //!   short idle timeout (every control message refreshes the idle
 //!   deadline — a reap mid-fetch strands the sender);
-//! * an out-of-range or pre-FIN `ReportRequest` gets a deterministic
-//!   empty-chunk reply, never silence;
+//! * a ranged `ReportRequest` is answered with every chunk of its
+//!   clipped range, byte-identical on a re-request, and an out-of-range
+//!   or pre-FIN one with exactly one empty chunk, never silence;
 //! * under global-budget pressure, new sessions are either refused with
 //!   [`RejectReason::Budget`] or admitted by evicting the longest-idle
 //!   session, whose sender then sees [`RejectReason::Evicted`] on its
@@ -30,9 +31,12 @@ use badabing_live::receiver::{
 use badabing_live::sender::{run_sender, SenderConfig};
 use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
-use badabing_wire::control::{ControlMessage, EstimateScope, RejectReason, SessionParams};
+use badabing_wire::control::{
+    chunk_count, ControlMessage, EstimateScope, RejectReason, SessionParams, RECORDS_PER_CHUNK,
+    REPORT_WINDOW_CHUNKS,
+};
 use badabing_wire::ProbeHeader;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -162,91 +166,146 @@ fn chunked_fetch_survives_short_idle_timeout_on_slow_links() {
     );
 }
 
+/// One `ReportChunk` reply, decoded: (chunk, total_chunks, records).
+type Chunk = (u32, u32, usize);
+
+fn decode_chunk(bytes: &[u8]) -> Chunk {
+    match ControlMessage::decode(bytes).expect("decodable reply") {
+        ControlMessage::ReportChunk {
+            chunk,
+            total_chunks,
+            records,
+            ..
+        } => (chunk, total_chunks, records.len()),
+        other => panic!("unexpected reply {other:?}"),
+    }
+}
+
 /// Satellite regression: a `ReportRequest` from a live session always
 /// gets a deterministic reply. Before the fix the receiver answered
 /// out-of-range chunk indices — and any request before FIN — with
 /// silence, so the sender burned its entire retry/backoff schedule per
-/// chunk before learning anything.
+/// chunk before learning anything. A ranged request is answered with
+/// every chunk of its range clipped at `total_chunks` and at
+/// [`REPORT_WINDOW_CHUNKS`], byte-identical on a re-request; a range
+/// that starts past the end, and any request before FIN, with exactly
+/// one empty chunk. Runs on FaultNet, so "every reply" is every
+/// datagram that arrives before 50 ms of virtual silence.
 #[test]
 fn report_requests_never_go_unanswered() {
-    let server = start_server(ServerConfig::any(local0(), 4)).unwrap();
-    let target = server.local_addr();
+    const RECV: &str = "10.0.0.1:9000";
+    const PROBE_SRC: &str = "10.0.0.2:7000";
+    const CTL_SRC: &str = "10.0.0.2:7001";
+    const RAW_SRC: &str = "10.0.0.2:7002";
+    // One record per single-packet probe: 33 full chunks and a 5-record
+    // tail, so the report is longer than one window.
+    const RECORDS: u64 = 33 * RECORDS_PER_CHUNK as u64 + 5;
+
+    let net = FaultNet::new(0xE3);
+    let provider = Provider::Fault(net.clone());
+    let server = start_server(ServerConfig {
+        provider: provider.clone(),
+        ..ServerConfig::any(addr(RECV), 4)
+    })
+    .unwrap();
     let session = 0xE3;
-
-    let client = ControlClient::connect(ControlConfig::new(target), None).unwrap();
-    client.handshake(session, big_params()).unwrap();
-
-    let sock = UdpSocket::bind(local0()).unwrap();
-    sock.set_read_timeout(Some(Duration::from_millis(500)))
+    let mut cfg = ControlConfig::new(addr(RECV));
+    cfg.provider = provider;
+    cfg.bind = Some(addr(CTL_SRC));
+    let client = ControlClient::connect(cfg, None).unwrap();
+    client
+        .handshake(
+            session,
+            SessionParams {
+                n_slots: 2 * RECORDS,
+                probe_packets: 1,
+                ..big_params()
+            },
+        )
         .unwrap();
-    let mut buf = [0u8; 2048];
-    let mut exchange = |msg: ControlMessage| -> Option<ControlMessage> {
-        sock.send_to(&msg.encode(), target).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while Instant::now() < deadline {
-            let Ok((len, _)) = sock.recv_from(&mut buf) else {
-                return None;
-            };
-            if let Ok(reply) = ControlMessage::decode(&buf[..len]) {
-                if reply.session() == session {
-                    return Some(reply);
-                }
-            }
-        }
-        None
-    };
 
-    // Before any FIN there is no snapshot: the reply is an empty chunk
-    // with `total_chunks: 0`, not silence.
-    let reply = exchange(ControlMessage::ReportRequest { session, chunk: 0 })
-        .expect("pre-FIN report request must be answered");
-    match reply {
-        ControlMessage::ReportChunk {
-            chunk,
-            total_chunks,
-            records,
-            ..
-        } => {
-            assert_eq!(chunk, 0);
-            assert_eq!(total_chunks, 0, "no snapshot exists before FIN");
-            assert!(records.is_empty());
+    let probes = net.bind(addr(PROBE_SRC)).unwrap();
+    let mut pkt = [0u8; 64];
+    for i in 0..RECORDS {
+        ProbeHeader {
+            session,
+            experiment: i / 2,
+            slot: i,
+            seq: i,
+            send_ns: 0,
+            idx: 0,
+            probe_len: 1,
         }
-        other => panic!("unexpected reply {other:?}"),
+        .encode_into(&mut pkt);
+        probes.send_to(&pkt, addr(RECV)).unwrap();
     }
 
-    // Finalize (no probes: a legitimate empty report).
+    let sock = net.bind(addr(RAW_SRC)).unwrap();
+    sock.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let exchange = |msg: ControlMessage| -> Vec<Vec<u8>> {
+        sock.send_to(&msg.encode(), addr(RECV)).unwrap();
+        let mut replies = Vec::new();
+        while let Ok(d) = sock.recv_msg() {
+            replies.push(d.data);
+        }
+        replies
+    };
+    let request = |chunk: u32, count: u16| ControlMessage::ReportRequest {
+        session,
+        chunk,
+        count,
+    };
+
+    // Before any FIN there is no snapshot: the reply is one empty chunk
+    // with `total_chunks: 0`, not silence and not one per chunk asked.
+    let replies = exchange(request(0, 8));
+    assert_eq!(replies.len(), 1, "pre-FIN request gets exactly one reply");
+    assert_eq!(decode_chunk(&replies[0]), (0, 0, 0));
+
+    // Finalize.
     let fin = exchange(ControlMessage::Fin {
         session,
-        probes_sent: 0,
-        packets_sent: 0,
-    })
-    .expect("FIN must be acked");
-    let total = match fin {
+        probes_sent: RECORDS,
+        packets_sent: RECORDS,
+    });
+    let total = match ControlMessage::decode(&fin[0]).unwrap() {
         ControlMessage::FinAck { total_chunks, .. } => total_chunks,
         other => panic!("unexpected reply {other:?}"),
     };
+    assert_eq!(total, chunk_count(RECORDS as usize));
+    assert!(total > REPORT_WINDOW_CHUNKS);
 
-    // An out-of-range index (sender bug, corrupted datagram) gets an
-    // empty chunk echoing the *true* total, byte-deterministic.
+    // Clipped at the window: 40 asked, 32 served, in index order.
+    let window = exchange(request(0, 40));
+    let served: Vec<Chunk> = window.iter().map(|b| decode_chunk(b)).collect();
+    let expected: Vec<Chunk> = (0..REPORT_WINDOW_CHUNKS)
+        .map(|c| (c, total, RECORDS_PER_CHUNK))
+        .collect();
+    assert_eq!(served, expected);
+    // A re-request is answered byte for byte the same.
+    assert_eq!(exchange(request(0, 40)), window);
+
+    // Clipped at `total_chunks`: the range runs off the end.
+    let tail = exchange(request(total - 2, 10));
+    let served: Vec<Chunk> = tail.iter().map(|b| decode_chunk(b)).collect();
+    assert_eq!(
+        served,
+        vec![(total - 2, total, RECORDS_PER_CHUNK), (total - 1, total, 5)]
+    );
+    assert_eq!(exchange(request(total - 2, 10)), tail);
+    assert_eq!(exchange(request(total - 1, u16::MAX)).len(), 1);
+
+    // A range that starts past the end (sender bug, corrupted datagram)
+    // gets one empty chunk echoing the *true* total.
     let hostile = total + 7;
-    let reply = exchange(ControlMessage::ReportRequest {
-        session,
-        chunk: hostile,
-    })
-    .expect("out-of-range report request must be answered");
-    match reply {
-        ControlMessage::ReportChunk {
-            chunk,
-            total_chunks,
-            records,
-            ..
-        } => {
-            assert_eq!(chunk, hostile);
-            assert_eq!(total_chunks, total, "reply must echo the real chunk count");
-            assert!(records.is_empty());
-        }
-        other => panic!("unexpected reply {other:?}"),
-    }
+    let replies = exchange(request(hostile, 3));
+    assert_eq!(
+        replies.len(),
+        1,
+        "past-the-end request gets exactly one reply"
+    );
+    assert_eq!(decode_chunk(&replies[0]), (hostile, total, 0));
 
     let report = server.stop();
     assert_eq!(report.chunk_nacks, 2, "both oddball requests counted");

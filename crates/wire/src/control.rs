@@ -23,11 +23,13 @@
 //!    vanishes.
 //! 3. **Teardown + report retrieval** — [`ControlMessage::Fin`] asks the
 //!    receiver to finalize its log; [`ControlMessage::FinAck`] returns
-//!    the log summary and chunk count; the sender then pulls
-//!    [`ControlMessage::ReportChunk`]s one
-//!    [`ControlMessage::ReportRequest`] at a time (request/response is
-//!    the per-chunk ACK; re-requests are idempotent) and closes with a
-//!    final [`ControlMessage::ReportAck`].
+//!    the log summary and chunk count; the sender then pulls the
+//!    [`ControlMessage::ReportChunk`]s a window at a time: one
+//!    [`ControlMessage::ReportRequest`] names a chunk range of at most
+//!    [`REPORT_WINDOW_CHUNKS`] chunks, the receiver answers with every
+//!    chunk of it back to back, and the sender re-requests only the
+//!    chunks it lost. A final [`ControlMessage::ReportAck`] closes the
+//!    exchange.
 //!
 //! # Completion and idempotency semantics
 //!
@@ -40,10 +42,12 @@
 //!   even if stray probe datagrams arrive after finalization. A sender
 //!   can therefore lose any number of FIN-ACKs and retry without ever
 //!   observing two different reports for one session.
-//! * **Chunk acks.** There is no receiver-side per-chunk state: a
-//!   [`ControlMessage::ReportRequest`] for chunk `i` is answered with the
-//!   snapshot's chunk `i` however many times it is asked. The
-//!   request/response pair *is* the per-chunk ACK.
+//! * **Chunk retrieval.** There is no receiver-side per-chunk state: a
+//!   [`ControlMessage::ReportRequest`] for chunks `[chunk, chunk + count)`
+//!   is answered with the snapshot's chunks in that range (clipped at
+//!   `total_chunks` and at [`REPORT_WINDOW_CHUNKS`]) however many times
+//!   it is asked, byte-identical every time. A chunk's arrival is its
+//!   acknowledgement; nothing acknowledges chunks one by one.
 //! * **Completion.** [`ControlMessage::ReportAck`] with
 //!   `chunk >= total_chunks` tells the receiver the sender holds the
 //!   complete report; the session is then reaped (on a multi-session
@@ -57,6 +61,7 @@
 
 use crate::{DecodeError, SliceWriter};
 use bytes::{Buf, BufMut, Bytes};
+use std::ops::Range;
 
 /// Identifies control datagrams: `"BDC1"` (BaDabing Control, version 1).
 pub const CONTROL_MAGIC: u32 = 0x4244_4331;
@@ -66,6 +71,14 @@ pub const CONTROL_MAGIC: u32 = 0x4244_4331;
 /// Sized so a full chunk stays well under any sane MTU:
 /// `8 + 32·35 = 1128` bytes of payload.
 pub const RECORDS_PER_CHUNK: usize = 32;
+
+/// Most chunks one [`ControlMessage::ReportRequest`] can trigger: the
+/// receiver clips every requested range to this many chunks. It bounds
+/// the bytes one request puts on the wire (32 full chunks are about
+/// 36 KB, well inside a default 208 KiB socket receive buffer) and is
+/// the sender's window: it keeps one window of this many chunks in
+/// flight.
+pub const REPORT_WINDOW_CHUNKS: u32 = 32;
 
 /// Encoded size of one [`ReportRecord`].
 const RECORD_BYTES: usize = 35;
@@ -387,12 +400,17 @@ pub enum ControlMessage {
         /// Log metadata.
         summary: ReportSummary,
     },
-    /// Ask for one report chunk, sender → receiver.
+    /// Ask for the report chunks `[chunk, chunk + count)`, sender →
+    /// receiver. The receiver clips the range at `total_chunks` and at
+    /// [`REPORT_WINDOW_CHUNKS`]; a range that starts past the end, or
+    /// any request before FIN, gets one empty chunk.
     ReportRequest {
         /// Session id.
         session: u32,
-        /// Chunk index in `0..total_chunks`.
+        /// First chunk index wanted.
         chunk: u32,
+        /// Chunks wanted, at least 1 (`0` fails to decode).
+        count: u16,
     },
     /// One report chunk, receiver → sender. Re-sent verbatim on
     /// re-request, so retrieval is idempotent under loss.
@@ -406,15 +424,15 @@ pub enum ControlMessage {
         /// The records (at most [`RECORDS_PER_CHUNK`]).
         records: Vec<ReportRecord>,
     },
-    /// Retrieval complete (chunk == total_chunks) or a single chunk
-    /// acknowledged, sender → receiver. Lets the receiver exit as soon
-    /// as the sender has everything instead of waiting out its idle
-    /// watchdog.
+    /// Retrieval complete, sender → receiver: the sender holds every
+    /// chunk. Lets the receiver end the session as soon as the sender
+    /// has everything instead of waiting out its idle watchdog. The
+    /// receiver acts only on `chunk >= total_chunks`; an ack with a
+    /// smaller `chunk` is ignored.
     ReportAck {
         /// Session id.
         session: u32,
-        /// Highest chunk index received plus one; `total_chunks` means
-        /// the whole report arrived.
+        /// `total_chunks` from the FIN-ACK.
         chunk: u32,
     },
     /// Mid-run estimate query, sender/operator → receiver: read the
@@ -489,7 +507,8 @@ impl ControlMessage {
                 ControlMessage::Heartbeat { .. } | ControlMessage::HeartbeatAck { .. } => 8,
                 ControlMessage::Fin { .. } => 16,
                 ControlMessage::FinAck { .. } => 4 + 24 + 1 + 8,
-                ControlMessage::ReportRequest { .. } | ControlMessage::ReportAck { .. } => 4,
+                ControlMessage::ReportRequest { .. } => 4 + 2,
+                ControlMessage::ReportAck { .. } => 4,
                 ControlMessage::ReportChunk { records, .. } => {
                     4 + 4 + 2 + records.len() * RECORD_BYTES
                 }
@@ -581,10 +600,15 @@ impl ControlMessage {
                 w.put_u8(u8::from(summary.min_raw_delay_ns.is_some()));
                 w.put_i64(summary.min_raw_delay_ns.unwrap_or(0));
             }
-            ControlMessage::ReportRequest { session, chunk } => {
+            ControlMessage::ReportRequest {
+                session,
+                chunk,
+                count,
+            } => {
                 w.put_u8(TYPE_REPORT_REQUEST);
                 w.put_u32(*session);
                 w.put_u32(*chunk);
+                w.put_u16(*count);
             }
             ControlMessage::ReportChunk { .. } => unreachable!("handled above"),
             ControlMessage::ReportAck { session, chunk } => {
@@ -709,10 +733,16 @@ impl ControlMessage {
                 })
             }
             TYPE_REPORT_REQUEST => {
-                need(4, data.len())?;
+                need(6, data.len())?;
+                let chunk = data.get_u32();
+                let count = data.get_u16();
+                if count == 0 {
+                    return Err(DecodeError::BadFields);
+                }
                 Ok(ControlMessage::ReportRequest {
                     session,
-                    chunk: data.get_u32(),
+                    chunk,
+                    count,
                 })
             }
             TYPE_REPORT_CHUNK => {
@@ -831,6 +861,17 @@ pub fn chunk_window(records: &[ReportRecord], chunk: u32) -> &[ReportRecord] {
     &records[lo..hi]
 }
 
+/// The chunks the receiver answers a [`ControlMessage::ReportRequest`]
+/// for `[chunk, chunk + count)` with: the range clipped at
+/// `total_chunks` and at [`REPORT_WINDOW_CHUNKS`]. Empty when `chunk`
+/// is past the end (the receiver then sends one empty chunk instead).
+pub fn served_chunks(chunk: u32, count: u16, total_chunks: u32) -> Range<u32> {
+    let end = chunk
+        .saturating_add(u32::from(count).min(REPORT_WINDOW_CHUNKS))
+        .min(total_chunks);
+    chunk..end.max(chunk)
+}
+
 /// Split a full report into encode-ready chunks.
 ///
 /// Convenience for tests and offline tooling: every chunk clones its
@@ -942,6 +983,12 @@ mod tests {
             ControlMessage::ReportRequest {
                 session: 7,
                 chunk: 2,
+                count: 1,
+            },
+            ControlMessage::ReportRequest {
+                session: 7,
+                chunk: u32::MAX,
+                count: u16::MAX,
             },
             ControlMessage::ReportChunk {
                 session: 7,
@@ -1031,6 +1078,12 @@ mod tests {
             ControlMessage::ReportRequest {
                 session: 7,
                 chunk: 2,
+                count: 1,
+            },
+            ControlMessage::ReportRequest {
+                session: 7,
+                chunk: u32::MAX,
+                count: u16::MAX,
             },
             ControlMessage::ReportChunk {
                 session: 7,
@@ -1183,6 +1236,55 @@ mod tests {
         assert!(chunk_window(&records, 1).is_empty());
         assert!(chunk_window(&records, u32::MAX).is_empty());
         assert!(chunk_window(&[], 0).is_empty());
+    }
+
+    #[test]
+    fn report_request_with_zero_count_is_rejected() {
+        let wire = ControlMessage::ReportRequest {
+            session: 1,
+            chunk: 3,
+            count: 1,
+        }
+        .encode();
+        let mut zero = wire.to_vec();
+        // The count is the last two bytes of the body.
+        let n = zero.len();
+        zero[n - 2..].copy_from_slice(&0u16.to_be_bytes());
+        assert_eq!(ControlMessage::decode(&zero), Err(DecodeError::BadFields));
+    }
+
+    #[test]
+    fn single_chunk_request_body_is_too_short() {
+        // The old request form: prefix plus a bare 4-byte chunk index.
+        let mut old = Vec::new();
+        old.extend_from_slice(&CONTROL_MAGIC.to_be_bytes());
+        old.push(TYPE_REPORT_REQUEST);
+        old.extend_from_slice(&1u32.to_be_bytes());
+        old.extend_from_slice(&3u32.to_be_bytes());
+        assert_eq!(
+            ControlMessage::decode(&old),
+            Err(DecodeError::TooShort { got: old.len() })
+        );
+    }
+
+    #[test]
+    fn served_chunks_clip_at_the_report_and_the_window() {
+        assert_eq!(served_chunks(0, 1, 10), 0..1);
+        assert_eq!(served_chunks(4, 3, 10), 4..7);
+        // Clipped at total_chunks.
+        assert_eq!(served_chunks(8, 5, 10), 8..10);
+        // Clipped at the window.
+        assert_eq!(served_chunks(0, 100, 1_000), 0..REPORT_WINDOW_CHUNKS);
+        assert_eq!(
+            served_chunks(5, u16::MAX, 1_000),
+            5..5 + REPORT_WINDOW_CHUNKS
+        );
+        // Past the end, before FIN (total 0), and at the index ceiling:
+        // empty, never a panic.
+        assert!(served_chunks(10, 4, 10).is_empty());
+        assert!(served_chunks(0, 4, 0).is_empty());
+        assert!(served_chunks(u32::MAX, u16::MAX, u32::MAX).is_empty());
+        assert_eq!(served_chunks(u32::MAX - 1, u16::MAX, u32::MAX).len(), 1);
     }
 
     #[test]
