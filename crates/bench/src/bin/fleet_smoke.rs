@@ -385,9 +385,9 @@ fn stable_json(sessions: u32, experiments: u64, stats: &RunStats) -> String {
             est.u,
             est.v,
             est.outcomes_malformed,
-            stats.fleet_estimate.delay_samples,
-            stats.fleet_estimate.delay_p50_secs,
-            stats.fleet_estimate.delay_p99_secs,
+            stats.fleet_estimate.delay.samples,
+            stats.fleet_estimate.delay.p50_secs,
+            stats.fleet_estimate.delay.p99_secs,
         ),
         format!(
             "  \"gate\": {{\"setup_p99_max_ns\": {SETUP_P99_MAX_NS}, \
@@ -462,7 +462,7 @@ fn main() {
             .estimates
             .frequency()
             .map_or_else(|| "n/a".to_string(), |f| format!("{f:.4}")),
-        stats.fleet_estimate.delay_samples,
+        stats.fleet_estimate.delay.samples,
     );
 
     // The latency gates: structural ceilings, not hardware measurements

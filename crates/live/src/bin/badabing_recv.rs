@@ -34,7 +34,6 @@
 
 use badabing_live::batch_io::IoMode;
 use badabing_live::cli::Flags;
-use badabing_live::persist::ReceiverFile;
 use badabing_live::provider::Provider;
 use badabing_live::receiver::{
     start_server, PressurePolicy, ServerConfig, SessionEnd, DEFAULT_SESSION_BUDGET_BYTES,
@@ -140,7 +139,7 @@ fn main() -> std::io::Result<()> {
             outcome.log.arrivals.len()
         );
         let path = session_log_path(&log_path, outcome.session);
-        ReceiverFile::new(&outcome.log).save(&path)?;
+        outcome.log.save(&path)?;
         eprintln!(
             "session {} log written to {}",
             outcome.session,

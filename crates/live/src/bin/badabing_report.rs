@@ -7,7 +7,8 @@
 
 use badabing_live::analyze::analyze_run;
 use badabing_live::cli::Flags;
-use badabing_live::persist::{ManifestFile, ReceiverFile};
+use badabing_live::persist::ManifestFile;
+use badabing_live::receiver::ReceiverLog;
 use std::path::PathBuf;
 
 const USAGE: &str = "badabing_report --manifest PATH --log PATH";
@@ -17,11 +18,8 @@ fn main() -> std::io::Result<()> {
     let manifest_path: PathBuf = PathBuf::from(flags.opt_str("manifest", "manifest.json"));
     let log_path: PathBuf = PathBuf::from(flags.opt_str("log", "receiver.json"));
 
-    let manifest_file = ManifestFile::load(&manifest_path)?;
-    let receiver_file = ReceiverFile::load(&log_path)?;
-    let manifest = manifest_file.to_manifest();
-    let log = receiver_file.to_log();
-    let tool = manifest_file.tool;
+    let ManifestFile { tool, manifest } = ManifestFile::load(&manifest_path)?;
+    let log = ReceiverLog::load(&log_path)?;
 
     let a = analyze_run(&tool, &manifest, &log);
     println!(

@@ -38,7 +38,7 @@ use badabing_core::config::BadabingConfig;
 use badabing_live::batch_io::IoMode;
 use badabing_live::cli::Flags;
 use badabing_live::control::ControlConfig;
-use badabing_live::persist::{EstimateFile, ManifestFile, ReceiverFile};
+use badabing_live::persist::{save_estimate, ManifestFile};
 use badabing_live::provider::Provider;
 use badabing_live::sender::{run_sender, SenderConfig};
 use badabing_metrics::Registry;
@@ -100,20 +100,20 @@ fn main() -> std::io::Result<()> {
         tool.offered_load_bps() / 1000.0
     );
     let outcome = run_sender(cfg, seeded(seed, "live-sender"))?;
-    let manifest = &outcome.manifest;
+    let manifest = outcome.manifest;
     eprintln!(
         "sent {} packets in {} probes",
         manifest.packets_sent,
         manifest.sent.len()
     );
-    ManifestFile::new(tool, manifest).save(&manifest_path)?;
+    ManifestFile { tool, manifest }.save(&manifest_path)?;
     eprintln!("manifest written to {}", manifest_path.display());
     if let Some(log) = &outcome.receiver_log {
         eprintln!(
             "receiver reported {} packets ({} rejected, {} duplicates)",
             log.packets, log.rejected, log.duplicates
         );
-        ReceiverFile::new(log).save(&log_path)?;
+        log.save(&log_path)?;
         eprintln!("receiver log written to {}", log_path.display());
     }
     if let Some(est) = &outcome.mid_run_estimate {
@@ -125,12 +125,12 @@ fn main() -> std::io::Result<()> {
             fmt(est.estimates.frequency()),
             fmt(est.estimates.duration_slots_basic()),
             fmt(est.estimates.duration_slots_improved()),
-            est.delay_p50_secs,
-            est.delay_p99_secs,
-            est.delay_samples
+            est.delay.p50_secs,
+            est.delay.p99_secs,
+            est.delay.samples
         );
         if !estimate_out.is_empty() {
-            EstimateFile::new(est).save(Path::new(&estimate_out))?;
+            save_estimate(est, Path::new(&estimate_out))?;
             eprintln!("estimate snapshot written to {estimate_out}");
         }
     }

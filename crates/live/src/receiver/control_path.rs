@@ -4,13 +4,12 @@
 
 use super::session::SessionState;
 use super::{SessionEnd, Shared};
-use crate::control::estimate_counters;
 use crate::provider::Socket;
 use badabing_core::estimator::Estimates;
 use badabing_stats::DelaySketch;
 use badabing_wire::control::{
     chunk_window, encode_report_chunk_into, served_chunks, ControlMessage, DelaySummary,
-    EstimateScope, RejectReason, SessionParams, MAX_CONTROL_BYTES,
+    EstimateReport, EstimateScope, RejectReason, SessionParams, MAX_CONTROL_BYTES,
 };
 use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::net::SocketAddr;
@@ -263,15 +262,15 @@ fn estimate_reply(
     est: &Estimates,
     sketch: &DelaySketch,
 ) -> ControlMessage {
-    ControlMessage::EstimateReply {
-        session,
+    let report = EstimateReport {
         scope,
         sessions,
-        counters: estimate_counters(est),
+        estimates: *est,
         delay: DelaySummary {
             samples: sketch.count(),
             p50_secs: sketch.quantile(0.5).unwrap_or(0.0),
             p99_secs: sketch.quantile(0.99).unwrap_or(0.0),
         },
-    }
+    };
+    ControlMessage::EstimateReply { session, report }
 }

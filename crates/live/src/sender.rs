@@ -504,8 +504,8 @@ fn publish_estimate(metrics: Option<&Registry>, est: &EstimateReport) {
             m.gauge(name).set(v);
         }
     }
-    m.gauge("est_delay_p50_secs").set(est.delay_p50_secs);
-    m.gauge("est_delay_p99_secs").set(est.delay_p99_secs);
+    m.gauge("est_delay_p50_secs").set(est.delay.p50_secs);
+    m.gauge("est_delay_p99_secs").set(est.delay.p99_secs);
 }
 
 /// Stop-and-reap for the heartbeat thread (the caller has already set

@@ -12,7 +12,7 @@ use badabing_core::estimator::Estimates;
 use badabing_live::analyze::loss_log_from_records;
 use badabing_live::control::{ControlClient, ControlConfig, EstimateReport};
 use badabing_live::faultnet::{FaultNet, LinkFaults};
-use badabing_live::persist::EstimateFile;
+use badabing_live::persist::save_estimate;
 use badabing_live::provider::Provider;
 use badabing_live::receiver::{start_server, ServerConfig};
 use badabing_live::sender::{run_sender, SenderConfig};
@@ -188,7 +188,7 @@ fn online_estimate_matches_report_fold_on_udp_loopback() {
     assert_eq!(expected.outcomes_malformed, 0);
     assert_eq!(summary.duplicates, 1, "the duplicate datagram is counted");
     // Every accepted (non-duplicate) pre-FIN packet feeds the sketch.
-    assert_eq!(est.delay_samples, summary.packets);
+    assert_eq!(est.delay.samples, summary.packets);
 
     server.stop();
 }
@@ -240,7 +240,7 @@ fn lossy_run(seed: u64) -> (EstimateReport, Estimates, Vec<u8>) {
         "badabing-estimates-{}-{seed}.json",
         std::process::id()
     ));
-    EstimateFile::new(&est).save(&path).unwrap();
+    save_estimate(&est, &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
     (est, expected, bytes)
@@ -306,7 +306,7 @@ fn fleet_estimate_is_the_merge_of_session_estimates() {
         fleet.estimates, merged,
         "fleet counters must be exactly the merge of the session counters"
     );
-    assert_eq!(fleet.delay_samples, e1.delay_samples + e2.delay_samples);
+    assert_eq!(fleet.delay.samples, e1.delay.samples + e2.delay.samples);
     assert_eq!(e2.estimates.experiments, 4);
     assert_eq!(e2.estimates.z_sum, 0, "clean session saw no congestion");
 

@@ -277,12 +277,15 @@ fn lossy_control_plane_completes_fast_and_deterministically() {
     let pid = std::process::id();
     let path_a = dir.join(format!("badabing-faultnet-{pid}-a.json"));
     let path_b = dir.join(format!("badabing-faultnet-{pid}-b.json"));
-    ManifestFile::new(fast_tool(), &a.outcome.manifest)
-        .save(&path_a)
+    for (run, path) in [(&a, &path_a), (&b, &path_b)] {
+        let manifest = run.outcome.manifest.clone();
+        ManifestFile {
+            tool: fast_tool(),
+            manifest,
+        }
+        .save(path)
         .unwrap();
-    ManifestFile::new(fast_tool(), &b.outcome.manifest)
-        .save(&path_b)
-        .unwrap();
+    }
     let bytes_a = std::fs::read(&path_a).unwrap();
     let bytes_b = std::fs::read(&path_b).unwrap();
     let _ = std::fs::remove_file(&path_a);

@@ -22,7 +22,6 @@ use badabing_core::config::BadabingConfig;
 use badabing_core::estimator::Estimates;
 use badabing_live::control::{ControlClient, ControlConfig, ControlError};
 use badabing_live::faultnet::{FaultNet, LinkFaults};
-use badabing_live::persist::ReceiverFile;
 use badabing_live::provider::Provider;
 use badabing_live::receiver::{
     projected_session_bytes, start_server, PressurePolicy, ServerConfig, SessionEnd,
@@ -423,11 +422,11 @@ fn budget_pressure_evicts_the_longest_idle_session() {
 }
 
 /// Serialize a fetched receiver log to its canonical JSON bytes (the
-/// on-disk `ReceiverFile` form, arrivals sorted by probe key).
+/// on-disk form, arrivals sorted by probe key).
 fn log_bytes(log: &badabing_live::receiver::ReceiverLog, tag: &str) -> Vec<u8> {
     let path =
         std::env::temp_dir().join(format!("badabing-steer-{tag}-{}.json", std::process::id()));
-    ReceiverFile::new(log).save(&path).unwrap();
+    log.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
     bytes
@@ -626,8 +625,8 @@ fn mid_run_fleet_estimate_across_four_threads_merges_every_session() {
         "fleet counters must be exactly the merge of the session counters"
     );
     assert_eq!(
-        fleet.delay_samples,
-        per_session.iter().map(|e| e.delay_samples).sum::<u64>()
+        fleet.delay.samples,
+        per_session.iter().map(|e| e.delay.samples).sum::<u64>()
     );
 
     let report = server.stop();
