@@ -19,10 +19,9 @@
 //! * **exhausted** — an optional slot budget ran out first.
 
 use crate::streaming::StreamingEstimator;
-use serde::{Deserialize, Serialize};
 
 /// Stopping-rule configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
     /// Stop when the predicted `StdDev(D̂)` falls to this many slots.
     pub target_duration_stddev_slots: f64,
@@ -52,7 +51,7 @@ impl Default for AdaptiveConfig {
 }
 
 /// The controller's assessment of a run in progress.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
     /// Keep measuring.
     Continue,

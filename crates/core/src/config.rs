@@ -1,9 +1,7 @@
 //! Tool configuration and the paper's parameter-selection rules.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of a BADABING measurement run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BadabingConfig {
     /// Slot width Δ in seconds. The paper's experiments use 5 ms; the only
     /// requirement is that Δ is finer than the congestion dynamics of

@@ -19,11 +19,10 @@
 
 use crate::config::BadabingConfig;
 use crate::outcome::{ExperimentLog, Outcome};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What the receiver learned about one probe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeObservation {
     /// Experiment this probe belongs to.
     pub experiment: u64,
@@ -51,7 +50,7 @@ impl ProbeObservation {
 }
 
 /// Summary of a marking pass, for reporting and tests.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DetectorReport {
     /// Probes examined.
     pub probes: u64,

@@ -18,7 +18,6 @@
 //! quotient is exactly that averaging.
 
 use crate::outcome::{ExperimentLog, Outcome};
-use serde::{Deserialize, Serialize};
 
 /// Pattern counts and derived estimates for one run.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// receivers can therefore keep one `Estimates` per session, updated
 /// online, and an aggregator can combine them in any order and get the
 /// same bits as a single fold over the concatenated logs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Estimates {
     /// Total experiments (`M`).
     pub experiments: u64,
@@ -61,7 +60,6 @@ pub struct Estimates {
     /// record we cannot classify carries no trustworthy first digit),
     /// but they are counted here so callers can surface the damage in
     /// estimate metadata instead of silently analyzing a partial log.
-    #[serde(default)]
     pub outcomes_malformed: u64,
     /// Slot width in seconds (copied from the log for unit conversion).
     pub slot_secs: f64,

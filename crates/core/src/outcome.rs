@@ -5,10 +5,8 @@
 //! records is the sole input to the estimators and validation checks, and
 //! is shared verbatim between the simulator-driven and live tools.
 
-use serde::{Deserialize, Serialize};
-
 /// The outcome of one experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outcome {
     /// Experiment id (matches [`crate::schedule::Experiment::id`]).
     pub id: u64,
@@ -63,7 +61,7 @@ impl Outcome {
 }
 
 /// A collected run of outcomes plus the run geometry.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentLog {
     outcomes: Vec<Outcome>,
     /// Total slots in the full experiment (the paper's `N`).

@@ -12,10 +12,9 @@
 use crate::estimator::Estimates;
 use crate::outcome::Outcome;
 use crate::validate::{duration_stddev_model, Validation};
-use serde::{Deserialize, Serialize};
 
 /// Incrementally maintained pattern counts and estimates.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamingEstimator {
     estimates: Estimates,
     validation: Validation,

@@ -20,10 +20,9 @@
 //!   of `L` and tightens exactly as boundary observations accumulate.
 
 use crate::estimator::Estimates;
-use serde::{Deserialize, Serialize};
 
 /// A symmetric-ish interval `[lo, hi]` around an estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Point estimate.
     pub estimate: f64,

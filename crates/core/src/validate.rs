@@ -15,10 +15,9 @@
 //! [`required_slots`].
 
 use crate::outcome::{ExperimentLog, Outcome};
-use serde::{Deserialize, Serialize};
 
 /// Pattern tallies and symmetry checks for one run.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Validation {
     /// `#{01}` among two-probe experiments.
     pub n01: u64,

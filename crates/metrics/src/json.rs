@@ -1,12 +1,12 @@
 //! A minimal JSON codec for the offline build.
 //!
-//! The registry-crate `serde_json` is unavailable (the vendored `serde`
-//! is a no-op derive shim), so metrics snapshots and the live tool's
-//! persistence files go through this hand-rolled [`Value`] tree instead.
+//! The workspace builds offline with no JSON crate, so metrics snapshots
+//! and the live tool's persistence files go through this hand-rolled
+//! [`Value`] tree.
 //! It supports exactly the JSON the workspace emits and consumes:
 //! objects (insertion-ordered), arrays, finite numbers, strings with the
 //! standard escapes, booleans, and null. Non-finite numbers serialize as
-//! `null`, matching `serde_json`'s behaviour.
+//! `null`, as the common JSON libraries do.
 //!
 //! Numbers are held as `f64`, so integers round-trip exactly up to
 //! 2^53 — far beyond any slot index, packet count, or nanosecond delta a

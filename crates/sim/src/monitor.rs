@@ -38,12 +38,11 @@
 use crate::packet::{FlowId, Packet};
 use crate::time::SimTime;
 use badabing_stats::{EpisodeSet, SlotSeries};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// What happened to a packet at the bottleneck.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Packet admitted to the buffer.
     Enqueue,
@@ -54,7 +53,7 @@ pub enum TraceEvent {
 }
 
 /// One captured packet event.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceRecord {
     /// When the event occurred.
     pub t: SimTime,
@@ -374,7 +373,7 @@ impl Monitor {
 }
 
 /// Parameters controlling ground-truth episode extraction.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GroundTruthConfig {
     /// Slot width in seconds for the congestion-indicator series (the
     /// paper's discretization, default 5 ms).
@@ -399,7 +398,7 @@ impl Default for GroundTruthConfig {
 }
 
 /// A loss episode in continuous time, bounded by packet drops.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossEpisode {
     /// Time of the first drop of the episode.
     pub start: SimTime,

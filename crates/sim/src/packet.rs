@@ -7,15 +7,14 @@
 //! the protocol machinery (TCP sequence numbers, probe tags).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Identifies one end-to-end flow (a TCP connection, a UDP blaster, or a
 /// probe stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u32);
 
 /// Typed packet payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// TCP data segment covering bytes `[seq, seq + len)`.
     TcpData {
@@ -71,7 +70,7 @@ impl PacketKind {
 }
 
 /// A simulated packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Globally unique packet id (assigned by the creator via
     /// [`crate::node::Context::next_packet_id`]).

@@ -6,7 +6,6 @@
 //! serialization times at OC3 rates (a 1500-byte packet is ~77 µs) and 30 µs
 //! intra-probe packet gaps are represented without rounding drift.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -14,15 +13,11 @@ use std::ops::{Add, AddAssign, Sub};
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An instant on the simulation clock, in nanoseconds since start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulation time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

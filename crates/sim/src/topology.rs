@@ -13,10 +13,9 @@ use crate::packet::FlowId;
 use crate::queue::{DropTailQueue, FlowDemux};
 use crate::red::{RedConfig, RedQueue};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the dumbbell; defaults match the paper's testbed.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DumbbellConfig {
     /// Bottleneck service rate in bits/second. Default: OC3 payload rate,
     /// 155.52 Mb/s.

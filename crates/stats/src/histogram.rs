@@ -5,11 +5,9 @@
 //! about). Linear buckets over a known range are the right tool here —
 //! queueing delay is bounded by the buffer's drain time.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram with `n` equal-width buckets over `[lo, hi)`, plus
 /// underflow/overflow counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -154,7 +152,7 @@ pub use badabing_metrics::LATENCY_BOUNDS_SECS as SKETCH_BOUNDS_SECS;
 /// the same quantiles as one sketch fed every sample. Quantiles are
 /// deterministic (a pure function of the counts) and resolve to bucket
 /// upper edges, so same-seed runs report byte-identical values.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DelaySketch {
     /// `buckets[i]` counts samples `≤ SKETCH_BOUNDS_SECS[i]` (and above
     /// the previous bound); the final slot counts overflow.

@@ -6,10 +6,8 @@
 //! (which see probe outcomes) reduce a boolean series to episodes, so the
 //! machinery lives here.
 
-use serde::{Deserialize, Serialize};
-
 /// A maximal run of `true` slots: `[start, end)` in slot indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Episode {
     /// First slot of the episode (inclusive).
     pub start: u64,
@@ -32,7 +30,7 @@ impl Episode {
 
 /// The set of episodes extracted from a boolean slot series, along with the
 /// total number of slots it was extracted from.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EpisodeSet {
     episodes: Vec<Episode>,
     total_slots: u64,

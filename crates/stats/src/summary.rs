@@ -4,11 +4,9 @@
 //! deviation; the experiment harness accumulates those with [`Summary`]
 //! rather than buffering raw samples.
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass summary of a stream of `f64` samples: count, mean, variance
 /// (via Welford's numerically stable recurrence), min and max.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,

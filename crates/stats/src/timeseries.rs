@@ -6,13 +6,11 @@
 //! delay maxima, drop counts, congestion indicators — from events stamped in
 //! continuous time.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-width-slot series of `f64` values over `[0, n_slots * width)`.
 ///
 /// Values are combined per slot with *max* by default (appropriate for
 /// "worst queueing delay seen during the slot") or with explicit adders.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlotSeries {
     width_secs: f64,
     values: Vec<f64>,
