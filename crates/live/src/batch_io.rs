@@ -876,7 +876,6 @@ impl BatchSender {
         }
         #[cfg(target_os = "linux")]
         {
-            use std::os::fd::AsRawFd;
             let n = pkts.len().min(self.cap);
             for (iov, pkt) in self.iovs.iter_mut().zip(pkts).take(n) {
                 // The kernel never writes through a send iovec; the cast
@@ -886,31 +885,7 @@ impl BatchSender {
                     iov_len: pkt.len(),
                 };
             }
-            let iovs = self.iovs.as_mut_ptr();
-            for (i, hdr) in self.hdrs.iter_mut().take(n).enumerate() {
-                *hdr = sys::mmsghdr {
-                    msg_hdr: sys::msghdr {
-                        msg_name: std::ptr::null_mut(), // connected socket
-                        msg_namelen: 0,
-                        // SAFETY: indexes this sender's own iovec vector.
-                        msg_iov: unsafe { iovs.add(i) },
-                        msg_iovlen: 1,
-                        msg_control: std::ptr::null_mut(),
-                        msg_controllen: 0,
-                        msg_flags: 0,
-                    },
-                    msg_len: 0,
-                };
-            }
-            // SAFETY: `n` valid header entries; fd owned by `socket`.
-            let sent =
-                unsafe { sys::sendmmsg(socket.as_raw_fd(), self.hdrs.as_mut_ptr(), n as u32, 0) };
-            if sent < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            self.syscalls += 1;
-            self.datagrams += sent as u64;
-            Ok(sent as usize)
+            self.sendmmsg(socket, n)
         }
         #[cfg(not(target_os = "linux"))]
         unreachable!("batched mode never resolves on this platform")
@@ -953,7 +928,6 @@ impl BatchSender {
         }
         #[cfg(target_os = "linux")]
         {
-            use std::os::fd::AsRawFd;
             if self.gso_ok && count > 1 && seg_bytes > 0 && seg_bytes <= u16::MAX as usize {
                 if let Some(result) = self.send_gso(socket, buf, seg_bytes, count) {
                     return result;
@@ -962,42 +936,51 @@ impl BatchSender {
                 // the sendmmsg path below for this and all later trains.
             }
             let n = count.min(self.cap);
-            for i in 0..n {
+            for (i, iov) in self.iovs.iter_mut().take(n).enumerate() {
                 // The kernel never writes through a send iovec; the cast
                 // from shared to mut is only to satisfy the C signature.
-                self.iovs[i] = sys::iovec {
+                *iov = sys::iovec {
                     iov_base: buf[i * seg_bytes..].as_ptr() as *mut u8,
                     iov_len: seg_bytes,
                 };
             }
-            let iovs = self.iovs.as_mut_ptr();
-            for (i, hdr) in self.hdrs.iter_mut().take(n).enumerate() {
-                *hdr = sys::mmsghdr {
-                    msg_hdr: sys::msghdr {
-                        msg_name: std::ptr::null_mut(), // connected socket
-                        msg_namelen: 0,
-                        // SAFETY: indexes this sender's own iovec vector.
-                        msg_iov: unsafe { iovs.add(i) },
-                        msg_iovlen: 1,
-                        msg_control: std::ptr::null_mut(),
-                        msg_controllen: 0,
-                        msg_flags: 0,
-                    },
-                    msg_len: 0,
-                };
-            }
-            // SAFETY: `n` valid header entries; fd owned by `socket`.
-            let sent =
-                unsafe { sys::sendmmsg(socket.as_raw_fd(), self.hdrs.as_mut_ptr(), n as u32, 0) };
-            if sent < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            self.syscalls += 1;
-            self.datagrams += sent as u64;
-            Ok(sent as usize)
+            self.sendmmsg(socket, n)
         }
         #[cfg(not(target_os = "linux"))]
         unreachable!("batched mode never resolves on this platform")
+    }
+
+    /// Send the datagrams the first `n` iovecs point at in one
+    /// `sendmmsg`, one datagram per iovec. Returns how many the kernel
+    /// accepted, a prefix; an error refers to the first datagram.
+    #[cfg(target_os = "linux")]
+    fn sendmmsg(&mut self, socket: &UdpSocket, n: usize) -> io::Result<usize> {
+        use std::os::fd::AsRawFd;
+        for (hdr, iov) in self.hdrs.iter_mut().zip(&mut self.iovs).take(n) {
+            *hdr = sys::mmsghdr {
+                msg_hdr: sys::msghdr {
+                    msg_name: std::ptr::null_mut(), // connected socket
+                    msg_namelen: 0,
+                    msg_iov: iov,
+                    msg_iovlen: 1,
+                    msg_control: std::ptr::null_mut(),
+                    msg_controllen: 0,
+                    msg_flags: 0,
+                },
+                msg_len: 0,
+            };
+        }
+        // SAFETY: the first `n` headers each point at one iovec of this
+        // sender, and each iovec at live bytes of the caller's buffer,
+        // borrowed for the call; the fd is owned by `socket`.
+        let sent =
+            unsafe { sys::sendmmsg(socket.as_raw_fd(), self.hdrs.as_mut_ptr(), n as u32, 0) };
+        if sent < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        self.syscalls += 1;
+        self.datagrams += sent as u64;
+        Ok(sent as usize)
     }
 
     /// The `UDP_SEGMENT` fast path: one `sendmsg` of a clamped prefix of
