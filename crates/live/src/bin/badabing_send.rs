@@ -21,8 +21,9 @@
 //!     [--estimate-every-ms 0] [--estimate-out estimate.json]
 //! ```
 //!
-//! With `--estimate-every-ms N` (N > 0) the heartbeat thread also polls
-//! the receiver's online estimator every N milliseconds; the last
+//! With `--estimate-every-ms N` (N > 0) the sender also polls the
+//! receiver's online estimator every N milliseconds, at its heartbeat
+//! ticks; the last
 //! snapshot fetched is printed at exit and, with `--estimate-out`,
 //! written as JSON.
 //!

@@ -17,7 +17,7 @@ use badabing_metrics::Registry;
 pub use badabing_wire::control::EstimateReport;
 use badabing_wire::control::{
     ControlMessage, EstimateScope, RejectReason, ReportRecord, ReportSummary, SessionParams,
-    REPORT_WINDOW_CHUNKS,
+    MAX_CONTROL_BYTES, REPORT_WINDOW_CHUNKS,
 };
 use std::io;
 use std::net::SocketAddr;
@@ -242,12 +242,17 @@ impl ControlClient {
         })
     }
 
+    /// Send one control message, once: no reply is awaited.
+    pub(crate) fn send(&self, msg: &ControlMessage) -> io::Result<()> {
+        self.socket.send(&msg.encode()).map(drop)
+    }
+
     /// Wait until `deadline` for the next decodable control message for
     /// `session`; `None` once the wait is over. With no deadline, take
     /// only what is already queued: `None` once nothing is. Noise and
     /// other sessions' traffic are counted and skipped, and a SYN-NACK
     /// for `session` fails fast (see [`ControlClient::request`]).
-    fn recv_reply(
+    pub(crate) fn recv_reply(
         &self,
         session: u32,
         deadline: Option<Duration>,
@@ -305,40 +310,21 @@ impl ControlClient {
         )
     }
 
-    /// Send one heartbeat and wait up to `timeout` for its ack.
+    /// Send one heartbeat and wait up to `timeout` for its ack. A miss
+    /// is `Ok(false)`: no ack in time, or a SYN-NACK for the session
+    /// (the receiver evicted it, so no ack is ever coming).
     pub fn heartbeat(&self, session: u32, seq: u64, timeout: Duration) -> io::Result<bool> {
-        self.socket
-            .send(&ControlMessage::Heartbeat { session, seq }.encode())?;
-        let mut buf = [0u8; 256];
+        self.send(&ControlMessage::Heartbeat { session, seq })?;
         let deadline = self.clock.now() + timeout;
+        let mut buf = [0u8; MAX_CONTROL_BYTES];
         loop {
-            let remaining = deadline.saturating_sub(self.clock.now());
-            if remaining.is_zero() {
-                return Ok(false);
-            }
-            self.socket.set_read_timeout(Some(remaining))?;
-            match self.socket.recv(&mut buf) {
-                Ok(len) => match ControlMessage::decode(&buf[..len]) {
-                    Ok(ControlMessage::HeartbeatAck {
-                        session: s,
-                        seq: got,
-                    }) if s == session && got == seq => return Ok(true),
-                    // The receiver NACKs control traffic for a session
-                    // it evicted: no ack is ever coming, report the
-                    // miss immediately instead of waiting it out.
-                    Ok(ControlMessage::SynNack { session: s, .. }) if s == session => {
-                        return Ok(false)
-                    }
-                    _ => {}
-                },
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut
-                        || e.kind() == io::ErrorKind::ConnectionRefused =>
-                {
-                    return Ok(false)
+            match self.recv_reply(session, Some(deadline), &mut buf) {
+                Ok(Some(ControlMessage::HeartbeatAck { seq: got, .. })) if got == seq => {
+                    return Ok(true)
                 }
-                Err(e) => return Err(e),
+                Ok(Some(_)) => {}
+                Err(ControlError::Io(e)) => return Err(e),
+                Ok(None) | Err(_) => return Ok(false),
             }
         }
     }
@@ -463,7 +449,7 @@ impl ControlClient {
                         chunk: window.start + lost[i] as u32,
                         count: (j - i) as u16,
                     };
-                    self.socket.send(&req.encode())?;
+                    self.send(&req)?;
                     i = j;
                 }
                 lost.clear();
@@ -764,16 +750,23 @@ mod tests {
                 },
             )
             .unwrap_err();
+        assert!(matches!(err, ControlError::Unreachable { .. }), "{err}");
+        let decode = metrics.counter("control_decode_errors").get();
+        let foreign = metrics.counter("control_foreign_session").get();
+        assert!(decode >= 1, "undecodable replies must be counted");
+        assert!(foreign >= 1, "wrong-session replies must be counted");
+        // A heartbeat meets the same noise: a miss, and counted alike.
+        let acked = client.heartbeat(1, 0, Duration::from_millis(100)).unwrap();
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         fake.join().unwrap();
-        assert!(matches!(err, ControlError::Unreachable { .. }), "{err}");
+        assert!(!acked, "noise is not an ack");
         assert!(
-            metrics.counter("control_decode_errors").get() >= 1,
-            "undecodable replies must be counted"
+            metrics.counter("control_decode_errors").get() > decode,
+            "undecodable heartbeat replies must be counted"
         );
         assert!(
-            metrics.counter("control_foreign_session").get() >= 1,
-            "wrong-session replies must be counted"
+            metrics.counter("control_foreign_session").get() > foreign,
+            "wrong-session heartbeat replies must be counted"
         );
     }
 }

@@ -58,12 +58,13 @@
 //!
 //! The contract holds only while no two threads act at the same virtual
 //! nanosecond. Two threads woken at one instant both hold tokens, and
-//! the OS picks which acts first: when a heartbeat thread's abort and
-//! the probe loop's slot wake fall on the same nanosecond, the manifest
-//! can differ between runs. A test whose threads could tie moves one
-//! schedule off the other's grid; the receiver-death test in
-//! `tests/faultnet.rs` runs its heartbeats every 100 001 µs, 1 µs off
-//! the 5 ms slot grid.
+//! the OS picks which acts first. One component's own events never tie
+//! (the sender's heartbeat ticks and probe slots run on one thread, in
+//! program order); threads of different components can, for example a
+//! test's `ServerHandle::stop` against a delivery to a drain thread. A
+//! test whose threads could tie moves one schedule off the other's
+//! grid: the receiver-death test in `tests/faultnet.rs` acts 1 ns off
+//! the whole microseconds its sends and deliveries land on.
 
 use crate::batch_io::steer_lane;
 use rand::rngs::StdRng;
@@ -73,7 +74,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::Duration;
 
@@ -379,30 +380,6 @@ impl FaultNet {
         out
     }
 
-    /// Wake every parked waiter to re-check its exit condition (used
-    /// after flipping an abort/done flag another thread sleeps on).
-    ///
-    /// Each waiter is *granted a busy token* with the wake: flag-based
-    /// exit conditions live outside the engine, so without the token
-    /// the net could observe `busy == 0` and advance virtual time in
-    /// the real-time gap before a woken thread reschedules. Waiters
-    /// whose condition turns out unmet return the token before
-    /// re-parking (the stale-token path in `block_on`).
-    pub fn notify_waiters(&self) {
-        {
-            let mut core = self.lock();
-            let mut granted = 0usize;
-            for w in core.waiters.values_mut() {
-                if !w.ready {
-                    w.ready = true;
-                    granted += 1;
-                }
-            }
-            core.busy += granted;
-        }
-        self.cv.notify_all();
-    }
-
     /// Reserve a busy token on behalf of a thread that is about to be
     /// spawned. Virtual time cannot advance past the reservation, so
     /// the child can never miss events (or let peers burn timeouts)
@@ -677,20 +654,10 @@ impl FaultNet {
         out
     }
 
-    /// Sleep until the virtual `due`, waking early if `abort` flips.
-    /// Returns `false` on abort, like the sender's real-clock wait.
-    pub fn sleep_until(self: &Arc<Self>, due: Duration, abort: &AtomicBool) -> bool {
+    /// Sleep until the virtual `due`.
+    pub fn sleep_until(self: &Arc<Self>, due: Duration) {
         self.enroll();
-        if abort.load(Ordering::Relaxed) {
-            return false;
-        }
-        let due_ns = due.as_nanos() as u64;
-        match self.block_on(None, Some(due_ns), |_| {
-            abort.load(Ordering::Relaxed).then_some(())
-        }) {
-            Some(()) => false,
-            None => true,
-        }
+        self.block_on(None, Some(due.as_nanos() as u64), |_| None::<()>);
     }
 
     fn send_from(self: &Arc<Self>, src: SocketAddr, dst: SocketAddr, buf: &[u8]) -> usize {
@@ -1083,11 +1050,10 @@ mod tests {
     #[test]
     fn sleep_until_advances_virtual_time_exactly() {
         let net = FaultNet::new(1);
-        let never = AtomicBool::new(false);
-        assert!(net.sleep_until(Duration::from_millis(250), &never));
+        net.sleep_until(Duration::from_millis(250));
         assert_eq!(net.now(), Duration::from_millis(250));
         // A second sleeper with an earlier deadline does not rewind.
-        assert!(net.sleep_until(Duration::from_millis(100), &never));
+        net.sleep_until(Duration::from_millis(100));
         assert_eq!(net.now(), Duration::from_millis(250));
     }
 
@@ -1119,11 +1085,10 @@ mod tests {
             let _ = net2;
             stamps
         });
-        let never = AtomicBool::new(false);
         let mut echoes = Vec::new();
         for i in 0u8..3 {
             // Pace sends 10 ms apart in virtual time.
-            net.sleep_until(Duration::from_millis(10 * (u64::from(i) + 1)), &never);
+            net.sleep_until(Duration::from_millis(10 * (u64::from(i) + 1)));
             a.send(&[i; 4]).unwrap();
             let m = a.recv_msg().unwrap();
             echoes.push((m.data[0], m.stamp));

@@ -24,7 +24,6 @@ use crate::batch_io::{self, BatchReceiver, BatchSender, IoMode};
 use crate::faultnet::{FaultDatagram, FaultNet, FaultSocket};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -219,11 +218,6 @@ fn real_anchor() -> Instant {
     *ANCHOR.get_or_init(Instant::now)
 }
 
-/// Real sleeps wake at this granularity to re-check their abort flag.
-const SLEEP_CHUNK: Duration = Duration::from_millis(50);
-
-static NEVER_ABORT: AtomicBool = AtomicBool::new(false);
-
 /// The time source a component schedules against.
 #[derive(Debug, Clone)]
 pub enum Clock {
@@ -244,39 +238,15 @@ impl Clock {
 
     /// Sleep for `dur` (virtual backends advance virtual time).
     pub fn sleep(&self, dur: Duration) {
-        match self {
-            Clock::Real => std::thread::sleep(dur),
-            Clock::Virtual(net) => {
-                let due = net.now() + dur;
-                net.sleep_until(due, &NEVER_ABORT);
-            }
-        }
+        self.sleep_until(self.now() + dur);
     }
 
-    /// Sleep until `due` (since the epoch), waking early — and
-    /// returning `false` — if `abort` flips. Virtual sleepers wake on
-    /// [`Clock::notify_waiters`] to observe the flag.
-    pub fn sleep_until(&self, due: Duration, abort: &AtomicBool) -> bool {
+    /// Sleep until `due` (since the epoch); return at once if it has
+    /// passed.
+    pub fn sleep_until(&self, due: Duration) {
         match self {
-            Clock::Real => loop {
-                if abort.load(Ordering::Relaxed) {
-                    return false;
-                }
-                let now = real_anchor().elapsed();
-                if now >= due {
-                    return true;
-                }
-                std::thread::sleep((due - now).min(SLEEP_CHUNK));
-            },
-            Clock::Virtual(net) => net.sleep_until(due, abort),
-        }
-    }
-
-    /// Wake virtual sleepers so they re-check their abort flags (no-op
-    /// on the real clock, whose sleeps poll).
-    pub fn notify_waiters(&self) {
-        if let Clock::Virtual(net) = self {
-            net.notify_waiters();
+            Clock::Real => std::thread::sleep(due.saturating_sub(real_anchor().elapsed())),
+            Clock::Virtual(net) => net.sleep_until(due),
         }
     }
 

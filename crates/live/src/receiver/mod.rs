@@ -66,8 +66,9 @@
 //! Every drain thread, on every backend, runs one loop: a blocking
 //! batched receive bounded by a 25 ms read timeout, so an idle thread
 //! wakes 40 times a second and does O(1) work each time. A stop wakes
-//! every blocked receive at once through `Socket::wake_readers`
-//! (`shutdown(SHUT_RD)` on real UDP).
+//! every blocked real receive at once through `Socket::wake_readers`
+//! (`shutdown(SHUT_RD)`); a virtual receive sees the stop at its next
+//! read timeout, which costs virtual time, not wall time.
 //!
 //! Every session, however it ends, ends through one function,
 //! `Shared::end_session`, after it has left its shard and the shard
@@ -428,7 +429,6 @@ impl ServerHandle {
         for socket in self.sockets.iter() {
             socket.wake_readers();
         }
-        self.clock.notify_waiters();
         // Join outside the virtual busy count, or a fault-backed serve
         // thread could never be scheduled to observe the stop flag.
         let joined = self.joined;
@@ -775,8 +775,8 @@ fn publish_fleet_gauges(shared: &Shared<'_>, metrics: &Registry) {
 /// where the platform allows) bounded by the receive wait, one
 /// timestamp per batch, probe fast path into its own registry shard,
 /// control messages on the slow path. Every backend runs this one loop;
-/// an idle thread wakes once per receive wait, and a stop wakes it at
-/// once. All reply encoding goes through a reused stack buffer — the
+/// an idle thread wakes once per receive wait, and a stop wakes a real
+/// socket's thread at once. All reply encoding goes through a reused stack buffer — the
 /// steady-state probe path allocates nothing per datagram. Thread 0
 /// also runs the watchdog.
 fn drain_loop(shared: &Shared<'_>, me: usize) {

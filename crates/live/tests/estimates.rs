@@ -4,8 +4,8 @@
 //! loopback and through seeded FaultNet loss, where same-seed reruns
 //! must also serialize byte-identically. Plus the fleet contract: a
 //! fleet-scope `EstimateRequest` answers with exactly the merge of the
-//! per-session counters, and the sender's heartbeat thread can poll a
-//! mid-run snapshot without disturbing the run.
+//! per-session counters, and the sender's probe loop can poll a mid-run
+//! snapshot at its heartbeat ticks without disturbing the run.
 
 use badabing_core::config::BadabingConfig;
 use badabing_core::estimator::Estimates;
@@ -314,7 +314,7 @@ fn fleet_estimate_is_the_merge_of_session_estimates() {
 }
 
 #[test]
-fn sender_heartbeat_thread_polls_mid_run_estimates() {
+fn sender_polls_mid_run_estimates_from_its_probe_loop() {
     const RECV: &str = "10.0.0.1:9000";
     let net = FaultNet::new(3);
     let provider = Provider::Fault(net.clone());
