@@ -15,7 +15,6 @@
 
 use badabing_live::cli::Flags;
 use badabing_live::emulator::{Emulator, EmulatorConfig};
-use badabing_live::provider::Provider;
 use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
 use std::net::SocketAddr;
@@ -50,7 +49,6 @@ fn main() -> std::io::Result<()> {
         episode_loss_secs: episode_loss,
         burst_factor: burst,
         metrics: Some(metrics.clone()),
-        provider: Provider::default(),
     };
     eprintln!(
         "emulating a {rate_mbps} Mb/s bottleneck ({buffer_ms} ms buffer) from {bind} to {target}"

@@ -190,12 +190,6 @@ impl ControlClient {
         &self.cfg
     }
 
-    /// The clock the client's timeouts run on (the sender shares it for
-    /// its own pacing so one run never straddles two time sources).
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
     fn note(&self, counter: &str) {
         if let Some(m) = &self.metrics {
             m.counter(counter).inc();

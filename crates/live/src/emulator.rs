@@ -19,14 +19,13 @@
 //! emulator only sits on the probe path — control-plane datagrams go
 //! directly sender → receiver and are never routed through here.
 
-use crate::provider::Provider;
 use badabing_metrics::Registry;
 use badabing_stats::dist::{Exponential, Sample};
 use badabing_wire::ProbeHeader;
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -52,11 +51,6 @@ pub struct EmulatorConfig {
     pub burst_factor: f64,
     /// Run counters and delay histograms, if observability is wanted.
     pub metrics: Option<Arc<Registry>>,
-    /// I/O backend for both sockets. The emulator's queue and episode
-    /// scripting run on *real* time even over a virtual backend — for
-    /// virtual-time fault injection use [`crate::LinkFaults`] on the
-    /// net itself instead of routing probes through an emulator.
-    pub provider: Provider,
 }
 
 impl EmulatorConfig {
@@ -73,7 +67,6 @@ impl EmulatorConfig {
             episode_loss_secs: 0.068,
             burst_factor: 3.0,
             metrics: None,
-            provider: Provider::default(),
         }
     }
 
@@ -194,7 +187,7 @@ impl Emulator {
             cfg.rate_bps > 0 && cfg.buffer_bytes > 0,
             "rate and buffer must be positive"
         );
-        let socket = cfg.provider.bind(cfg.bind)?;
+        let socket = UdpSocket::bind(cfg.bind)?;
         socket.set_read_timeout(Some(POLL_INTERVAL))?;
         let local_addr = socket.local_addr()?;
         let out_bind: SocketAddr = if cfg.target.is_ipv4() {
@@ -202,7 +195,7 @@ impl Emulator {
         } else {
             "[::]:0".parse().expect("static addr")
         };
-        let out = cfg.provider.bind(out_bind)?;
+        let out = UdpSocket::bind(out_bind)?;
         out.connect(cfg.target)?;
 
         let queue = Arc::new(Mutex::new(VirtualQueue {
@@ -549,7 +542,6 @@ mod tests {
             bind: local0(),
             target,
             metrics: None,
-            provider: Provider::default(),
         };
         let emu = Emulator::start(cfg, seeded(2, "emu")).unwrap();
         let sender = UdpSocket::bind(local0()).unwrap();
@@ -576,7 +568,6 @@ mod tests {
             bind: local0(),
             target,
             metrics: None,
-            provider: Provider::default(),
         };
         let emu = Emulator::start(cfg, seeded(3, "emu")).unwrap();
         let sender = UdpSocket::bind(local0()).unwrap();

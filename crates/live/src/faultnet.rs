@@ -14,24 +14,31 @@
 //! ## Virtual time
 //!
 //! Threads interact with the net through [`FaultSocket`]s and the
-//! virtual clock ([`crate::provider::Clock`]). A thread is *enrolled*
-//! the first time it touches the net and counts as **busy** until it
-//! parks in a virtual wait (a blocking receive, a timed sleep) or
-//! exits. When the busy count hits zero, the parked thread that
-//! notices advances the clock to the earliest pending event — the next
-//! in-flight datagram delivery or the next wait deadline — delivers
-//! what matured, and hands a wake *token* to each waiter whose
-//! condition is now satisfiable. Tokens pre-count the woken threads as
-//! busy, so a second advance cannot overshoot an event another thread
-//! has not yet observed. The result is a cooperative lockstep: thread
-//! switches happen only at virtual wait points, which is what makes
-//! the schedule — and therefore every timestamp and RNG draw —
-//! deterministic regardless of real scheduling.
+//! virtual clock ([`crate::provider::Clock`]). At most one participant
+//! runs at a time: it holds the net's **baton**. A thread is *enrolled*
+//! the first time it touches the net, and that first touch waits for a
+//! turn like any parked thread. The running thread puts the baton down
+//! when it parks (a blocking receive that finds nothing, a sleep), when
+//! it enters [`FaultNet::unenrolled`], or when it exits. The parked
+//! thread that takes over hands it to the first parked thread, in park
+//! order, whose condition holds now: a datagram in its lane, a deadline
+//! reached. Only when none holds does the clock advance, to the
+//! earliest pending event (the next delivery or the next wait
+//! deadline), and the hand-off is tried again there. Park order is a
+//! waiter id taken under the net's lock; since only one thread runs
+//! when it parks, the order is fixed by the program, not by the OS.
+//! Thread switches happen only at virtual wait points, so the schedule
+//! — and therefore every timestamp and RNG draw — is deterministic
+//! regardless of real scheduling, including between threads that act
+//! at the same virtual nanosecond.
 //!
-//! A thread that must block on something *outside* the net (joining
-//! another enrolled thread, most commonly) wraps the wait in
-//! [`FaultNet::unenrolled`] so the virtual world keeps moving
-//! underneath it.
+//! A thread about to be spawned gets a turn from its parent
+//! ([`FaultNet::reserve`]), runnable at once, so virtual time cannot
+//! pass it before the child [`FaultNet::adopt`]s it. A thread that must
+//! block on something *outside* the net (joining another enrolled
+//! thread, most commonly) wraps the wait in [`FaultNet::unenrolled`]:
+//! while the baton is held, nobody else runs, and the stall assertion
+//! fails a thread that waits for its turn for about 20 s of wall time.
 //!
 //! ## Segmentation offload under FaultNet
 //!
@@ -47,31 +54,26 @@
 //!
 //! ## Determinism contract
 //!
-//! For a fixed seed, topology, and fault configuration, and one drain
-//! thread per socket: send times, per-datagram delivery times, loss /
-//! duplication / reordering decisions, and therefore sender manifests
-//! and receiver report chunks are identical across runs — asserted
-//! byte-for-byte in `tests/faultnet.rs`. Control-plane *liveness*
-//! traffic (heartbeat counts, retry timing) may interleave
-//! differently between runs, but by construction it cannot perturb
-//! the probe link's RNG stream or the finalized report snapshot.
+//! For a fixed seed, topology and fault configuration: send times,
+//! per-datagram delivery times, loss / duplication / reordering
+//! decisions, control-plane retries and heartbeats, and therefore
+//! sender manifests, receiver report chunks and metrics are identical
+//! across runs — asserted byte-for-byte in `tests/faultnet.rs`, also
+//! for a stop and a SYN that land on the same nanosecond as a probe
+//! delivery.
 //!
-//! The contract holds only while no two threads act at the same virtual
-//! nanosecond. Two threads woken at one instant both hold tokens, and
-//! the OS picks which acts first. One component's own events never tie
-//! (the sender's heartbeat ticks and probe slots run on one thread, in
-//! program order); threads of different components can, for example a
-//! test's `ServerHandle::stop` against a delivery to a drain thread. A
-//! test whose threads could tie moves one schedule off the other's
-//! grid: the receiver-death test in `tests/faultnet.rs` acts 1 ns off
-//! the whole microseconds its sends and deliveries land on.
+//! One boundary is left: a thread coming back from
+//! [`FaultNet::unenrolled`] re-enters at whatever virtual instant the
+//! others have reached by then. A test that reads results after such a
+//! join reads them from threads that have finished, or waits in virtual
+//! time instead.
 
 use crate::batch_io::steer_lane;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -216,14 +218,33 @@ struct LinkState {
     faults: LinkFaults,
 }
 
+/// A parked turn: the wake condition of a thread waiting for the baton.
 struct Waiter {
     /// Socket lane whose queue satisfies this waiter (`None` for
     /// sleepers).
     addr: Option<(SocketAddr, usize)>,
     deadline_ns: Option<u64>,
-    /// Wake token: this waiter's condition matured and it has already
-    /// been counted busy on its behalf.
-    ready: bool,
+}
+
+impl Waiter {
+    /// A turn that is runnable at once: a spawn ticket, or a thread's
+    /// first touch of the net.
+    const READY: Waiter = Waiter {
+        addr: None,
+        deadline_ns: Some(0),
+    };
+}
+
+/// Who acts on the net next. At most one enrolled thread runs at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Baton {
+    /// A running enrolled thread holds it.
+    Held,
+    /// Handed to this parked turn, whose thread has not taken it yet.
+    Handed(u64),
+    /// No parked condition holds and nothing is pending: the next
+    /// thread to ask for a turn takes it.
+    Free,
 }
 
 struct Core {
@@ -231,14 +252,35 @@ struct Core {
     seed: u64,
     next_port: u16,
     flight_seq: u64,
+    /// Park order: the id the next parked turn takes.
     next_waiter: u64,
-    /// Enrolled threads currently runnable. Time advances only at zero.
-    busy: usize,
+    baton: Baton,
     sockets: HashMap<SocketAddr, SockState>,
     faults: HashMap<(SocketAddr, SocketAddr), LinkFaults>,
     links: HashMap<(SocketAddr, SocketAddr), LinkState>,
     inflight: BinaryHeap<Reverse<Flight>>,
-    waiters: HashMap<u64, Waiter>,
+    /// Parked turns, in park order.
+    waiters: BTreeMap<u64, Waiter>,
+}
+
+impl Core {
+    /// Whether a parked turn's condition holds now.
+    fn runnable(&self, w: &Waiter) -> bool {
+        w.deadline_ns.is_some_and(|d| self.now_ns >= d)
+            || w.addr.is_some_and(|(a, lane)| {
+                self.sockets
+                    .get(&a)
+                    .is_some_and(|s| s.lanes.get(lane).is_some_and(|l| !l.is_empty()))
+            })
+    }
+
+    /// Queue a parked turn; its id is its place in park order.
+    fn queue(&mut self, waiter: Waiter) -> u64 {
+        let id = self.next_waiter;
+        self.next_waiter += 1;
+        self.waiters.insert(id, waiter);
+        id
+    }
 }
 
 /// The seeded in-process virtual network. See the module docs.
@@ -267,41 +309,49 @@ fn link_seed(seed: u64, src: &SocketAddr, dst: &SocketAddr) -> u64 {
     h
 }
 
+/// A thread's membership of one net. The thread holds the baton
+/// whenever it is not inside a net call; dropping the enrollment (at
+/// thread exit, or entering [`FaultNet::unenrolled`]) puts it down.
 struct Enrollment {
     net_id: u64,
     net: Weak<FaultNet>,
 }
 
-/// A busy token reserved by [`FaultNet::reserve`] for a thread that has
-/// not started running yet. Move it into the spawned closure and claim
-/// it with [`FaultNet::adopt`].
-#[must_use = "move the ticket into the spawned thread and adopt it"]
-pub struct Ticket {
-    net_id: u64,
-    net: Weak<FaultNet>,
-    armed: bool,
-}
-
-impl Drop for Ticket {
+impl Drop for Enrollment {
     fn drop(&mut self) {
-        if self.armed {
-            if let Some(net) = self.net.upgrade() {
-                let mut core = net.lock();
-                core.busy -= 1;
-                drop(core);
-                net.cv.notify_all();
+        if let Some(net) = self.net.upgrade() {
+            // A poisoned lock means a thread already panicked; a second
+            // panic here, mid-unwind, would abort the process.
+            if let Ok(mut core) = net.core.lock() {
+                net.step(&mut core);
             }
         }
     }
 }
 
-impl Drop for Enrollment {
+/// A turn reserved by [`FaultNet::reserve`] for a thread that has not
+/// started running yet. Move it into the spawned closure and claim it
+/// with [`FaultNet::adopt`].
+#[must_use = "move the ticket into the spawned thread and adopt it"]
+pub struct Ticket {
+    net_id: u64,
+    net: Weak<FaultNet>,
+    turn: u64,
+    armed: bool,
+}
+
+impl Drop for Ticket {
     fn drop(&mut self) {
+        if !self.armed {
+            return;
+        }
         if let Some(net) = self.net.upgrade() {
-            let mut core = net.lock();
-            core.busy -= 1;
-            drop(core);
-            net.cv.notify_all();
+            if let Ok(mut core) = net.core.lock() {
+                core.waiters.remove(&self.turn);
+                if core.baton == Baton::Handed(self.turn) {
+                    net.step(&mut core);
+                }
+            }
         }
     }
 }
@@ -310,9 +360,8 @@ thread_local! {
     static ENROLLMENTS: RefCell<Vec<Enrollment>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Real waits between progress checks while another thread is busy; a
-/// leaked busy count degrades to this polling granularity instead of a
-/// deadlock.
+/// Real wait between checks for the baton; the stall assertion counts
+/// these.
 const PARK: Duration = Duration::from_millis(5);
 /// Consecutive no-progress parks before declaring the net stalled
 /// (a loud failure beats a silent CI hang).
@@ -329,12 +378,12 @@ impl FaultNet {
                 next_port: 40_000,
                 flight_seq: 0,
                 next_waiter: 0,
-                busy: 0,
+                baton: Baton::Free,
                 sockets: HashMap::new(),
                 faults: HashMap::new(),
                 links: HashMap::new(),
                 inflight: BinaryHeap::new(),
-                waiters: HashMap::new(),
+                waiters: BTreeMap::new(),
             }),
             cv: Condvar::new(),
         })
@@ -344,78 +393,88 @@ impl FaultNet {
         self.core.lock().expect("faultnet lock")
     }
 
-    /// Count the calling thread as a busy participant (idempotent per
-    /// thread; undone automatically at thread exit).
+    /// Make the calling thread a participant, once per thread: it waits
+    /// for a turn like any parked thread. Undone at thread exit.
     fn enroll(self: &Arc<Self>) {
-        ENROLLMENTS.with(|e| {
-            let mut list = e.borrow_mut();
-            if !list.iter().any(|g| g.net_id == self.id) {
-                self.lock().busy += 1;
-                list.push(Enrollment {
-                    net_id: self.id,
-                    net: Arc::downgrade(self),
-                });
-            }
-        });
+        if !self.is_enrolled() {
+            self.enter(Arc::downgrade(self));
+        }
     }
 
     fn is_enrolled(&self) -> bool {
         ENROLLMENTS.with(|e| e.borrow().iter().any(|g| g.net_id == self.id))
     }
 
-    /// Run `f` with this thread's busy token released, so the virtual
-    /// world keeps moving while `f` blocks on something outside the net
-    /// (typically joining another enrolled thread).
+    /// Queue a turn that is runnable at once and enroll the calling
+    /// thread when it comes.
+    fn enter(&self, net: Weak<FaultNet>) {
+        let turn = self.lock().queue(Waiter::READY);
+        self.take_turn(turn, net);
+    }
+
+    /// Wait until parked turn `turn` is handed the baton, take it, and
+    /// count the calling thread as enrolled.
+    fn take_turn(&self, turn: u64, net: Weak<FaultNet>) {
+        drop(self.wait_turn(self.lock(), turn));
+        ENROLLMENTS.with(|e| {
+            e.borrow_mut().push(Enrollment {
+                net_id: self.id,
+                net,
+            })
+        });
+    }
+
+    /// Run `f` with this thread's baton put down, so the virtual world
+    /// keeps moving while `f` blocks on something outside the net
+    /// (typically joining another enrolled thread). Afterwards the
+    /// thread waits for a turn like a first touch, and re-enters at
+    /// whatever virtual instant the others have reached by then.
     pub fn unenrolled<T>(&self, f: impl FnOnce() -> T) -> T {
-        if !self.is_enrolled() {
+        let mine = ENROLLMENTS.with(|e| {
+            let mut list = e.borrow_mut();
+            let i = list.iter().position(|g| g.net_id == self.id)?;
+            Some(list.remove(i))
+        });
+        let Some(enrollment) = mine else {
             return f();
-        }
-        {
-            let mut core = self.lock();
-            core.busy -= 1;
-        }
-        self.cv.notify_all();
+        };
+        let net = enrollment.net.clone();
+        drop(enrollment);
         let out = f();
-        self.lock().busy += 1;
+        // `f` may have touched the net, and so enrolled again already.
+        if !self.is_enrolled() {
+            self.enter(net);
+        }
         out
     }
 
-    /// Reserve a busy token on behalf of a thread that is about to be
-    /// spawned. Virtual time cannot advance past the reservation, so
-    /// the child can never miss events (or let peers burn timeouts)
-    /// while the OS is still scheduling it. The child claims the token
-    /// with [`FaultNet::adopt`]; dropping an unclaimed ticket returns
-    /// it.
+    /// Reserve a turn for a thread that is about to be spawned. The
+    /// turn is runnable at once, so virtual time cannot advance past it
+    /// and the child can never miss events (or let peers burn
+    /// timeouts) while the OS is still scheduling it. The child claims
+    /// the turn with [`FaultNet::adopt`]; dropping an unclaimed ticket
+    /// gives it up.
     pub fn reserve(self: &Arc<Self>) -> Ticket {
-        self.lock().busy += 1;
+        self.enroll();
         Ticket {
             net_id: self.id,
             net: Arc::downgrade(self),
+            turn: self.lock().queue(Waiter::READY),
             armed: true,
         }
     }
 
     /// Claim a reservation made by the spawning thread: the caller
-    /// becomes an enrolled participant without double-counting. Must be
-    /// the first thing the spawned thread does.
+    /// waits for the reserved turn and becomes an enrolled participant.
+    /// Must be the first thing the spawned thread does.
     pub fn adopt(self: &Arc<Self>, mut ticket: Ticket) {
         assert_eq!(ticket.net_id, self.id, "ticket belongs to another net");
+        if self.is_enrolled() {
+            // Already enrolled: dropping the ticket gives its turn up.
+            return;
+        }
         ticket.armed = false;
-        ENROLLMENTS.with(|e| {
-            let mut list = e.borrow_mut();
-            if list.iter().any(|g| g.net_id == self.id) {
-                // Already enrolled: hand the reserved token back.
-                let mut core = self.lock();
-                core.busy -= 1;
-                drop(core);
-                self.cv.notify_all();
-            } else {
-                list.push(Enrollment {
-                    net_id: self.id,
-                    net: Arc::downgrade(self),
-                });
-            }
-        });
+        self.take_turn(ticket.turn, Arc::downgrade(self));
     }
 
     /// Current virtual time since the net's epoch.
@@ -497,15 +556,13 @@ impl FaultNet {
     /// Deliver every in-flight datagram that has matured. Flights to
     /// unbound addresses (or filtered by the destination's connected
     /// peer) are dropped silently, like unheard UDP.
-    fn deliver_due(core: &mut Core) -> bool {
-        let mut any = false;
+    fn deliver_due(core: &mut Core) {
         while core
             .inflight
             .peek()
             .is_some_and(|Reverse(f)| f.due_ns <= core.now_ns)
         {
             let Reverse(f) = core.inflight.pop().expect("peeked");
-            any = true;
             if let Some(sock) = core.sockets.get_mut(&f.dst) {
                 if sock.connected.is_none_or(|peer| peer == f.src) {
                     // Session steering, as the kernel program does it.
@@ -519,115 +576,51 @@ impl FaultNet {
                 }
             }
         }
-        any
     }
 
-    /// Hand a wake token (and a busy count) to every waiter whose
-    /// condition is now satisfiable.
-    fn grant_tokens(core: &mut Core) -> bool {
-        let mut granted = false;
-        let now = core.now_ns;
-        // Collect first: granting mutates waiters while conditions read
-        // sockets.
-        let ids: Vec<u64> = core
-            .waiters
-            .iter()
-            .filter(|(_, w)| {
-                !w.ready
-                    && (w.deadline_ns.is_some_and(|d| now >= d)
-                        || w.addr.is_some_and(|(a, lane)| {
-                            core.sockets
-                                .get(&a)
-                                .is_some_and(|s| s.lanes.get(lane).is_some_and(|l| !l.is_empty()))
-                        }))
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in ids {
-            core.waiters.get_mut(&id).expect("waiter present").ready = true;
-            core.busy += 1;
-            granted = true;
-        }
-        granted
-    }
-
-    /// One scheduler step, run by a parked thread that observed
-    /// `busy == 0`: deliver/grant at the current time, else advance the
-    /// clock to the earliest pending event and deliver/grant there.
-    /// Returns whether anything happened.
-    fn step(&self, core: &mut Core) -> bool {
-        let mut progressed = Self::deliver_due(core);
-        progressed |= Self::grant_tokens(core);
-        if progressed {
-            self.cv.notify_all();
-            return true;
-        }
-        let next_flight = core.inflight.peek().map(|Reverse(f)| f.due_ns);
-        let next_deadline = core
-            .waiters
-            .values()
-            .filter(|w| !w.ready)
-            .filter_map(|w| w.deadline_ns)
-            .min();
-        let next = match (next_flight, next_deadline) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return false,
-        };
-        if next > core.now_ns {
-            core.now_ns = next;
-        }
-        let mut progressed = Self::deliver_due(core);
-        progressed |= Self::grant_tokens(core);
-        if progressed {
-            self.cv.notify_all();
-        }
-        progressed
-    }
-
-    /// Park the calling thread until `check` yields a value or the
-    /// deadline matures (`None`). The busy token is released for the
-    /// duration; see the module docs for the token protocol.
-    fn block_on<T>(
-        &self,
-        addr: Option<(SocketAddr, usize)>,
-        deadline_ns: Option<u64>,
-        mut check: impl FnMut(&mut Core) -> Option<T>,
-    ) -> Option<T> {
-        let mut core = self.lock();
-        core.busy -= 1;
-        let id = core.next_waiter;
-        core.next_waiter += 1;
-        core.waiters.insert(
-            id,
-            Waiter {
-                addr,
-                deadline_ns,
-                ready: false,
-            },
-        );
-        self.cv.notify_all();
-        let mut stall = 0u32;
-        let out = loop {
-            if let Some(v) = check(&mut core) {
-                break Some(v);
-            }
-            if deadline_ns.is_some_and(|d| core.now_ns >= d) {
-                break None;
-            }
-            // A token whose condition evaporated (another thread
-            // consumed the datagram first) is returned before parking.
-            let w = core.waiters.get_mut(&id).expect("own waiter");
-            if w.ready {
-                w.ready = false;
-                core.busy -= 1;
+    /// Hand the baton on: deliver what has matured, then give the baton
+    /// to the first parked turn, in park order, whose condition holds
+    /// now. Only when none holds does the clock advance, to the earliest
+    /// pending event (a delivery or a wait deadline). With nothing
+    /// pending either, the baton lies free. Called by whoever puts the
+    /// baton down, under the lock.
+    fn step(&self, core: &mut Core) {
+        loop {
+            Self::deliver_due(core);
+            let c: &Core = core;
+            if let Some(&id) = c
+                .waiters
+                .iter()
+                .find(|(_, w)| c.runnable(w))
+                .map(|(id, _)| id)
+            {
+                core.baton = Baton::Handed(id);
                 self.cv.notify_all();
+                return;
             }
-            if core.busy == 0 && self.step(&mut core) {
-                stall = 0;
-                continue;
+            let next_flight = core.inflight.peek().map(|Reverse(f)| f.due_ns);
+            let next_deadline = core.waiters.values().filter_map(|w| w.deadline_ns).min();
+            match next_flight.into_iter().chain(next_deadline).min() {
+                // Later than now: what was due has been delivered, and
+                // no deadline has passed.
+                Some(next) => core.now_ns = next,
+                None => {
+                    core.baton = Baton::Free;
+                    return;
+                }
             }
+        }
+    }
+
+    /// Wait until `step` hands the baton to parked turn `turn`, then
+    /// take it. A free baton is stepped first: this thread is the one
+    /// that asks for it.
+    fn wait_turn<'a>(&'a self, mut core: MutexGuard<'a, Core>, turn: u64) -> MutexGuard<'a, Core> {
+        if core.baton == Baton::Free {
+            self.step(&mut core);
+        }
+        let mut stall = 0u32;
+        while core.baton != Baton::Handed(turn) {
             let (c, timeout) = self
                 .cv
                 .wait_timeout(core, PARK)
@@ -637,8 +630,8 @@ impl FaultNet {
                 stall += 1;
                 assert!(
                     stall <= STALL_LIMIT,
-                    "FaultNet stalled: {} busy, {} waiters, {} in flight at t={}ns",
-                    core.busy,
+                    "FaultNet stalled: baton {:?}, {} waiters, {} in flight at t={}ns",
+                    core.baton,
                     core.waiters.len(),
                     core.inflight.len(),
                     core.now_ns
@@ -646,12 +639,33 @@ impl FaultNet {
             } else {
                 stall = 0;
             }
-        };
-        let w = core.waiters.remove(&id).expect("own waiter");
-        if !w.ready {
-            core.busy += 1;
         }
-        out
+        core.baton = Baton::Held;
+        core.waiters.remove(&turn);
+        core
+    }
+
+    /// Return once `check` yields a value, or `None` once the deadline
+    /// has matured. While neither holds, the caller parks: it puts the
+    /// baton down and waits for its turn.
+    fn block_on<T>(
+        &self,
+        addr: Option<(SocketAddr, usize)>,
+        deadline_ns: Option<u64>,
+        mut check: impl FnMut(&mut Core) -> Option<T>,
+    ) -> Option<T> {
+        let mut core = self.lock();
+        loop {
+            if let Some(v) = check(&mut core) {
+                return Some(v);
+            }
+            if deadline_ns.is_some_and(|d| core.now_ns >= d) {
+                return None;
+            }
+            let turn = core.queue(Waiter { addr, deadline_ns });
+            self.step(&mut core);
+            core = self.wait_turn(core, turn);
+        }
     }
 
     /// Sleep until the virtual `due`.
@@ -1067,10 +1081,9 @@ mod tests {
         a.connect(b.local_addr()).unwrap();
         a.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let net2 = net.clone();
-        // The echo thread must count as busy from the moment it is
-        // spawned: otherwise virtual time runs ahead while the OS is
-        // still scheduling it, and the first echo misses A's read
-        // timeout.
+        // The echo thread holds a turn from the moment it is spawned:
+        // otherwise virtual time runs ahead while the OS is still
+        // scheduling it, and the first echo misses A's read timeout.
         let ticket = net.reserve();
         let echo = std::thread::spawn(move || {
             net2.adopt(ticket);

@@ -250,9 +250,11 @@ impl Clock {
         }
     }
 
-    /// Run `f` — typically a thread join — without counting this thread
-    /// as busy in a virtual net, so virtual time keeps advancing for
-    /// the thread being joined. Plain call on the real clock.
+    /// Run `f` — typically a thread join — with this thread's turn given
+    /// up in a virtual net, so the thread being joined can run and
+    /// virtual time keeps advancing. Afterwards the thread waits for a
+    /// turn again and re-enters at whatever virtual instant the others
+    /// have reached by then. Plain call on the real clock.
     pub fn unenrolled<T>(&self, f: impl FnOnce() -> T) -> T {
         match self {
             Clock::Real => f(),
@@ -263,9 +265,10 @@ impl Clock {
     /// Pre-register a thread that is about to be spawned: call this
     /// *before* `thread::spawn`, move the enlistment into the closure,
     /// and have the child [`Clock::adopt`] it first thing. On a virtual
-    /// clock this pins virtual time until the child is actually
-    /// running, so peers cannot burn their timeouts against a thread
-    /// the OS has not scheduled yet. No-op on the real clock.
+    /// clock this reserves the child a turn, runnable at once, which
+    /// pins virtual time until the child is actually running, so peers
+    /// cannot burn their timeouts against a thread the OS has not
+    /// scheduled yet. No-op on the real clock.
     pub fn enlist(&self) -> Enlistment {
         match self {
             Clock::Real => Enlistment::Real,
@@ -282,13 +285,13 @@ impl Clock {
     }
 }
 
-/// A participant reservation handed across a thread spawn (see
-/// [`Clock::enlist`]).
+/// A turn reserved for a thread about to be spawned, handed across the
+/// spawn (see [`Clock::enlist`]).
 #[must_use = "move the enlistment into the spawned thread and adopt it"]
 pub enum Enlistment {
     /// Real clock: nothing to carry.
     Real,
-    /// Virtual clock: the reserved busy token.
+    /// Virtual clock: the child's reserved turn.
     Virtual(crate::faultnet::Ticket),
 }
 

@@ -429,8 +429,9 @@ impl ServerHandle {
         for socket in self.sockets.iter() {
             socket.wake_readers();
         }
-        // Join outside the virtual busy count, or a fault-backed serve
-        // thread could never be scheduled to observe the stop flag.
+        // Join with this thread's virtual turn given up, or a
+        // fault-backed serve thread could never run to observe the stop
+        // flag.
         let joined = self.joined;
         self.clock
             .unenrolled(|| joined.join())
@@ -690,10 +691,10 @@ fn serve_loop(
         drain_loop(&shared, 0);
         // Workers notice `stop` as soon as their blocked receive
         // returns: at once where the stop woke it, else within one
-        // receive wait. Join them with this thread's clock token
-        // released: a worker still parked in a *virtual* receive
-        // timeout needs virtual time to advance before it can observe
-        // the flag, and a busy joiner would freeze it.
+        // receive wait. Join them with this thread's virtual turn given
+        // up: a worker still parked in a *virtual* receive timeout needs
+        // the net to run before it can observe the flag, and a joiner
+        // holding the turn would freeze it.
         clock.unenrolled(|| {
             for w in workers {
                 let _ = w.join();

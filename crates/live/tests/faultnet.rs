@@ -21,7 +21,7 @@ use badabing_live::receiver::{
     projected_session_bytes, start_server, PressurePolicy, ReceiverLog, ServerConfig, ServerReport,
     SessionEnd, SessionOutcome, DEFAULT_SESSION_BUDGET_BYTES,
 };
-use badabing_live::sender::{run_sender, SenderConfig, SenderManifest, SenderOutcome};
+use badabing_live::sender::{run_sender, slot_offset, SenderConfig, SenderManifest, SenderOutcome};
 use badabing_metrics::Registry;
 use badabing_stats::rng::seeded;
 use badabing_wire::control::{
@@ -588,13 +588,11 @@ fn receiver_death_run() -> (SenderOutcome, Duration) {
     };
 
     // Let the run establish itself (the receiver has accepted a probe,
-    // so the handshake is done), then kill the receiver. The poll step
-    // is 1 ns off the whole microseconds every send and delivery of this
-    // run lands on, so the stop never ties with a datagram.
+    // so the handshake is done), then kill the receiver.
     let accepted = metrics.counter("packets_accepted");
     let deadline = clock.now() + Duration::from_secs(5);
     while accepted.get() == 0 && clock.now() < deadline {
-        clock.sleep(Duration::from_nanos(1_000_001));
+        clock.sleep(Duration::from_millis(1));
     }
     assert!(accepted.get() >= 1, "no probe reached the receiver in 5 s");
     // Read before the stop: its join runs unenrolled, and the sender's
@@ -701,10 +699,8 @@ fn evicted_run() -> (SenderOutcome, Arc<Registry>, Duration) {
         })
     };
 
-    // A second into the run, 1 ns off the whole microseconds every send
-    // and delivery of the run lands on (so the SYN never ties with one),
-    // open the second session.
-    clock.sleep(Duration::from_nanos(1_000_000_001));
+    // A second into the run, open the second session.
+    clock.sleep(Duration::from_secs(1));
     assert!(server_metrics.counter("packets_accepted").get() > 0);
     let mut second = ControlConfig::new(addr(RECV));
     second.provider = provider;
@@ -757,6 +753,180 @@ fn evicted_session_aborts_the_run_within_the_miss_budget() {
         manifest_file_bytes(&outcome.manifest, "evicted"),
         "same seed must give an identical manifest"
     );
+}
+
+/// Four threads sleep to the same virtual instants and each sends one
+/// datagram to one socket per instant: every round is a four-way tie.
+/// Returns (sender, round, delivery stamp) in arrival order.
+fn four_way_tie_arrivals() -> Vec<(u8, u8, Duration)> {
+    const ROUNDS: u8 = 20;
+    let net = FaultNet::new(31);
+    let sink = net.bind(addr(RECV)).unwrap();
+    sink.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let senders: Vec<_> = (0..4u8)
+        .map(|i| {
+            let net = net.clone();
+            let ticket = net.reserve();
+            std::thread::spawn(move || {
+                net.adopt(ticket);
+                let sock = net.bind(addr(&format!("10.0.1.{}:7000", i + 1))).unwrap();
+                for round in 1..=ROUNDS {
+                    net.sleep_until(Duration::from_millis(u64::from(round)));
+                    sock.send_to(&[i, round], addr(RECV)).unwrap();
+                }
+            })
+        })
+        .collect();
+    let arrivals = (0..4 * usize::from(ROUNDS))
+        .map(|_| {
+            let m = sink.recv_msg().unwrap();
+            (m.data[0], m.data[1], m.stamp)
+        })
+        .collect();
+    for s in senders {
+        net.unenrolled(|| s.join()).unwrap();
+    }
+    arrivals
+}
+
+/// Threads that act at the same virtual nanosecond act in one order,
+/// whatever the OS does: 30 same-seed reruns see one arrival order.
+#[test]
+fn same_instant_sends_from_four_threads_replay_in_one_order() {
+    let first = four_way_tie_arrivals();
+    for round in first.chunks(4) {
+        let (_, r, stamp) = round[0];
+        assert!(
+            round.iter().all(|&(_, rr, st)| rr == r && st == stamp),
+            "each round's four datagrams land at one instant: {round:?}"
+        );
+    }
+    for rerun in 1..30 {
+        assert_eq!(
+            four_way_tie_arrivals(),
+            first,
+            "rerun {rerun} saw another arrival order"
+        );
+    }
+}
+
+/// Everything a [`tied_run`] must reproduce byte for byte.
+#[derive(Debug, PartialEq)]
+struct TiedRun {
+    manifest_file: Vec<u8>,
+    report_chunks: Vec<Vec<u8>>,
+    receiver_metrics: String,
+    heartbeats_missed: u64,
+    control_retries: u64,
+    /// The sender's slot anchor, recovered from the receiver's minimum
+    /// raw delay (clean links: anchor + latency).
+    anchor: Duration,
+    /// Slots the sender probed.
+    slots: Vec<u64>,
+}
+
+/// One sender run against a two-thread receiver. With `ties` given as
+/// `(syn_at, stop_at)`, a second session's SYN leaves at `syn_at` and
+/// the receiver is stopped at `stop_at`; otherwise the receiver is
+/// stopped a second into the run.
+fn tied_run(ties: Option<(Duration, Duration)>) -> TiedRun {
+    let net = FaultNet::new(11);
+    let provider = Provider::Fault(net.clone());
+    let clock = provider.clock();
+    let server_metrics = Arc::new(Registry::new("faultnet-tied"));
+    let receiver = start_server(ServerConfig {
+        provider: provider.clone(),
+        recv_threads: 2,
+        metrics: Some(server_metrics.clone()),
+        ..ServerConfig::any(addr(RECV), 4)
+    })
+    .unwrap();
+    let tool = fast_tool();
+    let mut control = ControlConfig::new(addr(RECV));
+    control.bind = Some(addr(CTL_SRC));
+    control.heartbeat_interval = Duration::from_millis(100);
+    control.heartbeat_misses = 3;
+    let metrics = Arc::new(Registry::new("faultnet-tied-sender"));
+    let cfg = SenderConfig {
+        tool,
+        bind: addr(PROBE_SRC),
+        control: Some(control),
+        provider: provider.clone(),
+        metrics: Some(metrics.clone()),
+        ..SenderConfig::new(tool, 4_000, addr(RECV), SESSION)
+    };
+    let params = cfg.session_params();
+    let ticket = net.reserve();
+    let sender = {
+        let net = net.clone();
+        std::thread::spawn(move || {
+            net.adopt(ticket);
+            run_sender(cfg, seeded(11, "tied"))
+        })
+    };
+    let (syn_at, stop_at) = ties.unwrap_or((Duration::ZERO, Duration::from_secs(1)));
+    if ties.is_some() {
+        clock.sleep_until(syn_at);
+        let mut control = ControlConfig::new(addr(RECV));
+        control.provider = provider.clone();
+        control.bind = Some(addr("10.0.0.3:7001"));
+        ControlClient::connect(control, None)
+            .unwrap()
+            .handshake(SESSION + 1, params)
+            .unwrap();
+    }
+    clock.sleep_until(stop_at);
+    let report = receiver.stop();
+    let outcome = net.unenrolled(|| sender.join()).unwrap().unwrap();
+    let log = &report
+        .sessions
+        .iter()
+        .find(|o| o.session == SESSION)
+        .expect("the run's session")
+        .log;
+    let min_raw = log.min_raw_delay_ns.expect("probes arrived");
+    TiedRun {
+        manifest_file: manifest_file_bytes(&outcome.manifest, "tied"),
+        report_chunks: report_chunk_bytes(log),
+        receiver_metrics: server_metrics.snapshot_json(),
+        heartbeats_missed: metrics.counter("heartbeats_missed").get(),
+        control_retries: metrics.counter("control_retries").get(),
+        anchor: Duration::from_nanos(min_raw as u64) - LinkFaults::default().latency,
+        slots: outcome.manifest.sent.iter().map(|p| p.slot).collect(),
+    }
+}
+
+/// A second session's SYN sent at the instant the sender sends a
+/// probe, and a `ServerHandle::stop` at the instant a later probe is
+/// delivered to a drain thread, replay from the seed: 100 same-seed
+/// reruns give byte-identical manifest files, report chunks, receiver
+/// metrics and sender control counters.
+#[test]
+fn stop_and_syn_tied_with_probe_deliveries_replay_from_the_seed() {
+    let plain = tied_run(None);
+    // The send instant of the run's `k`-th probe (5 ms slots).
+    let slot = |k: usize| plain.anchor + slot_offset(Duration::from_millis(5), plain.slots[k]);
+    let latency = LinkFaults::default().latency;
+    // The SYN leaves with the 20th probe and lands at the same instant
+    // (on the other drain thread); the stop meets the 60th probe's
+    // delivery.
+    let ties = (slot(20), slot(60) + latency);
+    let first = tied_run(Some(ties));
+    assert_eq!(first.anchor, plain.anchor, "the ties leave the schedule");
+    assert_eq!(
+        first.slots[..=60],
+        plain.slots[..=60],
+        "the tied instants are probe sends"
+    );
+    assert!(
+        first.receiver_metrics.contains("\"sessions_opened\": 2"),
+        "{}",
+        first.receiver_metrics
+    );
+    assert!(first.heartbeats_missed >= 3, "the stop ends the run");
+    for rerun in 1..100 {
+        assert_eq!(tied_run(Some(ties)), first, "rerun {rerun} differs");
+    }
 }
 
 /// One sender run whose probes all go to a socket nobody reads; only

@@ -145,16 +145,11 @@ fn chunked_fetch_survives_short_idle_timeout_on_slow_links() {
 
     // The closing ReportAck is fire-and-forget and still rides the
     // 50 ms virtual link; wait for the server to mark the session
-    // complete before tearing it down. The wait must run unenrolled,
-    // or this thread's busy token freezes virtual time and the ack
-    // never delivers.
+    // complete before tearing it down. The wait sleeps in virtual time,
+    // so the teardown instant, like the rest of the test, replays from
+    // the seed.
     let completed = metrics.counter("sessions_completed");
-    net.unenrolled(|| {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while completed.get() < 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    });
+    wait_virtual(&net, || completed.get() >= 1);
 
     let report = server.stop();
     assert_eq!(report.sessions.len(), 1);
@@ -163,6 +158,15 @@ fn chunked_fetch_survives_short_idle_timeout_on_slow_links() {
         SessionEnd::Completed,
         "the fetch's own control traffic must keep the session alive"
     );
+}
+
+/// Sleep in 5 ms steps of virtual time until `done` holds or 5 s of
+/// virtual time have passed.
+fn wait_virtual(net: &Arc<FaultNet>, done: impl Fn() -> bool) {
+    let deadline = net.now() + Duration::from_secs(5);
+    while !done() && net.now() < deadline {
+        net.sleep_until(net.now() + Duration::from_millis(5));
+    }
 }
 
 /// One `ReportChunk` reply, decoded: (chunk, total_chunks, records).
@@ -595,12 +599,7 @@ fn mid_run_fleet_estimate_across_four_threads_merges_every_session() {
         clients.push((session, client));
     }
     let accepted = metrics.counter("packets_accepted");
-    net.unenrolled(|| {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while accepted.get() < sent && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    });
+    wait_virtual(&net, || accepted.get() >= sent);
     assert_eq!(accepted.get(), sent, "every probe accepted before the read");
 
     let per_session: Vec<_> = clients
@@ -654,8 +653,7 @@ fn a_rebound_sender_still_reaches_the_owner_thread() {
     let server = start_server(ServerConfig {
         provider: provider.clone(),
         recv_threads: LANES as usize,
-        // No idle watchdog: the unenrolled waits below let virtual time
-        // run free, and a reap between the two probe batches would
+        // No idle watchdog: a reap between the two probe batches would
         // remove the very session the rebind must reach.
         idle_timeout: None,
         metrics: Some(metrics.clone()),
@@ -695,12 +693,7 @@ fn a_rebound_sender_still_reaches_the_owner_thread() {
     };
     let accepted = metrics.counter("packets_accepted");
     let wait_accepted = |want: u64| {
-        net.unenrolled(|| {
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while accepted.get() < want && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        });
+        wait_virtual(&net, || accepted.get() >= want);
         assert_eq!(accepted.get(), want, "probes lost after a rebind");
     };
 
