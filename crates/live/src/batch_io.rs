@@ -21,7 +21,10 @@
 //! - **Send.** The sender hands the kernel one flat super-datagram per
 //!   `sendmsg` with a `UDP_SEGMENT` cmsg and lets the kernel split it
 //!   into wire packets (up to [`crate::cmsg::MAX_GSO_SEGMENTS`] per
-//!   call); separate packets go out in one `sendmmsg`.
+//!   call); separate packets go out in one `sendmmsg`. The receiver's
+//!   report windows take the same path from an unconnected socket,
+//!   addressed and with a short last segment
+//!   ([`BatchSender::send_segments_to`]).
 //! - **Receive.** `recvmmsg` drains up to [`DEFAULT_RECV_BATCH`] reads
 //!   per syscall into a ring of [`GRO_SLOT_BYTES`] slots with `UDP_GRO`
 //!   on. Coalesced reads are split back into logical datagrams by the
@@ -48,7 +51,8 @@
 //! receiving one datagram per slot, on the userspace clock; one that
 //! refuses `SO_TIMESTAMPING` leaves coalesced reads on it too; a send
 //! the kernel refuses (`EINVAL`/`EIO` — typical for missing offload
-//! support) flips the sender to `sendmmsg` permanently for that socket.
+//! support) flips the sender to `sendmmsg` permanently for that socket
+//! (to one `send_to` per datagram for addressed sends).
 //!
 //! Behaviour contract: all paths deliver the same datagrams with the
 //! same payloads; only the number of syscalls (and the granularity and
@@ -310,6 +314,41 @@ fn recv_from(socket: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, SocketAdd
     }
     let src = sys::parse_sockaddr(&addr).unwrap_or_else(unspecified);
     Ok((n as usize, src))
+}
+
+/// Receive one datagram already queued on a connected socket, without
+/// waiting: `WouldBlock` when none is. One `recv` with `MSG_DONTWAIT`,
+/// so the socket stays blocking and its read timeout stays armed for
+/// the next blocking read.
+#[cfg(target_os = "linux")]
+pub(crate) fn try_recv(socket: &UdpSocket, buf: &mut [u8]) -> io::Result<usize> {
+    use std::os::fd::AsRawFd;
+    // SAFETY: the kernel writes at most `buf.len()` bytes into `buf`,
+    // live for the call, and no address; the fd is owned by `socket`.
+    let n = unsafe {
+        sys::recvfrom(
+            socket.as_raw_fd(),
+            buf.as_mut_ptr(),
+            buf.len(),
+            sys::MSG_DONTWAIT,
+            std::ptr::null_mut(),
+            std::ptr::null_mut(),
+        )
+    };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(n as usize)
+}
+
+/// Receive one datagram already queued, without waiting (see the Linux
+/// version): here the socket is switched to non-blocking for the call.
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn try_recv(socket: &UdpSocket, buf: &mut [u8]) -> io::Result<usize> {
+    socket.set_nonblocking(true)?;
+    let got = socket.recv(buf);
+    socket.set_nonblocking(false)?;
+    got
 }
 
 /// What a receive on a socket shut for reading ([`wake_readers`])
@@ -929,7 +968,8 @@ impl BatchSender {
         #[cfg(target_os = "linux")]
         {
             if self.gso_ok && count > 1 && seg_bytes > 0 && seg_bytes <= u16::MAX as usize {
-                if let Some(result) = self.send_gso(socket, buf, seg_bytes, count) {
+                let train = &buf[..count * seg_bytes];
+                if let Some(result) = self.send_gso(socket, train, seg_bytes, None) {
                     return result;
                 }
                 // Offload refused: degraded for good, fall through to
@@ -948,6 +988,42 @@ impl BatchSender {
         }
         #[cfg(not(target_os = "linux"))]
         unreachable!("batched mode never resolves on this platform")
+    }
+
+    /// Send `buf` to `dst` from an unconnected socket as consecutive
+    /// datagrams of `seg_bytes` each, except that the last may be
+    /// shorter — the shape of a window of report chunks encoded back to
+    /// back. Returns how many datagrams went out, a prefix (callers
+    /// loop); an error refers to the first of them.
+    ///
+    /// On the batched path the prefix goes down as **one** `UDP_SEGMENT`
+    /// `sendmsg` addressed to `dst`, clamped like
+    /// [`BatchSender::send_segments`]' trains, and the kernel splits it
+    /// into the same datagrams, short tail included. A kernel that
+    /// refuses the offload (`EIO`/`EINVAL`/`EOPNOTSUPP`) degrades the
+    /// sender for good, to one `send_to` per datagram — the only path
+    /// [`IoMode::Fallback`] ever takes.
+    pub fn send_segments_to(
+        &mut self,
+        socket: &UdpSocket,
+        buf: &[u8],
+        seg_bytes: usize,
+        dst: SocketAddr,
+    ) -> io::Result<usize> {
+        assert!(seg_bytes > 0, "segments must be at least one byte");
+        if buf.is_empty() {
+            return Ok(0);
+        }
+        #[cfg(target_os = "linux")]
+        if self.batched && self.gso_ok && seg_bytes <= u16::MAX as usize {
+            if let Some(result) = self.send_gso(socket, buf, seg_bytes, Some(&dst)) {
+                return result;
+            }
+        }
+        socket.send_to(&buf[..seg_bytes.min(buf.len())], dst)?;
+        self.syscalls += 1;
+        self.datagrams += 1;
+        Ok(1)
     }
 
     /// Send the datagrams the first `n` iovecs point at in one
@@ -984,30 +1060,35 @@ impl BatchSender {
     }
 
     /// The `UDP_SEGMENT` fast path: one `sendmsg` of a clamped prefix of
-    /// the flat buffer, segmented by the kernel. Returns `None` when the
-    /// kernel signals the path can't offload — the caller falls through
-    /// to `sendmmsg` (and `gso_ok` stays cleared so it never retries) —
-    /// or when the clamp leaves a single segment, where offload buys
-    /// nothing. Real send errors (e.g. `ECONNREFUSED`) come back as
-    /// `Some(Err(..))` so per-packet error accounting matches the other
-    /// paths: an error always refers to the first datagram.
+    /// the flat buffer, segmented by the kernel into `seg_bytes`
+    /// datagrams (the last may be shorter), to the connected peer or to
+    /// `dst`. Returns `None` when the kernel signals the path can't
+    /// offload — the caller falls through to its per-datagram path (and
+    /// `gso_ok` stays cleared so it never retries) — or when the clamp
+    /// leaves a single segment, where offload buys nothing. Real send
+    /// errors (e.g. `ECONNREFUSED`) come back as `Some(Err(..))` so
+    /// per-packet error accounting matches the other paths: an error
+    /// always refers to the first datagram.
     #[cfg(target_os = "linux")]
     fn send_gso(
         &mut self,
         socket: &UdpSocket,
         buf: &[u8],
         seg_bytes: usize,
-        count: usize,
+        dst: Option<&SocketAddr>,
     ) -> Option<io::Result<usize>> {
         use std::os::fd::AsRawFd;
-        let k = count
+        let k = buf
+            .len()
+            .div_ceil(seg_bytes)
             .min(self.cap)
             .min(cmsg::MAX_GSO_SEGMENTS)
             .min(cmsg::MAX_GSO_BYTES / seg_bytes);
         if k <= 1 {
             return None;
         }
-        let total = k * seg_bytes;
+        // Only an unclamped buffer keeps its short tail.
+        let total = buf.len().min(k * seg_bytes);
         // The kernel never writes through a send iovec; the cast from
         // shared to mut is only to satisfy the C signature.
         self.iovs[0] = sys::iovec {
@@ -1020,9 +1101,19 @@ impl BatchSender {
             cmsg::UDP_SEGMENT,
             &(seg_bytes as u16).to_ne_bytes(),
         );
+        let mut name = sys::sockaddr_storage {
+            bytes: [0; sys::SOCKADDR_STORAGE_BYTES],
+        };
+        let (msg_name, msg_namelen) = match dst {
+            Some(dst) => {
+                let len = sys::encode_sockaddr(dst, &mut name);
+                (name.bytes.as_mut_ptr(), len)
+            }
+            None => (std::ptr::null_mut(), 0), // connected socket
+        };
         let hdr = sys::msghdr {
-            msg_name: std::ptr::null_mut(), // connected socket
-            msg_namelen: 0,
+            msg_name,
+            msg_namelen,
             msg_iov: self.iovs.as_mut_ptr(),
             msg_iovlen: 1,
             msg_control: self.gso_cmsg.as_mut_ptr() as *mut _,
@@ -1030,7 +1121,8 @@ impl BatchSender {
             msg_flags: 0,
         };
         // SAFETY: the iovec points at `total` live bytes of `buf`, the
-        // control buffer at `clen` live bytes of `gso_cmsg`; the fd is
+        // control buffer at `clen` live bytes of `gso_cmsg`, and a
+        // destination at `msg_namelen` live bytes of `name`; the fd is
         // owned by `socket` which outlives the call.
         let sent = unsafe { sys::sendmsg(socket.as_raw_fd(), &hdr, 0) };
         if sent < 0 {
@@ -1208,6 +1300,8 @@ mod sys {
     /// Set by the kernel in `msg_flags` when a datagram was clipped to
     /// the supplied buffer.
     pub const MSG_TRUNC: i32 = 0x20;
+    /// One call non-blocking, whatever the socket's mode.
+    pub const MSG_DONTWAIT: i32 = 0x40;
     pub const SOL_SOCKET: i32 = 1;
     pub const SO_RCVBUF: i32 = 8;
     pub const SO_SNDBUF: i32 = 7;
@@ -1671,6 +1765,104 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// Serve a report of three windows with a short last chunk from an
+    /// unconnected socket, one window per `send_segments_to` loop, into
+    /// a plain (non-GRO) socket. Returns the datagrams in arrival order
+    /// and the chunks one `send_to` each would have sent.
+    fn serve_report_windows(sender: &mut BatchSender) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        use badabing_wire::control::{
+            chunk_count, chunk_window, encode_report_chunk_into, ReportRecord, MAX_CONTROL_BYTES,
+            RECORDS_PER_CHUNK, REPORT_WINDOW_CHUNKS,
+        };
+        let window = REPORT_WINDOW_CHUNKS as usize;
+        // Two full windows, then a third of five chunks whose last one
+        // carries 7 records.
+        let n = (2 * window + 4) * RECORDS_PER_CHUNK + 7;
+        let records: Vec<ReportRecord> = (0..n as u64)
+            .map(|i| ReportRecord {
+                experiment: i / 3,
+                slot: i,
+                received: (i % 4) as u8,
+                duplicates: (i % 3) as u8,
+                qdelay_last_secs: i as f64 * 1e-6,
+                qdelay_max_secs: i as f64 * 2e-6,
+                flags: (i % 2) as u8,
+            })
+            .collect();
+        let total = chunk_count(records.len());
+        assert_eq!(total as usize, 2 * window + 5);
+        let (rx, _) = pair();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let dst = rx.local_addr().unwrap();
+        let mut per_chunk = Vec::new();
+        let mut got = Vec::new();
+        let mut buf = vec![0u8; window * MAX_CONTROL_BYTES];
+        let mut one = [0u8; MAX_CONTROL_BYTES];
+        for first in (0..total).step_by(window) {
+            let chunks = first..(first + window as u32).min(total);
+            let mut len = 0;
+            for c in chunks.clone() {
+                let w = chunk_window(&records, c);
+                len += encode_report_chunk_into(7, c, total, w, &mut buf[len..]);
+                let k = encode_report_chunk_into(7, c, total, w, &mut one);
+                per_chunk.push(one[..k].to_vec());
+            }
+            let mut sent = 0;
+            while sent < len {
+                let k = sender
+                    .send_segments_to(&tx, &buf[sent..len], MAX_CONTROL_BYTES, dst)
+                    .unwrap();
+                sent = (sent + k * MAX_CONTROL_BYTES).min(len);
+            }
+            // Read each window before the next: a plain socket's default
+            // receive buffer need only hold one.
+            let mut dgram = [0u8; 2 * MAX_CONTROL_BYTES];
+            for _ in chunks {
+                let (k, src) = rx.recv_from(&mut dgram).unwrap();
+                assert_eq!(src, tx.local_addr().unwrap());
+                got.push(dgram[..k].to_vec());
+            }
+        }
+        assert_eq!(per_chunk.last().unwrap().len(), 19 + 7 * 35, "short tail");
+        (got, per_chunk)
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_report_window_goes_out_as_one_segmented_send() {
+        if !kernel_offload_caps().gso_ready() {
+            eprintln!("skipping: kernel has no UDP_SEGMENT");
+            return;
+        }
+        let mut sender = BatchSender::new(32, IoMode::Batched);
+        let (got, per_chunk) = serve_report_windows(&mut sender);
+        assert_eq!(got, per_chunk, "the datagrams one send_to each would send");
+        assert_eq!(sender.syscalls(), 3, "one send syscall per window");
+        assert_eq!(sender.gso_sends(), 3);
+        assert_eq!(sender.datagrams(), per_chunk.len() as u64);
+    }
+
+    #[test]
+    fn a_fallback_sender_serves_a_window_one_chunk_per_send() {
+        let mut sender = BatchSender::new(32, IoMode::Fallback);
+        let (got, per_chunk) = serve_report_windows(&mut sender);
+        assert_eq!(got, per_chunk);
+        assert_eq!(sender.syscalls(), per_chunk.len() as u64);
+        assert_eq!(sender.gso_sends(), 0);
+    }
+
+    /// A sender whose offload was refused serves every later window one
+    /// `send_to` per chunk, the same datagrams.
+    #[test]
+    fn a_degraded_sender_serves_a_window_one_chunk_per_send() {
+        let mut sender = BatchSender::new(32, IoMode::Batched);
+        sender.gso_ok = false;
+        let (got, per_chunk) = serve_report_windows(&mut sender);
+        assert_eq!(got, per_chunk);
+        assert_eq!(sender.syscalls(), per_chunk.len() as u64);
+        assert_eq!(sender.gso_sends(), 0);
+    }
+
     #[cfg(target_os = "linux")]
     #[test]
     fn gso_clamps_to_kernel_segment_cap() {
@@ -1750,37 +1942,16 @@ mod tests {
         ring
     }
 
-    /// One `sendmsg` of `buf` carrying a `UDP_SEGMENT` cmsg of `seg`
-    /// bytes. Unlike [`BatchSender::send_segments`], the last segment may
-    /// be short.
+    /// One `UDP_SEGMENT` send of `buf` in `seg`-byte segments, the last
+    /// possibly short ([`BatchSender::send_segments_to`]).
     #[cfg(target_os = "linux")]
     fn send_segmented(tx: &UdpSocket, buf: &[u8], seg: u16) {
-        use std::os::fd::AsRawFd;
-        let mut ctrl = [0u8; cmsg::space(2)];
-        let clen = cmsg::write(
-            &mut ctrl,
-            cmsg::SOL_UDP,
-            cmsg::UDP_SEGMENT,
-            &seg.to_ne_bytes(),
-        );
-        let mut iov = sys::iovec {
-            iov_base: buf.as_ptr() as *mut u8,
-            iov_len: buf.len(),
-        };
-        let hdr = sys::msghdr {
-            msg_name: std::ptr::null_mut(),
-            msg_namelen: 0,
-            msg_iov: &mut iov,
-            msg_iovlen: 1,
-            msg_control: ctrl.as_mut_ptr() as *mut _,
-            msg_controllen: clen,
-            msg_flags: 0,
-        };
-        // SAFETY: the iovec covers `buf`'s live bytes and the control
-        // buffer `clen` live bytes of `ctrl`, all of which outlive the
-        // call; the kernel only reads them. The fd is owned by `tx`.
-        let sent = unsafe { sys::sendmsg(tx.as_raw_fd(), &hdr, 0) };
-        assert_eq!(sent, buf.len() as isize, "{}", io::Error::last_os_error());
+        let dst = tx.peer_addr().unwrap();
+        let mut sender = BatchSender::new(cmsg::MAX_GSO_SEGMENTS, IoMode::Batched);
+        let seg = usize::from(seg);
+        let sent = sender.send_segments_to(tx, buf, seg, dst).unwrap();
+        assert_eq!(sent, buf.len().div_ceil(seg));
+        assert_eq!(sender.gso_sends(), 1, "one segmented sendmsg");
     }
 
     /// Reads logical datagrams until `want` have arrived.

@@ -134,12 +134,12 @@ fn main() -> std::io::Result<()> {
         eprintln!(
             "session {}: {} packets, {} duplicates, {} probes recorded ({end})",
             outcome.session,
-            outcome.log.packets,
-            outcome.log.duplicates,
-            outcome.log.arrivals.len()
+            outcome.summary.packets,
+            outcome.summary.duplicates,
+            outcome.records.len()
         );
         let path = session_log_path(&log_path, outcome.session);
-        outcome.log.save(&path)?;
+        outcome.log().save(&path)?;
         eprintln!(
             "session {} log written to {}",
             outcome.session,

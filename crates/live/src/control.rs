@@ -13,7 +13,7 @@
 //! alone still supports loss accounting for every probe that was sent).
 
 use crate::provider::{Clock, Provider, Socket};
-use badabing_metrics::Registry;
+use badabing_metrics::{Counter, Registry};
 pub use badabing_wire::control::EstimateReport;
 use badabing_wire::control::{
     ControlMessage, EstimateScope, RejectReason, ReportRecord, ReportSummary, SessionParams,
@@ -22,6 +22,7 @@ use badabing_wire::control::{
 use std::io;
 use std::net::SocketAddr;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Timeouts and retry policy for the sender's control plane.
@@ -157,16 +158,35 @@ pub struct ControlClient {
     socket: Socket,
     clock: Clock,
     cfg: ControlConfig,
-    metrics: Option<std::sync::Arc<Registry>>,
+    counters: Option<Counters>,
+}
+
+/// The client's counters, looked up once at connect: noting one is a
+/// relaxed atomic add, with no name lookup or registry lock.
+struct Counters {
+    retries: Arc<Counter>,
+    rejected: Arc<Counter>,
+    foreign_session: Arc<Counter>,
+    decode_errors: Arc<Counter>,
+    chunks_fetched: Arc<Counter>,
+}
+
+impl Counters {
+    fn new(m: &Registry) -> Self {
+        Self {
+            retries: m.counter("control_retries"),
+            rejected: m.counter("control_rejected"),
+            foreign_session: m.counter("control_foreign_session"),
+            decode_errors: m.counter("control_decode_errors"),
+            chunks_fetched: m.counter("report_chunks_fetched"),
+        }
+    }
 }
 
 impl ControlClient {
     /// Bind an ephemeral socket on the configured provider and connect
     /// it to the receiver's control address.
-    pub fn connect(
-        cfg: ControlConfig,
-        metrics: Option<std::sync::Arc<Registry>>,
-    ) -> io::Result<Self> {
+    pub fn connect(cfg: ControlConfig, metrics: Option<Arc<Registry>>) -> io::Result<Self> {
         let bind: SocketAddr = cfg.bind.unwrap_or_else(|| {
             if cfg.addr.is_ipv4() {
                 "0.0.0.0:0".parse().expect("static addr")
@@ -181,7 +201,7 @@ impl ControlClient {
             socket,
             clock,
             cfg,
-            metrics,
+            counters: metrics.as_deref().map(Counters::new),
         })
     }
 
@@ -190,9 +210,10 @@ impl ControlClient {
         &self.cfg
     }
 
-    fn note(&self, counter: &str) {
-        if let Some(m) = &self.metrics {
-            m.counter(counter).inc();
+    /// Bump the counter `pick` names, when metrics are on.
+    fn note(&self, pick: impl FnOnce(&Counters) -> &Counter) {
+        if let Some(c) = &self.counters {
+            pick(c).inc();
         }
     }
 
@@ -220,7 +241,7 @@ impl ControlClient {
         let mut backoff = Backoff::new(&self.cfg);
         for attempt in 0..self.cfg.max_attempts {
             if attempt > 0 {
-                self.note("control_retries");
+                self.note(|c| &c.retries);
             }
             self.socket.send(&wire)?;
             let deadline = self.clock.now() + backoff.next().expect("backoff is infinite");
@@ -246,33 +267,41 @@ impl ControlClient {
     /// only what is already queued: `None` once nothing is. Noise and
     /// other sessions' traffic are counted and skipped, and a SYN-NACK
     /// for `session` fails fast (see [`ControlClient::request`]).
+    ///
+    /// A reply already queued is taken without waiting; the read timeout
+    /// is armed only for a read that will block. A window's chunks
+    /// arrive back to back, so most of them cost one read each.
     pub(crate) fn recv_reply(
         &self,
         session: u32,
         deadline: Option<Duration>,
         buf: &mut [u8],
     ) -> Result<Option<ControlMessage>, ControlError> {
+        let remaining = |deadline: Duration| deadline.saturating_sub(self.clock.now());
         loop {
-            let read = match deadline {
-                Some(deadline) => {
-                    let remaining = deadline.saturating_sub(self.clock.now());
-                    if remaining.is_zero() {
+            if deadline.is_some_and(|d| remaining(d).is_zero()) {
+                return Ok(None);
+            }
+            let read = match (self.socket.try_recv(buf), deadline) {
+                (Err(e), Some(deadline)) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let wait = remaining(deadline);
+                    if wait.is_zero() {
                         return Ok(None);
                     }
-                    self.socket.set_read_timeout(Some(remaining))?;
+                    self.socket.set_read_timeout(Some(wait))?;
                     self.socket.recv(buf)
                 }
-                None => self.socket.try_recv(buf),
+                (read, _) => read,
             };
             match read {
                 Ok(len) => match ControlMessage::decode(&buf[..len]) {
                     Ok(ControlMessage::SynNack { session: s, reason }) if s == session => {
-                        self.note("control_rejected");
+                        self.note(|c| &c.rejected);
                         return Err(ControlError::Rejected { reason });
                     }
                     Ok(msg) if msg.session() == session => return Ok(Some(msg)),
-                    Ok(_) => self.note("control_foreign_session"),
-                    Err(_) => self.note("control_decode_errors"),
+                    Ok(_) => self.note(|c| &c.foreign_session),
+                    Err(_) => self.note(|c| &c.decode_errors),
                 },
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -432,7 +461,7 @@ impl ControlClient {
                     // The window's first request takes places 0..n; every
                     // request after it is a retry.
                     if next_place > 0 {
-                        self.note("control_retries");
+                        self.note(|c| &c.retries);
                     }
                     for &k in &lost[i..j] {
                         place[k] = next_place;
@@ -460,7 +489,7 @@ impl ControlClient {
                     }
                     got[k] = Some(records);
                     missing -= 1;
-                    self.note("report_chunks_fetched");
+                    self.note(|c| &c.chunks_fetched);
                     // The peer is alive: the next wait starts over.
                     backoff = Backoff::new(&self.cfg);
                     wait = backoff.next().expect("backoff is infinite");

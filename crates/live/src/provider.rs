@@ -157,12 +157,7 @@ impl Socket {
     /// `WouldBlock` when none is.
     pub fn try_recv(&self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            Socket::Udp(s) => {
-                s.set_nonblocking(true)?;
-                let got = s.recv(buf);
-                s.set_nonblocking(false)?;
-                got
-            }
+            Socket::Udp(s) => batch_io::try_recv(s, buf),
             Socket::Fault(s) => {
                 let msg = s
                     .try_recv_msg()
@@ -535,6 +530,41 @@ impl SendBatch {
         }
     }
 
+    /// Send `buf` to `dst` as consecutive `seg_bytes` datagrams, the
+    /// last possibly shorter — a window of report chunks encoded back to
+    /// back — from an unconnected socket. Returns how many datagrams
+    /// went out, a prefix (callers loop), with an error referring to the
+    /// first of them. Real UDP sends the prefix as one `UDP_SEGMENT`
+    /// write where it can ([`BatchSender::send_segments_to`]).
+    ///
+    /// The virtual arm splits the buffer and sends every datagram in
+    /// order, like [`SendBatch::send_segments`], so the per-datagram
+    /// fault draws are those of one `send_to` per datagram.
+    pub fn send_segments_to(
+        &mut self,
+        socket: &Socket,
+        buf: &[u8],
+        seg_bytes: usize,
+        dst: SocketAddr,
+    ) -> io::Result<usize> {
+        match (&mut self.inner, socket) {
+            (SendInner::Udp(tx), Socket::Udp(s)) => tx.send_segments_to(s, buf, seg_bytes, dst),
+            (SendInner::Fault { sends, datagrams }, Socket::Fault(s)) => {
+                for seg in buf.chunks(seg_bytes) {
+                    s.send_to(seg, dst)?;
+                }
+                let n = buf.len().div_ceil(seg_bytes);
+                *sends += 1;
+                *datagrams += n as u64;
+                Ok(n)
+            }
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "socket backend does not match this sender",
+            )),
+        }
+    }
+
     /// Send calls (syscalls on the real backend) issued so far.
     pub fn syscalls(&self) -> u64 {
         match &self.inner {
@@ -705,6 +735,46 @@ mod tests {
             out
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn fault_addressed_segment_send_matches_per_datagram_send_to() {
+        // The report-window shape: full segments and a short tail, sent
+        // from an unconnected socket. Split in order, the fault draws
+        // are those of one send_to per datagram.
+        let run = |segmented: bool| -> Vec<(Vec<u8>, Duration)> {
+            let net = FaultNet::new(77);
+            let p = Provider::Fault(net.clone());
+            let rx = p.bind("10.0.0.1:9".parse().unwrap()).unwrap();
+            let tx = p.bind("10.0.0.2:9".parse().unwrap()).unwrap();
+            let dst = rx.local_addr().unwrap();
+            rx.set_read_timeout(Some(Duration::from_millis(10)))
+                .unwrap();
+            let buf: Vec<u8> = (0..5 * 40 + 13).map(|i| (i % 251) as u8).collect();
+            if segmented {
+                let mut sender = SendBatch::new(8, &p);
+                assert_eq!(sender.send_segments_to(&tx, &buf, 40, dst).unwrap(), 6);
+                assert_eq!((sender.syscalls(), sender.datagrams()), (1, 6));
+            } else {
+                for seg in buf.chunks(40) {
+                    tx.send_to(seg, dst).unwrap();
+                }
+            }
+            let mut ring = RecvBatch::new(8, &p);
+            let mut out = Vec::new();
+            while out.len() < 6 {
+                let n = ring.recv(&rx).unwrap();
+                for i in 0..n {
+                    let (data, src) = ring.datagram(i);
+                    assert_eq!(src, tx.local_addr().unwrap());
+                    out.push((data.to_vec(), ring.stamp(i, Duration::ZERO).0));
+                }
+            }
+            out
+        };
+        let got = run(true);
+        assert_eq!(got.last().unwrap().0.len(), 13, "the short tail");
+        assert_eq!(got, run(false));
     }
 
     #[test]

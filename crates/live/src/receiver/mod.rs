@@ -12,7 +12,8 @@
 //! in batches (Linux `recvmmsg` via [`crate::batch_io`], one-datagram
 //! fallback elsewhere), timestamped once per batch, and ingested through
 //! `SessionState::ingest`. Control messages take the slow path and
-//! reply through a reused stack buffer. The batched and fallback paths
+//! reply through the drain thread's reused scratch, a report window as
+//! one segmented write. The batched and fallback paths
 //! produce byte-identical per-session reports for the same arrival
 //! sequence (see the differential tests).
 //!
@@ -90,11 +91,10 @@ use badabing_stats::DelaySketch;
 #[cfg(doc)]
 use badabing_wire::control::RejectReason;
 use badabing_wire::control::{
-    ControlMessage, ReportRecord, ReportSummary, SessionParams, MAX_CONTROL_BYTES,
-    RECORD_FLAG_KERNEL_STAMPED,
+    ControlMessage, ReportRecord, ReportSummary, SessionParams, RECORD_FLAG_KERNEL_STAMPED,
 };
 use badabing_wire::ProbeHeader;
-use control_path::handle_control;
+use control_path::{handle_control, Scratch};
 use session::SessionState;
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -333,16 +333,35 @@ pub enum SessionEnd {
     Stopped,
 }
 
-/// One finished session: its id, how it ended, and its finalized log.
+/// One finished session: its id, how it ended, and its FIN snapshot —
+/// for a completed session exactly what the sender fetched. The
+/// snapshot is kept as the report carries it; [`SessionOutcome::log`]
+/// builds the keyed [`ReceiverLog`] view when one is asked for.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
     /// Session id.
     pub session: u32,
     /// How the session ended.
     pub end: SessionEnd,
-    /// The session's finalized log. For a completed session this is the
-    /// FIN snapshot — exactly what the sender fetched.
-    pub log: ReceiverLog,
+    /// The report summary (the FIN-ACK's).
+    pub summary: ReportSummary,
+    /// One record per probe that arrived, in `(experiment, slot)`
+    /// order: the chunks the sender fetched, concatenated.
+    pub records: Vec<ReportRecord>,
+    /// The tool parameters the opening SYN announced.
+    pub handshake: SessionParams,
+}
+
+impl SessionOutcome {
+    /// The session's finalized log, built from the snapshot: the
+    /// sender-side [`ReceiverLog::from_report`] of its summary and
+    /// records, with the handshake.
+    pub fn log(&self) -> ReceiverLog {
+        ReceiverLog {
+            handshake: Some(self.handshake),
+            ..ReceiverLog::from_report(self.summary, &self.records)
+        }
+    }
 }
 
 /// Everything a server run produced.
@@ -391,12 +410,13 @@ pub struct ServerReport {
 }
 
 impl ServerReport {
-    /// The finalized log of `session`, if it finished during this run.
-    pub fn log_for(&self, session: u32) -> Option<&ReceiverLog> {
+    /// The finalized log of `session`, if it finished during this run,
+    /// built from its snapshot ([`SessionOutcome::log`]).
+    pub fn log_for(&self, session: u32) -> Option<ReceiverLog> {
         self.sessions
             .iter()
             .find(|o| o.session == session)
-            .map(|o| &o.log)
+            .map(SessionOutcome::log)
     }
 }
 
@@ -777,12 +797,12 @@ fn publish_fleet_gauges(shared: &Shared<'_>, metrics: &Registry) {
 /// timestamp per batch, probe fast path into its own registry shard,
 /// control messages on the slow path. Every backend runs this one loop;
 /// an idle thread wakes once per receive wait, and a stop wakes a real
-/// socket's thread at once. All reply encoding goes through a reused stack buffer — the
-/// steady-state probe path allocates nothing per datagram. Thread 0
-/// also runs the watchdog.
+/// socket's thread at once. All reply encoding goes through the
+/// thread's reused scratch — the steady-state probe path allocates
+/// nothing per datagram. Thread 0 also runs the watchdog.
 fn drain_loop(shared: &Shared<'_>, me: usize) {
     let mut ring = RecvBatch::new(DEFAULT_RECV_BATCH, &shared.cfg.provider);
-    let mut scratch = [0u8; MAX_CONTROL_BYTES];
+    let mut scratch = Scratch::new(&shared.cfg.provider);
     // Only thread 0 ever arms it.
     let mut next_sweep: Option<Duration> = None;
     let socket = &shared.sockets[me];
@@ -886,7 +906,7 @@ fn process_batch(
     n: usize,
     batch_abs: Duration,
     me: usize,
-    scratch: &mut [u8; MAX_CONTROL_BYTES],
+    scratch: &mut Scratch,
 ) {
     let mut tally = Tally::default();
     for i in 0..n {

@@ -30,9 +30,10 @@
 //! harmless by construction — records are keyed by `(experiment, slot)`,
 //! not arrival order.
 
-use super::{ReceiverLog, SessionEnd, SessionOutcome};
+use super::{SessionEnd, SessionOutcome};
 use crate::provider::TimestampSource;
 use crate::session_table::{Footprint, RawDelay, SessionTable};
+use crate::skew::{fit_baseline, Baseline};
 use badabing_core::estimator::Estimates;
 use badabing_metrics::Histogram;
 use badabing_stats::DelaySketch;
@@ -227,19 +228,16 @@ impl SessionState {
     /// The clock baseline is fitted over the whole session and turns
     /// raw delays into queueing delays (§7): a running minimum would
     /// bias early records upward, and min-subtraction alone would let
-    /// clock skew masquerade as queueing delay on long runs.
-    /// Every queueing delay lands in `qdelay` on the way.
+    /// clock skew masquerade as queueing delay on long runs. The fit
+    /// reads the raw-delay series in place, and every queueing delay
+    /// lands in `qdelay` as one batch.
     pub(super) fn finalize(&mut self, rejected: u64, qdelay: &Histogram) -> &Finalized {
         if self.finalized.is_none() {
-            let points: Vec<(f64, f64)> = self
-                .raw_delays
-                .iter()
-                .map(|&(_, _, t, raw)| (t, raw as f64 / 1e9))
-                .collect();
-            let baseline = crate::skew::fit_baseline(&points).unwrap_or(crate::skew::Baseline {
-                offset: 0.0,
-                slope: 0.0,
-            });
+            let baseline = fit_baseline(&self.raw_delays, |&(_, _, t, raw)| (t, raw as f64 / 1e9))
+                .unwrap_or(Baseline {
+                    offset: 0.0,
+                    slope: 0.0,
+                });
             let records = self.table.finish(&self.raw_delays, &baseline, qdelay);
             self.finalized = Some(Finalized {
                 records,
@@ -254,6 +252,8 @@ impl SessionState {
         self.finalized.as_ref().expect("just finalized")
     }
 
+    /// The session's outcome: its FIN snapshot (finalized now if no
+    /// FIN came) and the handshake, moved out as they are.
     pub(super) fn into_outcome(
         mut self,
         session: u32,
@@ -262,12 +262,14 @@ impl SessionState {
         qdelay: &Histogram,
     ) -> SessionOutcome {
         self.finalize(rejected, qdelay);
-        let f = self.finalized.expect("just finalized");
-        let log = ReceiverLog {
-            handshake: Some(self.handshake),
-            ..ReceiverLog::from_report(f.summary, &f.records)
-        };
-        SessionOutcome { session, end, log }
+        let Finalized { records, summary } = self.finalized.expect("just finalized");
+        SessionOutcome {
+            session,
+            end,
+            summary,
+            records,
+            handshake: self.handshake,
+        }
     }
 }
 
@@ -451,7 +453,7 @@ pub(super) mod reference {
                 .iter()
                 .map(|&(_, _, t, raw)| (t, raw as f64 / 1e9))
                 .collect();
-            let b = crate::skew::fit_baseline(&points).unwrap_or(crate::skew::Baseline {
+            let b = crate::skew::fit_baseline(&points, |&p| p).unwrap_or(crate::skew::Baseline {
                 offset: 0.0,
                 slope: 0.0,
             });

@@ -9,7 +9,9 @@ use super::session::reference::{
 };
 use super::*;
 use crate::alloc_count;
-use badabing_wire::control::{chunk_window, encode_report_chunk_into, EstimateScope, RejectReason};
+use badabing_wire::control::{
+    chunk_window, encode_report_chunk_into, EstimateScope, RejectReason, MAX_CONTROL_BYTES,
+};
 use std::collections::BTreeSet;
 use std::net::UdpSocket;
 
@@ -422,7 +424,7 @@ fn idle_session_is_reaped_and_the_server_keeps_serving() {
     let ends: Vec<(u32, SessionEnd, u64)> = report
         .sessions
         .iter()
-        .map(|o| (o.session, o.end, o.log.packets))
+        .map(|o| (o.session, o.end, o.summary.packets))
         .collect();
     assert_eq!(
         ends,
@@ -783,7 +785,7 @@ fn one_sender_socket_spreads_sessions_by_id() {
     assert_eq!(report.sessions.len(), 2);
     for outcome in &report.sessions {
         assert_eq!(
-            outcome.log.packets, 20,
+            outcome.summary.packets, 20,
             "session {} dropped packets",
             outcome.session
         );
@@ -951,4 +953,63 @@ fn every_hostile_key_spills_and_matches_the_model() {
         fp.spill_probes > 0 && fp.spill_seen > 0 && fp.spill_exps > 0,
         "{fp:?}"
     );
+}
+
+/// A finished session keeps its FIN snapshot as it was served: its
+/// `log()` is the sender-side `ReceiverLog::from_report` of the fetched
+/// summary and records, with the handshake, and saves to the same bytes.
+#[test]
+fn outcome_log_is_the_fetched_report_with_its_handshake() {
+    let rig = rig(21, |c| c);
+    rig.open(8);
+    let mut seq = 0;
+    for exp in 0..40u64 {
+        for slot in [2 * exp, 2 * exp + 1] {
+            // Every sixth experiment loses its probes' second packet.
+            let packets = if exp % 6 == 5 { 1 } else { 2 };
+            for idx in 0..packets {
+                let h = ProbeHeader {
+                    send_ns: 1_000 * seq,
+                    idx,
+                    probe_len: 2,
+                    ..probe(8, exp, slot, seq)
+                };
+                rig.send(&h, 64);
+                if exp % 7 == 3 {
+                    rig.send(&h, 64);
+                }
+                seq += 1;
+            }
+        }
+        rig.clock.sleep(Duration::from_millis(3));
+    }
+    rig.clock.sleep(Duration::from_millis(20));
+    let (summary, records) = rig.client.fetch_report(8, 80, seq).unwrap();
+    assert_eq!(records.len(), 80);
+    assert!(summary.duplicates > 0);
+    let report = rig.finish();
+    let outcome = &report.sessions[0];
+    assert_eq!((outcome.session, outcome.end), (8, SessionEnd::Completed));
+    assert_eq!(outcome.summary, summary);
+    assert_eq!(outcome.records, records);
+
+    let fetched = ReceiverLog {
+        handshake: Some(params()),
+        ..ReceiverLog::from_report(summary, &records)
+    };
+    let log = outcome.log();
+    assert_eq!(log.handshake, fetched.handshake);
+    assert_eq!(log.summary(), fetched.summary());
+    assert_eq!(log.to_records(), records);
+    let saved = |log: &ReceiverLog, name: &str| {
+        let dir = std::env::temp_dir().join(format!("badabing-outcome-log-{name}"));
+        let path = dir.join("log.json");
+        log.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    };
+    assert_eq!(saved(&log, "outcome"), saved(&fetched, "fetched"));
+    let by_id = report.log_for(8).expect("session 8 finished");
+    assert_eq!(saved(&by_id, "by-id"), saved(&fetched, "fetched-again"));
 }

@@ -433,21 +433,22 @@ impl SessionTable {
     /// FIN: convert each raw delay into queueing delay under `baseline`
     /// (§7), keep every probe's latest and largest, and return one
     /// record per probe that accepted a packet, in (experiment, slot)
-    /// order, recording each queueing delay in `qdelay_hist`. Call once
-    /// per session.
+    /// order, recording each queueing delay in `qdelay_hist`. The delays
+    /// reach the histogram as one batch, published once, not one atomic
+    /// round per delay. Call once per session.
     pub fn finish(
         &mut self,
         raw_delays: &[RawDelay],
         baseline: &Baseline,
         qdelay_hist: &Histogram,
     ) -> Vec<ReportRecord> {
-        for &(exp, slot, t, raw) in raw_delays {
+        qdelay_hist.record_secs_batch(raw_delays.iter().map(|&(exp, slot, t, raw)| {
             let q = baseline.correct(t, raw as f64 / 1e9);
-            qdelay_hist.record_secs(q);
             let (p, _) = self.probe_mut(exp, slot);
             p.qdelay_last = q;
             p.qdelay_max = p.qdelay_max.max(q);
-        }
+            q
+        }));
         let arrived = |p: &&ProbeArrivals| !p.seen_idx.is_empty();
         let dense = self
             .cells

@@ -46,8 +46,13 @@ impl Baseline {
     }
 }
 
-/// Fit the lower-envelope clock line to `(receiver time, raw delay)`
-/// points. Returns `None` for an empty input.
+/// Fit the lower-envelope clock line to a series of `(receiver time,
+/// raw delay)` points, read from each sample through `point`: the
+/// receiver fits its raw-delay records in place, with no copy of the
+/// series. Returns `None` for an empty input.
+///
+/// Three passes: the global minimum and time range together, both
+/// window minima together, then the envelope guard.
 ///
 /// Robustness notes:
 /// * with fewer than 8 points, or a run too short to resolve a slope
@@ -57,37 +62,43 @@ impl Baseline {
 /// * the fit never reports a baseline above any sample by more than
 ///   numerical error, so corrected delays are non-negative by
 ///   construction.
-pub fn fit_baseline(points: &[(f64, f64)]) -> Option<Baseline> {
-    if points.is_empty() {
+pub fn fit_baseline<T>(samples: &[T], point: impl Fn(&T) -> (f64, f64)) -> Option<Baseline> {
+    if samples.is_empty() {
         return None;
     }
-    let global_min = points.iter().map(|&(_, d)| d).fold(f64::INFINITY, f64::min);
-    let (t_min, t_max) = points
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &(t, _)| {
-            (lo.min(t), hi.max(t))
-        });
+    let (global_min, t_min, t_max) = samples.iter().map(&point).fold(
+        (f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY),
+        |(d_lo, lo, hi), (t, d)| (d_lo.min(d), lo.min(t), hi.max(t)),
+    );
 
-    if points.len() < 8 || t_max - t_min < 1.0 {
+    if samples.len() < 8 || t_max - t_min < 1.0 {
         return Some(Baseline {
             offset: global_min,
             slope: 0.0,
         });
     }
 
-    // Minimum point of the first third and of the last third.
+    // Minimum point of the first third and of the last third (the
+    // earliest on a tie, as `Iterator::min_by` picks it).
     let span = t_max - t_min;
     let first_end = t_min + span / 3.0;
     let last_start = t_max - span / 3.0;
-    let min_in = |lo: f64, hi: f64| -> Option<(f64, f64)> {
-        points
-            .iter()
-            .filter(|&&(t, _)| t >= lo && t <= hi)
-            .copied()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
+    let keep_lower = |best: &mut Option<(f64, f64)>, p: (f64, f64)| {
+        if best.is_none_or(|b| p.1.total_cmp(&b.1).is_lt()) {
+            *best = Some(p);
+        }
     };
-    let (t1, d1) = min_in(t_min, first_end)?;
-    let (t2, d2) = min_in(last_start, t_max)?;
+    let (mut first, mut last) = (None, None);
+    for p @ (t, _) in samples.iter().map(&point) {
+        if t >= t_min && t <= first_end {
+            keep_lower(&mut first, p);
+        }
+        if t >= last_start && t <= t_max {
+            keep_lower(&mut last, p);
+        }
+    }
+    let (t1, d1) = first?;
+    let (t2, d2) = last?;
     if (t2 - t1).abs() < 1.0 {
         return Some(Baseline {
             offset: global_min,
@@ -99,9 +110,10 @@ pub fn fit_baseline(points: &[(f64, f64)]) -> Option<Baseline> {
 
     // Guard: if the fitted line sits above some sample (e.g. both window
     // minima were congested), lower it to touch the envelope.
-    let undershoot = points
+    let undershoot = samples
         .iter()
-        .map(|&(t, d)| d - (offset + slope * t))
+        .map(&point)
+        .map(|(t, d)| d - (offset + slope * t))
         .fold(f64::INFINITY, f64::min);
     let offset = if undershoot < 0.0 {
         offset + undershoot
@@ -114,6 +126,10 @@ pub fn fit_baseline(points: &[(f64, f64)]) -> Option<Baseline> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fit(points: &[(f64, f64)]) -> Option<Baseline> {
+        fit_baseline(points, |&p| p)
+    }
 
     fn synthetic(
         n: usize,
@@ -140,7 +156,7 @@ mod tests {
                 0.0
             }
         });
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         assert!(b.slope.abs() < 1e-9);
         for &(t, raw) in &pts {
             let q = b.correct(t, raw);
@@ -163,7 +179,7 @@ mod tests {
                 0.0005
             }
         });
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         assert!((b.slope - 20e-6).abs() < 2e-6, "slope {}", b.slope);
         // Congested samples read ~80 ms after correction, idle ~0.5 ms.
         for &(t, raw) in &pts {
@@ -179,7 +195,7 @@ mod tests {
     #[test]
     fn short_runs_fall_back_to_min_subtraction() {
         let pts = synthetic(5, 0.5, 2.0, 1e-3, |_| 0.0);
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         assert_eq!(b.slope, 0.0);
         let min_corrected = pts
             .iter()
@@ -193,7 +209,7 @@ mod tests {
         // "Never negative" up to float rounding: correct() is unclamped,
         // so envelope samples may read a few ULPs below zero.
         let pts = synthetic(500, 120.0, -7.0, -15e-6, |t| (t.sin().abs()) * 0.05);
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         for &(t, raw) in &pts {
             let q = b.correct(t, raw);
             assert!(q >= -1e-9, "residual {q} below numerical error");
@@ -212,7 +228,7 @@ mod tests {
             10e-6,
             |t| if t < 120.0 { 0.05 } else { 0.0 },
         );
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         for &(t, raw) in &pts {
             let q = b.correct(t, raw);
             assert!(q >= -1e-9, "residual {q} below numerical error");
@@ -231,7 +247,7 @@ mod tests {
                 0.0002
             }
         });
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         assert!((b.slope + 25e-6).abs() < 2e-6, "slope {}", b.slope);
         for &(t, raw) in &pts {
             let q = b.correct(t, raw);
@@ -258,7 +274,7 @@ mod tests {
                 0.0
             }
         });
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         let mut idle_max = 0.0f64;
         for &(t, raw) in &pts {
             let q = b.correct(t, raw);
@@ -277,7 +293,7 @@ mod tests {
         // skew: slope estimation from a < 1 s lever arm would amplify
         // noise, so the fit must fall back to offset-only.
         let pts = synthetic(200, 0.9, 1.5, 100e-6, |t| if t > 0.5 { 0.02 } else { 0.0 });
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         assert_eq!(b.slope, 0.0, "sub-second run must not fit a slope");
         let min_corrected = pts
             .iter()
@@ -302,7 +318,7 @@ mod tests {
                 0.0002
             }
         });
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         assert!((b.slope + 1e-3).abs() < 1e-5, "slope {}", b.slope);
         for &(t, raw) in &pts {
             let q = b.correct(t, raw);
@@ -322,7 +338,7 @@ mod tests {
         // offset-only rather than draw a line through noise.
         let pts = synthetic(7, 30.0, 2.0, 50e-6, |_| 0.001);
         assert_eq!(pts.len(), 7);
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         assert_eq!(b.slope, 0.0, "7-point run must not fit a slope");
         let min_corrected = pts
             .iter()
@@ -350,7 +366,7 @@ mod tests {
                 (t, congestion + 3.0 + 20e-6 * t)
             })
             .collect();
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         assert_eq!(b.slope, 0.0, "same-second minima must not fit a slope");
         // Offset-only fallback still touches the envelope: the global
         // minimum corrects to ~0 and nothing goes negative.
@@ -363,7 +379,117 @@ mod tests {
 
     #[test]
     fn empty_input_is_none() {
-        assert_eq!(fit_baseline(&[]), None);
+        assert_eq!(fit(&[]), None);
+    }
+
+    /// The fit as it was written over a copied point series, one pass
+    /// per statistic: the reference the in-place fit must match
+    /// bit for bit.
+    fn reference_fit(points: &[(f64, f64)]) -> Option<Baseline> {
+        if points.is_empty() {
+            return None;
+        }
+        let global_min = points.iter().map(|&(_, d)| d).fold(f64::INFINITY, f64::min);
+        let (t_min, t_max) = points
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &(t, _)| {
+                (lo.min(t), hi.max(t))
+            });
+        if points.len() < 8 || t_max - t_min < 1.0 {
+            return Some(Baseline {
+                offset: global_min,
+                slope: 0.0,
+            });
+        }
+        let span = t_max - t_min;
+        let first_end = t_min + span / 3.0;
+        let last_start = t_max - span / 3.0;
+        let min_in = |lo: f64, hi: f64| -> Option<(f64, f64)> {
+            points
+                .iter()
+                .filter(|&&(t, _)| t >= lo && t <= hi)
+                .copied()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+        };
+        let (t1, d1) = min_in(t_min, first_end)?;
+        let (t2, d2) = min_in(last_start, t_max)?;
+        if (t2 - t1).abs() < 1.0 {
+            return Some(Baseline {
+                offset: global_min,
+                slope: 0.0,
+            });
+        }
+        let slope = (d2 - d1) / (t2 - t1);
+        let offset = d1 - slope * t1;
+        let undershoot = points
+            .iter()
+            .map(|&(t, d)| d - (offset + slope * t))
+            .fold(f64::INFINITY, f64::min);
+        let offset = if undershoot < 0.0 {
+            offset + undershoot
+        } else {
+            offset
+        };
+        Some(Baseline { offset, slope })
+    }
+
+    #[test]
+    fn in_place_fit_is_bit_identical_to_the_copied_fit() {
+        // Raw-delay records as the receiver holds them: (experiment,
+        // slot, receiver time, raw delay in ns). Series cover both
+        // fallbacks, congested windows, ties on the window minima, and
+        // arrivals out of time order.
+        let mut series: Vec<Vec<(u64, u64, f64, i64)>> = vec![
+            vec![(0, 0, 0.5, 1_000)],
+            (0..7)
+                .map(|i| (i, i, i as f64 * 5.0, 2_000 + i as i64))
+                .collect(),
+            (0..200)
+                .map(|i| (i, i, i as f64 * 0.004, 3_000_000 - i as i64))
+                .collect(),
+        ];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for (n, span) in [(600, 300.0), (5_000, 30.0), (2_000, 600.0)] {
+            series.push(
+                (0..n)
+                    .map(|i| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        // Jittered, partly reordered times; delays on a
+                        // skewed line plus congestion, with many ties.
+                        let t = (i as f64 + (state % 3) as f64) * span / n as f64;
+                        let skew = (t * 20e3) as i64;
+                        let queue = ((state >> 20) % 4) as i64 * 250_000;
+                        (i as u64, i as u64, t, 5_000_000 + skew + queue)
+                    })
+                    .collect(),
+            );
+        }
+        for raw in &series {
+            let points: Vec<(f64, f64)> = raw
+                .iter()
+                .map(|&(_, _, t, d)| (t, d as f64 / 1e9))
+                .collect();
+            let want = reference_fit(&points).unwrap();
+            for got in [
+                fit(&points).unwrap(),
+                fit_baseline(raw, |&(_, _, t, d)| (t, d as f64 / 1e9)).unwrap(),
+            ] {
+                assert_eq!(
+                    got.offset.to_bits(),
+                    want.offset.to_bits(),
+                    "{} points",
+                    raw.len()
+                );
+                assert_eq!(
+                    got.slope.to_bits(),
+                    want.slope.to_bits(),
+                    "{} points",
+                    raw.len()
+                );
+            }
+        }
     }
 
     /// A delay series mixing kernel-stamped and userspace-stamped
@@ -406,7 +532,7 @@ mod tests {
         let offset = 2.0;
         let skew = 30e-6;
         let pts = mixed_source(600, 300.0, offset, skew, 5, |r| (r % 400) as f64 * 1e-6);
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         assert!((b.slope - skew).abs() < 1e-6, "slope {}", b.slope);
         assert!((b.offset - offset).abs() < 1e-4, "offset {}", b.offset);
         for &(t, raw) in &pts {
@@ -426,8 +552,8 @@ mod tests {
         let mixed = mixed_source(400, 200.0, 1.25, -15e-6, 3, |r| {
             50e-6 + (r % 300) as f64 * 1e-6
         });
-        let bk = fit_baseline(&kernel).unwrap();
-        let bm = fit_baseline(&mixed).unwrap();
+        let bk = fit(&kernel).unwrap();
+        let bm = fit(&mixed).unwrap();
         assert!(
             (bk.slope - bm.slope).abs() < 1e-6,
             "slopes diverged: kernel {} vs mixed {}",
@@ -448,7 +574,7 @@ mod tests {
         // staleness. Accuracy necessarily suffers, but the fit's own
         // invariant — no residual below numerical error — must hold.
         let pts = mixed_source(300, 150.0, 0.8, 40e-6, 1, |r| (r % 1000) as f64 * 1e-6);
-        let b = fit_baseline(&pts).unwrap();
+        let b = fit(&pts).unwrap();
         for &(t, raw) in &pts {
             assert!(b.correct(t, raw) >= -1e-9);
         }

@@ -292,6 +292,64 @@ fn coalesced_and_separate_senders_agree_end_to_end() {
     );
 }
 
+/// One session of `probes` probes on a receiver forced to `io`, fetched
+/// by a `ControlClient`: the summary and records the client fetched,
+/// and the FIN snapshot the receiver kept.
+fn served_leg(io: IoMode, session: u32, probes: u64) -> [(ReportSummary, Vec<ReportRecord>); 2] {
+    let server = start_server(ServerConfig {
+        provider: Provider::Udp(io),
+        ..ServerConfig::any(local0(), 4)
+    })
+    .unwrap();
+    let target = server.local_addr();
+    let client = ControlClient::connect(ControlConfig::new(target), None).unwrap();
+    client.handshake(session, params(probes)).unwrap();
+    let sock = UdpSocket::bind(local0()).unwrap();
+    sock.connect(target).unwrap();
+    let (buf, count) = probe_stream(session, probes);
+    // A few hundred datagrams at a time, each batch drained before the
+    // next: the one-datagram receiver must lose nothing either.
+    for part in buf.chunks(256 * PACKET_BYTES) {
+        send_stream(&sock, part, false);
+        drained(&client, session);
+    }
+    let fetched = client
+        .fetch_report(session, probes, count as u64)
+        .expect("report fetch");
+    let report = server.stop();
+    let outcome = report
+        .sessions
+        .iter()
+        .find(|o| o.session == session)
+        .expect("the session finished");
+    [fetched, (outcome.summary, outcome.records.clone())]
+}
+
+/// The report-serving path must be invisible to the records: a batched
+/// receiver (one `UDP_SEGMENT` write per window where the kernel has
+/// it) and a fallback receiver (one `send_to` per chunk) each serve
+/// exactly their FIN snapshot, over two windows with a short last
+/// chunk, and the two agree on every probe's key and counts.
+#[test]
+fn batched_and_fallback_receivers_serve_identical_records() {
+    // 35 chunks: a full window, then three chunks, the last holding 12
+    // records.
+    let probes = 1_100;
+    let [batched, batched_kept] = served_leg(IoMode::Batched, 0xE1, probes);
+    let [fallback, fallback_kept] = served_leg(IoMode::Fallback, 0xE2, probes);
+    assert_eq!(batched, batched_kept, "batched: fetched = FIN snapshot");
+    assert_eq!(fallback, fallback_kept, "fallback: fetched = FIN snapshot");
+    let (_, count) = probe_stream(0, probes);
+    for (name, (summary, records)) in [("batched", &batched), ("fallback", &fallback)] {
+        assert_eq!(
+            summary.packets, count as u64,
+            "{name}: loopback loses nothing"
+        );
+        assert_eq!(summary.duplicates, 0, "{name}");
+        assert_eq!(keys_and_counts(records), stream_keys(probes), "{name}");
+    }
+}
+
 /// GRO coalesces by 4-tuple, not by session: one `UDP_SEGMENT` send
 /// whose segments carry probes of session 0 and then session 1 reaches
 /// one reuseport member whole, so on a two-drain-thread receiver one

@@ -172,10 +172,11 @@ fn full_session_completes_on_a_clean_virtual_net() {
     // the handshake the report does not carry.
     let server = run.server.expect("server recorded the session");
     assert_eq!(server.end, SessionEnd::Completed);
-    assert_eq!(server.log.summary(), log.summary());
-    assert!(server.log.min_raw_delay_ns.is_some());
-    assert_eq!(server.log.to_records(), log.to_records());
-    assert_eq!(server.log.handshake.map(|p| p.n_slots), Some(400));
+    let server_log = server.log();
+    assert_eq!(server_log.summary(), log.summary());
+    assert!(server_log.min_raw_delay_ns.is_some());
+    assert_eq!(server_log.to_records(), log.to_records());
+    assert_eq!(server_log.handshake.map(|p| p.n_slots), Some(400));
     let manifest = outcome.manifest;
     assert!(!manifest.sent.is_empty());
     assert_eq!(manifest.packets_refused, 0);
@@ -232,7 +233,7 @@ fn report_survives_idle_timeout_shorter_than_drain() {
     // The session ends via the closing ReportAck, not the watchdog.
     let server = a.server.as_ref().expect("server recorded the session");
     assert_eq!(server.end, SessionEnd::Completed);
-    assert_eq!(server.log.packets, fetched.packets);
+    assert_eq!(server.log().packets, fetched.packets);
     assert_eq!(a.metrics.counter("sessions_idle_reaped").get(), 0);
 
     let b = run();
@@ -382,7 +383,11 @@ fn duplicated_and_reordered_datagrams_leave_loss_accounting_unchanged() {
     let a = run();
     let outcome = &a.outcome;
     assert!(outcome.completed, "{:?}", outcome.diagnostics);
-    let log = &a.server.as_ref().expect("server recorded the session").log;
+    let log = &a
+        .server
+        .as_ref()
+        .expect("server recorded the session")
+        .log();
 
     assert!(log.duplicates > 0, "the link injected duplicates");
     assert_eq!(
@@ -406,7 +411,7 @@ fn duplicated_and_reordered_datagrams_leave_loss_accounting_unchanged() {
         format!("{:?}", outcome.manifest),
         "same seed must give an identical manifest"
     );
-    let again = &b.server.as_ref().expect("rerun recorded the session").log;
+    let again = &b.server.as_ref().expect("rerun recorded the session").log();
     assert_eq!(
         report_chunk_bytes(again),
         report_chunk_bytes(log),
@@ -883,7 +888,7 @@ fn tied_run(ties: Option<(Duration, Duration)>) -> TiedRun {
         .iter()
         .find(|o| o.session == SESSION)
         .expect("the run's session")
-        .log;
+        .log();
     let min_raw = log.min_raw_delay_ns.expect("probes arrived");
     TiedRun {
         manifest_file: manifest_file_bytes(&outcome.manifest, "tied"),
@@ -987,7 +992,7 @@ fn zero_record_session_completes_cleanly() {
         "session must complete via the closing ReportAck, not the watchdog"
     );
     assert_eq!(report.sessions[0].end, SessionEnd::Completed);
-    assert!(report.sessions[0].log.arrivals.is_empty());
+    assert!(report.sessions[0].log().arrivals.is_empty());
 
     // Loss accounting off the manifest alone: everything sent was lost.
     let analysis = analyze_run(&fast_tool(), &outcome.manifest, fetched);
@@ -1136,7 +1141,7 @@ fn wide_area_fetch(seed: u64) -> WideAreaFetch {
         total_chunks,
         windowed: record_bytes(&windowed),
         by_hand: record_bytes(&by_hand),
-        server: record_bytes(&outcome.log.to_records()),
+        server: record_bytes(&outcome.log().to_records()),
         windowed_time,
         by_hand_time,
     }

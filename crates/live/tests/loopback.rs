@@ -110,7 +110,7 @@ fn clean_path_reports_no_congestion() {
     let log = report.log_for(session).expect("session log");
     assert_eq!(log.rejected, 0);
     assert_eq!(log.duplicates, 0);
-    let analysis = analyze_run(&tool, &outcome.manifest, log);
+    let analysis = analyze_run(&tool, &outcome.manifest, &log);
     assert_eq!(
         analysis.packets_lost, 0,
         "loopback without emulator loses nothing"
@@ -152,7 +152,7 @@ fn emulated_bottleneck_produces_loss_episodes() {
     assert!(stats.dropped > 0, "emulator dropped nothing");
 
     let log = report.log_for(session).expect("session log");
-    let analysis = analyze_run(&tool, &outcome.manifest, log);
+    let analysis = analyze_run(&tool, &outcome.manifest, &log);
     assert!(analysis.packets_lost > 0);
     let f = analysis.frequency().expect("nonempty run");
     assert!(f > 0.0, "estimated frequency should be positive");
@@ -193,7 +193,7 @@ fn control_plane_runs_the_full_session() {
     );
     let report = receiver.stop();
     assert_eq!(report.sessions[0].end, SessionEnd::Completed);
-    let local = &report.sessions[0].log;
+    let local = report.sessions[0].log();
     assert_eq!(local.handshake.map(|p| p.n_slots), Some(400));
 
     // The fetched report and the receiver's own log agree.

@@ -293,5 +293,5 @@ fn probes_for_unregistered_sessions_are_rejected() {
     assert_eq!(report.rejected, 1, "unknown-session probe rejected");
     assert_eq!(report.sessions.len(), 1);
     assert_eq!(report.sessions[0].session, 42);
-    assert_eq!(report.sessions[0].log.packets, 2);
+    assert_eq!(report.sessions[0].summary.packets, 2);
 }

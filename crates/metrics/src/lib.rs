@@ -14,7 +14,9 @@
 //! 2. **Hot-path cheap.** Counters are single relaxed atomic adds;
 //!    histogram recording is two atomic adds plus a branch-free bucket
 //!    search over a handful of fixed bounds. No locks are taken after
-//!    registration.
+//!    registration. A path that records a whole series at once folds it
+//!    locally and publishes it with one
+//!    [`Histogram::record_secs_batch`].
 //! 3. **Shareable.** Handles are `Arc`s; a component can hand the same
 //!    counter to several threads.
 //!
@@ -124,6 +126,16 @@ pub const LATENCY_BOUNDS_SECS: [f64; 30] = [
     1e-2, 2e-2, 4e-2, 7e-2, 1e-1, 2e-1, 4e-1, 7e-1, 1.0, 2.0, 4.0, 7.0, 10.0, 30.0,
 ];
 
+/// A duration in seconds as recorded nanoseconds: negative values clamp
+/// to zero, values past `u64::MAX` ns saturate.
+fn secs_to_ns(secs: f64) -> u64 {
+    if secs <= 0.0 {
+        0
+    } else {
+        (secs * 1e9).min(u64::MAX as f64) as u64
+    }
+}
+
 impl Histogram {
     /// A histogram with the given upper bucket edges (seconds, ascending).
     ///
@@ -160,22 +172,54 @@ impl Histogram {
 
     /// Record a duration in seconds (negative values clamp to zero).
     pub fn record_secs(&self, secs: f64) {
-        let ns = if secs <= 0.0 {
-            0
-        } else {
-            (secs * 1e9).min(u64::MAX as f64) as u64
-        };
-        self.record_ns(ns);
+        self.record_ns(secs_to_ns(secs));
     }
 
     /// Record a duration in nanoseconds.
     pub fn record_ns(&self, ns: u64) {
-        let idx = self.bounds_ns.partition_point(|&b| b < ns);
+        let idx = self.bucket_of(ns);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.min_ns.fetch_min(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
+    }
+
+    /// Record every duration of `samples` (seconds), leaving the
+    /// histogram exactly as [`Histogram::record_secs`] on each would.
+    /// The samples are folded into a local tally first and published
+    /// once: one atomic add per touched bucket plus four for the whole
+    /// batch, instead of five atomic updates (two of them CAS loops)
+    /// per sample. An empty batch changes nothing.
+    pub fn record_secs_batch(&self, samples: impl IntoIterator<Item = f64>) {
+        let mut buckets = vec![0u64; self.buckets.len()];
+        let (mut count, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
+        for secs in samples {
+            let ns = secs_to_ns(secs);
+            buckets[self.bucket_of(ns)] += 1;
+            count += 1;
+            // Wraps like the atomic add it stands in for.
+            sum = sum.wrapping_add(ns);
+            min = min.min(ns);
+            max = max.max(ns);
+        }
+        if count == 0 {
+            return;
+        }
+        for (slot, n) in self.buckets.iter().zip(buckets) {
+            if n > 0 {
+                slot.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum_ns.fetch_add(sum, Ordering::Relaxed);
+        self.min_ns.fetch_min(min, Ordering::Relaxed);
+        self.max_ns.fetch_max(max, Ordering::Relaxed);
+    }
+
+    /// The bucket `ns` lands in: the first whose edge is not below it.
+    fn bucket_of(&self, ns: u64) -> usize {
+        self.bounds_ns.partition_point(|&b| b < ns)
     }
 
     /// Samples recorded so far.
@@ -564,6 +608,64 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(json::parse(&text).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The batch fold must leave the snapshot byte-identical to
+    /// recording the same samples one by one: zero and negative clamps,
+    /// the overflow bucket, and a saturating sample included.
+    #[test]
+    fn batch_fold_matches_one_by_one_recording() {
+        let samples = [
+            0.0005,
+            0.001,
+            -3.0,
+            0.0,
+            0.005,
+            0.5,
+            2e-9,
+            0.05,
+            f64::MAX,
+            0.009,
+        ];
+        let bounds = [0.001, 0.01, 0.1];
+        let one = Registry::new("fold");
+        let h = one.histogram_with("q", &bounds);
+        for s in samples {
+            h.record_secs(s);
+        }
+        let batch = Registry::new("fold");
+        batch
+            .histogram_with("q", &bounds)
+            .record_secs_batch(samples);
+        assert_eq!(batch.snapshot_json(), one.snapshot_json());
+
+        // Folding onto samples already recorded merges like more
+        // one-by-one records, in either order.
+        h.record_secs(0.02);
+        let b = batch.histogram_with("q", &bounds);
+        b.record_secs(0.02);
+        for s in [0.0002, 0.3] {
+            h.record_secs(s);
+        }
+        b.record_secs_batch([0.0002, 0.3]);
+        assert_eq!(batch.snapshot_json(), one.snapshot_json());
+    }
+
+    #[test]
+    fn an_empty_batch_moves_nothing() {
+        let reg = Registry::new("empty");
+        let h = reg.histogram("q");
+        h.record_secs_batch([]);
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.min_ns.load(Ordering::Relaxed), u64::MAX);
+        let fresh = Registry::new("empty");
+        fresh.histogram("q");
+        assert_eq!(reg.snapshot_json(), fresh.snapshot_json());
+        // Nor does it drag an existing min down to a phantom zero.
+        h.record_secs(0.25);
+        h.record_secs_batch(std::iter::empty());
+        assert_eq!(h.min_ns.load(Ordering::Relaxed), 250_000_000);
+        assert_eq!(h.count(), 1);
     }
 
     #[test]
