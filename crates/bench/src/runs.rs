@@ -8,9 +8,10 @@
 
 use crate::runner::{self, MeanSd};
 use crate::scenarios::{self, Scenario, PROBE_FLOW, ZING_FLOW};
+use badabing_core::analysis::Analysis;
 use badabing_core::config::BadabingConfig;
 use badabing_metrics::Registry;
-use badabing_probe::badabing::{BadabingAnalysis, BadabingHarness, BadabingProber};
+use badabing_probe::badabing::{BadabingHarness, BadabingProber};
 use badabing_probe::zing::{attach_zing, zing_report, ZingConfig, ZingReport};
 use badabing_sim::monitor::GroundTruth;
 use badabing_sim::topology::Dumbbell;
@@ -22,7 +23,7 @@ pub struct BadabingRun {
     /// Ground truth over the measurement horizon.
     pub truth: GroundTruth,
     /// The tool's analysis.
-    pub analysis: BadabingAnalysis,
+    pub analysis: Analysis,
     /// Probe load actually offered, bits/second.
     pub load_bps: f64,
     /// The dumbbell (for further inspection).

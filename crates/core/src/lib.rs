@@ -2,7 +2,7 @@
 //!
 //! This crate is the paper's primary contribution, implemented so that the
 //! same code drives both the simulator-based experiments and the live
-//! (tokio/UDP) tool:
+//! (std UDP sockets) tool:
 //!
 //! * [`config::BadabingConfig`] — slot width Δ, experiment probability `p`,
 //!   probe size `N`, and the loss-detection thresholds α and τ, with the
@@ -23,6 +23,10 @@
 //! * [`validate::Validation`] — §5.4's self-calibration checks: the
 //!   `01`/`10` balance, equal-rate checks for the extended patterns, and
 //!   the forbidden `010`/`101` counts;
+//! * [`analysis`] — the post-run join of the sender's [`SentProbe`] log
+//!   with the receiver's [`ProbeArrival`] records ([`analysis::observe`]),
+//!   reduced through the detector, estimators and checks to one
+//!   [`Analysis`], for the simulator and the live tool alike;
 //! * [`validate::duration_stddev_model`] — §7's accuracy model
 //!   `StdDev(D̂) ≈ 1/√(pNL)` used to choose `p` and `N`.
 //!
@@ -48,6 +52,7 @@
 //! ```
 
 pub mod adaptive;
+pub mod analysis;
 pub mod config;
 pub mod detector;
 pub mod estimator;
@@ -58,6 +63,7 @@ pub mod uncertainty;
 pub mod validate;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, Verdict};
+pub use analysis::{Analysis, ProbeArrival, SentProbe};
 pub use config::BadabingConfig;
 pub use detector::{CongestionDetector, ProbeObservation};
 pub use estimator::Estimates;

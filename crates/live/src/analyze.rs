@@ -1,19 +1,17 @@
 //! Post-run analysis: join sender manifest with receiver log and run the
-//! shared `badabing-core` pipeline.
+//! shared [`badabing_core::analysis`] pipeline.
 //!
 //! The receiver cannot see probes whose every packet was lost (nothing
 //! arrives to decode), so loss accounting needs the sender's manifest —
-//! the live analogue of the simulator harness's sent/arrived join. With
+//! the same sent/arrived join the simulator harness makes. With
 //! offset-removed *queueing* delays in hand, `OWDmax` estimates and the
 //! `(1-α)` threshold work exactly as in §6.1.
 
 use crate::receiver::ReceiverLog;
 use crate::sender::SenderManifest;
+use badabing_core::analysis::{self, Analysis, ProbeArrival};
 use badabing_core::config::BadabingConfig;
-use badabing_core::detector::{CongestionDetector, DetectorReport, ProbeObservation};
-use badabing_core::estimator::Estimates;
 use badabing_core::outcome::{ExperimentLog, Outcome};
-use badabing_core::validate::Validation;
 use badabing_wire::control::ReportRecord;
 
 /// The canonical **loss-only** experiment log over fetched report
@@ -69,82 +67,33 @@ pub fn loss_log_from_records(
     log
 }
 
-/// Results of a live run.
-#[derive(Debug, Clone)]
-pub struct LiveAnalysis {
-    /// Assembled experiment records.
-    pub log: ExperimentLog,
-    /// Counts and estimates.
-    pub estimates: Estimates,
-    /// §5.4 validation.
-    pub validation: Validation,
-    /// Detector diagnostics.
-    pub detector: DetectorReport,
-    /// Probe packets lost end to end.
-    pub packets_lost: u64,
-}
-
-impl LiveAnalysis {
-    /// Estimated loss-episode frequency.
-    pub fn frequency(&self) -> Option<f64> {
-        self.estimates.frequency()
-    }
-
-    /// Estimated mean loss-episode duration in seconds.
-    pub fn duration_secs(&self) -> Option<f64> {
-        self.estimates
-            .duration_secs_improved()
-            .or_else(|| self.estimates.duration_secs_basic())
-    }
-}
-
 /// Join and analyze.
 pub fn analyze_run(
     cfg: &BadabingConfig,
     manifest: &SenderManifest,
     receiver: &ReceiverLog,
-) -> LiveAnalysis {
-    let mut obs: Vec<ProbeObservation> = manifest
-        .sent
-        .iter()
-        .map(|s| {
-            let rec = receiver.arrivals.get(&(s.experiment, s.slot));
-            let received = rec.map_or(0, |r| r.received).min(s.packets);
-            ProbeObservation {
-                experiment: s.experiment,
-                slot: s.slot,
-                send_time_secs: s.send_time_secs,
-                packets_sent: s.packets,
-                packets_lost: s.packets - received,
-                owd_last_secs: rec.map(|r| r.qdelay_last_secs),
-                owd_max_secs: rec.map(|r| r.qdelay_max_secs),
-            }
-        })
-        .collect();
-    obs.sort_by(|a, b| a.send_time_secs.total_cmp(&b.send_time_secs));
-    let packets_lost = obs.iter().map(|o| u64::from(o.packets_lost)).sum();
-
-    let detector = CongestionDetector::new(cfg);
-    let (log, report) = detector.assemble(&obs, manifest.n_slots, manifest.slot_secs);
-    let estimates = Estimates::from_log(&log);
-    let validation = Validation::from_log(&log);
-    LiveAnalysis {
-        log,
-        estimates,
-        validation,
-        detector: report,
-        packets_lost,
-    }
+) -> Analysis {
+    let obs = analysis::observe(&manifest.sent, |s| {
+        receiver
+            .arrivals
+            .get(&(s.experiment, s.slot))
+            .map(|r| ProbeArrival {
+                received: r.received,
+                owd_last_secs: r.qdelay_last_secs,
+                owd_max_secs: r.qdelay_max_secs,
+            })
+    });
+    Analysis::new(cfg, &obs, manifest.n_slots, manifest.slot_secs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::receiver::ArrivalRecord;
-    use crate::sender::SentProbeInfo;
+    use badabing_core::analysis::SentProbe;
     use std::collections::HashMap;
 
-    fn manifest(probes: Vec<SentProbeInfo>) -> SenderManifest {
+    fn manifest(probes: Vec<SentProbe>) -> SenderManifest {
         SenderManifest {
             session: 1,
             packets_sent: probes.iter().map(|p| u64::from(p.packets)).sum(),
@@ -158,25 +107,25 @@ mod tests {
     #[test]
     fn clean_run_estimates_zero_frequency() {
         let probes = vec![
-            SentProbeInfo {
+            SentProbe {
                 experiment: 0,
                 slot: 10,
                 send_time_secs: 0.05,
                 packets: 3,
             },
-            SentProbeInfo {
+            SentProbe {
                 experiment: 0,
                 slot: 11,
                 send_time_secs: 0.055,
                 packets: 3,
             },
-            SentProbeInfo {
+            SentProbe {
                 experiment: 1,
                 slot: 50,
                 send_time_secs: 0.25,
                 packets: 3,
             },
-            SentProbeInfo {
+            SentProbe {
                 experiment: 1,
                 slot: 51,
                 send_time_secs: 0.255,
@@ -212,13 +161,13 @@ mod tests {
     #[test]
     fn fully_lost_probe_is_counted_via_manifest() {
         let probes = vec![
-            SentProbeInfo {
+            SentProbe {
                 experiment: 0,
                 slot: 10,
                 send_time_secs: 0.05,
                 packets: 3,
             },
-            SentProbeInfo {
+            SentProbe {
                 experiment: 0,
                 slot: 11,
                 send_time_secs: 0.055,

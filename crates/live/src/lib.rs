@@ -59,7 +59,7 @@ pub mod sender;
 mod session_table;
 pub mod skew;
 
-pub use analyze::{analyze_run, LiveAnalysis};
+pub use analyze::analyze_run;
 pub use batch_io::{
     bind_reuseport, kernel_offload_caps, BatchReceiver, BatchSender, IoMode, OffloadCaps,
 };
@@ -71,7 +71,7 @@ pub use receiver::{
     start_server, PressurePolicy, ReceiverLog, ServerConfig, ServerHandle, ServerReport,
     SessionEnd, SessionOutcome, DEFAULT_SESSION_BUDGET_BYTES,
 };
-pub use sender::{run_sender, SenderConfig, SenderManifest, SenderOutcome, SentProbeInfo};
+pub use sender::{run_sender, SenderConfig, SenderManifest, SenderOutcome};
 
 /// Counts every allocation the calling thread makes, so a test can
 /// assert a hot path allocates nothing while other tests run on

@@ -15,7 +15,8 @@
 
 use crate::control::EstimateReport;
 use crate::receiver::{ArrivalRecord, ReceiverLog};
-use crate::sender::{SenderManifest, SentProbeInfo};
+use crate::sender::SenderManifest;
+use badabing_core::analysis::SentProbe;
 use badabing_core::config::BadabingConfig;
 use badabing_metrics::json::Value;
 use badabing_wire::control::EstimateScope;
@@ -97,7 +98,7 @@ impl ManifestFile {
         let sent = req_arr(&v, "probes")?
             .iter()
             .map(|p| {
-                Ok(SentProbeInfo {
+                Ok(SentProbe {
                     experiment: req_u64(p, "experiment")?,
                     slot: req_u64(p, "slot")?,
                     send_time_secs: req_f64(p, "send_time_secs")?,
@@ -308,13 +309,13 @@ mod tests {
             n_slots: 1_000,
             slot_secs: 0.005,
             sent: vec![
-                SentProbeInfo {
+                SentProbe {
                     experiment: 0,
                     slot: 4,
                     send_time_secs: 0.02,
                     packets: 3,
                 },
-                SentProbeInfo {
+                SentProbe {
                     experiment: 0,
                     slot: 5,
                     send_time_secs: 0.025,

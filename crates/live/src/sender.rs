@@ -20,6 +20,7 @@
 use crate::control::{ControlClient, ControlConfig, ControlError, EstimateReport};
 use crate::provider::{Clock, Provider, SendBatch};
 use crate::receiver::ReceiverLog;
+use badabing_core::analysis::SentProbe;
 use badabing_core::config::BadabingConfig;
 use badabing_core::schedule::ExperimentScheduler;
 use badabing_metrics::Registry;
@@ -124,27 +125,13 @@ pub fn checked_secs(secs: f64, what: &str) -> std::io::Result<Duration> {
     })
 }
 
-/// One probe as sent, for the post-run join with receiver records.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SentProbeInfo {
-    /// Owning experiment.
-    pub experiment: u64,
-    /// Targeted slot.
-    pub slot: u64,
-    /// Actual send time in seconds since the sender's anchor.
-    pub send_time_secs: f64,
-    /// Packets of this probe that actually left the host (may be less
-    /// than the configured probe size if sends were refused).
-    pub packets: u8,
-}
-
 /// Everything the sender knows after a run.
 #[derive(Debug, Clone)]
 pub struct SenderManifest {
     /// Session id used.
     pub session: u32,
     /// Every probe sent, in send order.
-    pub sent: Vec<SentProbeInfo>,
+    pub sent: Vec<SentProbe>,
     /// Packets transmitted in total. Counts only successful sends: this
     /// is the denominator of the post-run loss accounting, so a packet
     /// the OS refused to emit must not appear in it.
@@ -328,7 +315,7 @@ pub fn run_sender(cfg: SenderConfig, rng: StdRng) -> std::io::Result<SenderOutco
         if let Some(c) = &m_probes {
             c.inc();
         }
-        sent.push(SentProbeInfo {
+        sent.push(SentProbe {
             experiment,
             slot,
             send_time_secs,

@@ -3,16 +3,14 @@
 //! The sender walks the geometric experiment schedule from
 //! [`badabing_core::schedule`], sending one multi-packet probe per
 //! scheduled slot (§6: 3 packets of 600 bytes, ~30 µs apart). The receiver
-//! timestamps arrivals and, after the run, sender and receiver logs are
-//! joined into [`ProbeObservation`]s, marked by the §6.1 detector, and
-//! reduced to estimates — the same pipeline the live tool uses.
+//! timestamps arrivals and, after the run, sender and receiver logs go
+//! through [`badabing_core::analysis`] — the same pipeline the live tool
+//! uses.
 
+use badabing_core::analysis::{self, Analysis, ProbeArrival, SentProbe};
 use badabing_core::config::BadabingConfig;
-use badabing_core::detector::{CongestionDetector, DetectorReport, ProbeObservation};
-use badabing_core::estimator::Estimates;
-use badabing_core::outcome::ExperimentLog;
+use badabing_core::detector::ProbeObservation;
 use badabing_core::schedule::ExperimentScheduler;
-use badabing_core::validate::Validation;
 use badabing_sim::engine::Simulator;
 use badabing_sim::node::{Context, Node, NodeId};
 use badabing_sim::packet::{FlowId, Packet, PacketKind};
@@ -20,19 +18,6 @@ use badabing_sim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::collections::HashMap;
-
-/// One probe as sent (sender-side log entry).
-#[derive(Debug, Clone, Copy)]
-pub struct SentProbe {
-    /// Owning experiment.
-    pub experiment: u64,
-    /// Targeted slot.
-    pub slot: u64,
-    /// Actual send time in seconds.
-    pub send_time_secs: f64,
-    /// Packets in the probe.
-    pub packets: u8,
-}
 
 /// A planned probe (slot, experiment, precomputed send instant).
 #[derive(Debug, Clone, Copy)]
@@ -172,17 +157,6 @@ impl Node for BadabingProber {
     }
 }
 
-/// Receiver-side record for one probe.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProbeArrival {
-    /// Packets of the probe that arrived.
-    pub received: u8,
-    /// One-way delay of the most recent arrival (FIFO ⇒ highest index).
-    pub owd_last_secs: f64,
-    /// Maximum one-way delay over the probe's arrivals.
-    pub owd_max_secs: f64,
-}
-
 /// The receiving node: joins per-packet arrivals into per-probe records.
 #[derive(Default)]
 pub struct BadabingReceiver {
@@ -221,40 +195,6 @@ impl Node for BadabingReceiver {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Everything a finished run produces.
-#[derive(Debug, Clone)]
-pub struct BadabingAnalysis {
-    /// The assembled experiment log (`yᵢ` records).
-    pub log: ExperimentLog,
-    /// Pattern counts and estimates.
-    pub estimates: Estimates,
-    /// §5.4 validation tallies.
-    pub validation: Validation,
-    /// Detector diagnostics.
-    pub detector: DetectorReport,
-}
-
-impl BadabingAnalysis {
-    /// Estimated episode frequency.
-    pub fn frequency(&self) -> Option<f64> {
-        self.estimates.frequency()
-    }
-
-    /// Estimated mean episode duration in seconds (improved estimator
-    /// when available, otherwise basic).
-    pub fn duration_secs(&self) -> Option<f64> {
-        self.estimates
-            .duration_secs_improved()
-            .or_else(|| self.estimates.duration_secs_basic())
-    }
-
-    /// §3 end-to-end loss rate estimate: episode frequency × measured
-    /// in-congestion packet loss intensity.
-    pub fn loss_rate(&self) -> Option<f64> {
-        Some(self.frequency()? * self.detector.loss_intensity()?)
     }
 }
 
@@ -352,39 +292,13 @@ impl BadabingHarness {
     pub fn observations(&self, sim: &Simulator) -> Vec<ProbeObservation> {
         let sent = sim.node::<BadabingProber>(self.prober).sent();
         let arrivals = sim.node::<BadabingReceiver>(self.receiver).arrivals();
-        let mut obs: Vec<ProbeObservation> = sent
-            .iter()
-            .map(|s| {
-                let rec = arrivals.get(&(s.experiment, s.slot));
-                let received = rec.map_or(0, |r| r.received).min(s.packets);
-                ProbeObservation {
-                    experiment: s.experiment,
-                    slot: s.slot,
-                    send_time_secs: s.send_time_secs,
-                    packets_sent: s.packets,
-                    packets_lost: s.packets - received,
-                    owd_last_secs: rec.map(|r| r.owd_last_secs),
-                    owd_max_secs: rec.map(|r| r.owd_max_secs),
-                }
-            })
-            .collect();
-        obs.sort_by(|a, b| a.send_time_secs.total_cmp(&b.send_time_secs));
-        obs
+        analysis::observe(sent, |s| arrivals.get(&(s.experiment, s.slot)).copied())
     }
 
     /// Run the detector + estimators over the collected observations.
-    pub fn analyze(&self, sim: &Simulator) -> BadabingAnalysis {
+    pub fn analyze(&self, sim: &Simulator) -> Analysis {
         let obs = self.observations(sim);
-        let detector = CongestionDetector::new(&self.cfg);
-        let (log, report) = detector.assemble(&obs, self.n_slots, self.cfg.slot_secs);
-        let estimates = Estimates::from_log(&log);
-        let validation = Validation::from_log(&log);
-        BadabingAnalysis {
-            log,
-            estimates,
-            validation,
-            detector: report,
-        }
+        Analysis::new(&self.cfg, &obs, self.n_slots, self.cfg.slot_secs)
     }
 }
 

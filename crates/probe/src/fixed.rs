@@ -7,7 +7,8 @@
 //! [`crate::badabing::BadabingReceiver`] on the far side (each probe is
 //! tagged as its own "experiment").
 
-use crate::badabing::{BadabingReceiver, SentProbe};
+use crate::badabing::BadabingReceiver;
+use badabing_core::analysis::{ProbeArrival, SentProbe};
 use badabing_sim::monitor::LossEpisode;
 use badabing_sim::node::{Context, Node, NodeId};
 use badabing_sim::packet::{FlowId, Packet, PacketKind};
@@ -149,7 +150,7 @@ impl ProbeEpisodeStats {
     /// episodes.
     pub fn compute(
         sent: &[SentProbe],
-        arrivals: &HashMap<(u64, u64), crate::badabing::ProbeArrival>,
+        arrivals: &HashMap<(u64, u64), ProbeArrival>,
         episodes: &[LossEpisode],
     ) -> Self {
         let mut stats = ProbeEpisodeStats {
@@ -318,7 +319,7 @@ mod tests {
         // Probe 1 loses a packet; probe 2 survives.
         arrivals.insert(
             (1u64, 1u64),
-            crate::badabing::ProbeArrival {
+            ProbeArrival {
                 received: 2,
                 owd_last_secs: 0.15,
                 owd_max_secs: 0.15,
@@ -326,7 +327,7 @@ mod tests {
         );
         arrivals.insert(
             (2u64, 2u64),
-            crate::badabing::ProbeArrival {
+            ProbeArrival {
                 received: 3,
                 owd_last_secs: 0.15,
                 owd_max_secs: 0.15,

@@ -4,8 +4,8 @@
 //! duration against the ground truth; [`ToolReport`] is that row, built
 //! from any of the three measurement sources.
 
-use crate::badabing::BadabingAnalysis;
 use crate::zing::ZingReport;
+use badabing_core::analysis::Analysis;
 use badabing_sim::monitor::GroundTruth;
 
 /// One row of a results table.
@@ -50,7 +50,7 @@ impl ToolReport {
     }
 
     /// A BADABING measurement row.
-    pub fn from_badabing(label: impl Into<String>, a: &BadabingAnalysis) -> Self {
+    pub fn from_badabing(label: impl Into<String>, a: &Analysis) -> Self {
         Self {
             label: label.into(),
             frequency: a.frequency(),
